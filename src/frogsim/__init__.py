@@ -9,7 +9,6 @@ from .errors import (
     LawParameterError,
     PlanError,
     SearchCapError,
-    StreamCapError,
 )
 from .lattice import (
     AdaptedBasis,
@@ -35,7 +34,7 @@ from .passage import (
     tau,
     witness_last_relay,
 )
-from .walks import SeedSpec, WalkStream, derive_stream
+from .walks import SeedSpec
 
 __version__ = "0.1.0"
 
@@ -55,12 +54,9 @@ __all__ = [
     "SearchCapError",
     "SeedSpec",
     "SignedPermutation",
-    "StreamCapError",
-    "WalkStream",
     "all_signed_permutations",
     "closest_in_set",
     "condition_origin",
-    "derive_stream",
     "find_adapted_basis",
     "identity_map",
     "jump_witness_scan",

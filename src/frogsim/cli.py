@@ -3,7 +3,8 @@
 Every run starts from an explicit seed (no environment fallback: replays
 must carry their entropy in the plan), writes its plan next to its reports,
 and can be reproduced byte-for-byte with ``frogsim replay plan.json``.
-Exit codes: 0 success, 2 plan or parameter error, 3 censoring budget breach.
+Exit codes: 0 success, 2 plan or parameter error (or out of memory), 3
+censoring budget breach.
 """
 
 from __future__ import annotations
@@ -353,6 +354,17 @@ RUNNERS = {
     "audit": run_audit,
 }
 
+# the sample-size parameters of each replicated command; fewer than one
+# replica leaves nothing to estimate
+SAMPLE_SIZES = {
+    "mu": ("replicas",),
+    "tails": ("replicas",),
+    "concentration": ("replicas",),
+    "truncation": ("replicas",),
+    "percolation": ("replicas", "white_replicas"),
+    "audit": ("triples",),
+}
+
 
 def execute_plan(plan: dict, outdir: Path, threads: int = 1) -> str:
     command = plan.get("command")
@@ -360,6 +372,10 @@ def execute_plan(plan: dict, outdir: Path, threads: int = 1) -> str:
         raise PlanError(f"unknown command {command!r} in plan")
     if plan.get("plan_version") != PLAN_VERSION:
         raise PlanError(f"unsupported plan version {plan.get('plan_version')}")
+    params = plan["params"]
+    for size in SAMPLE_SIZES.get(command, ()):
+        if size in params and not (isinstance(params[size], int) and params[size] >= 1):
+            raise PlanError(f"{command}: {size} must be an integer >= 1, got {params[size]!r}")
     plan.setdefault("software_version", __version__)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
@@ -524,6 +540,10 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (PlanError, FrogsimError, ValueError) as exc:
         print(f"plan error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"out of memory: frogsim {args.command} needs a smaller box, ladder or replica count",
+              file=sys.stderr)
         return 2
 
 

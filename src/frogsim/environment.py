@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import GeometryError, LawParameterError, SearchCapError
-from .lattice import Coords, ball_coords, closest_in_set, l1, shell_coords
+from .lattice import Coords, CubeIndex, ball_coords, closest_in_set, l1, shell_coords
 from .walks import (
     PURPOSE_CONDITION,
     PURPOSE_OMEGA,
@@ -211,15 +211,12 @@ class Environment:
         self.law = law
         self.seed = seed
         self.conditioned_origin = conditioned_origin
-        self._cube = cube  # (2R+1)^d int32, -1 outside the l1 ball
-        self._side = 2 * box_radius + 1
+        self.index = CubeIndex(box_radius, dim)
+        self._cube = cube  # flat over self.index, int32, -1 outside the l1 ball
         self._occupied: np.ndarray | None = None
         self._cube.setflags(write=False)
 
     # -- indexing ------------------------------------------------------------
-
-    def flat_index(self, coords: np.ndarray) -> np.ndarray:
-        return _flat_index(coords, self.box_radius, self.dim)
 
     def in_box_mask(self, coords: np.ndarray) -> np.ndarray:
         return np.abs(coords).sum(axis=1) <= self.box_radius
@@ -230,25 +227,21 @@ class Environment:
     def omega(self, x: Coords) -> int:
         if not self.in_box(x):
             raise GeometryError(f"site {x} outside box of radius {self.box_radius}")
-        idx = 0
-        for c in x:
-            idx = idx * self._side + (c + self.box_radius)
-        return int(self._cube.ravel()[idx])
+        return int(self._cube[self.index.flat_one(x)])
 
     def counts_at(self, coords: np.ndarray) -> np.ndarray:
         """Counts for arbitrary positions; sites outside the box report 0."""
         inside = self.in_box_mask(coords)
         out = np.zeros(coords.shape[0], dtype=np.int32)
         if inside.any():
-            flat = self.flat_index(coords[inside])
-            out[inside] = self._cube.ravel()[flat]
+            out[inside] = self._cube[self.index.flat(coords[inside])]
         return out
 
     def occupied_coords(self) -> np.ndarray:
         """All sites of the box with at least one frog, lex order."""
         if self._occupied is None:
             coords = ball_coords(self.box_radius, self.dim)
-            counts = self._cube.ravel()[self.flat_index(coords)]
+            counts = self._cube[self.index.flat(coords)]
             self._occupied = coords[counts > 0]
         return self._occupied
 
@@ -265,7 +258,7 @@ class Environment:
 
     def to_json(self) -> dict:
         coords = ball_coords(self.box_radius, self.dim)
-        counts = self._cube.ravel()[self.flat_index(coords)]
+        counts = self._cube[self.index.flat(coords)]
         runs: list[list[int]] = []
         for v in counts.tolist():
             if runs and runs[-1][0] == v:
@@ -294,27 +287,20 @@ class Environment:
         coords = ball_coords(R, dim)
         if counts.shape[0] != coords.shape[0]:
             raise GeometryError("rle_counts length does not match the box")
-        cube = np.full((2 * R + 1) ** dim, -1, dtype=np.int32)
-        cube[_flat_index(coords, R, dim)] = counts
+        index = CubeIndex(R, dim)
+        cube = np.full(index.size, -1, dtype=np.int32)
+        cube[index.flat(coords)] = counts
         return Environment(dim, R, law, seed, obj["conditioned_origin"], cube)
 
     def dump_json(self) -> str:
         return json.dumps(self.to_json(), separators=(",", ":"))
 
 
-def _flat_index(coords: np.ndarray, box_radius: int, dim: int) -> np.ndarray:
-    side = 2 * box_radius + 1
-    flat = np.zeros(coords.shape[0], dtype=np.int64)
-    for j in range(dim):
-        flat = flat * side + (coords[:, j] + box_radius)
-    return flat
-
-
 def sample_environment(law: ConfigLaw, dim: int, box_radius: int, seed: SeedSpec) -> Environment:
     if box_radius < 0:
         raise GeometryError(f"box radius must be >= 0, got {box_radius}")
-    side = 2 * box_radius + 1
-    cube = np.full(side**dim, -1, dtype=np.int32)
+    index = CubeIndex(box_radius, dim)
+    cube = np.full(index.size, -1, dtype=np.int32)
     coords = ball_coords(box_radius, dim)
     if law.kind == "constant":
         counts = np.full(coords.shape[0], int(law.params[0]), dtype=np.int32)
@@ -322,7 +308,7 @@ def sample_environment(law: ConfigLaw, dim: int, box_radius: int, seed: SeedSpec
         keys = site_keys_np(seed, PURPOSE_OMEGA, coords)
         u = uniform01_np(keys)
         counts = law.quantile_counts(u)
-    cube[_flat_index(coords, box_radius, dim)] = counts
+    cube[index.flat(coords)] = counts
     return Environment(dim, box_radius, law, seed, False, cube)
 
 
@@ -336,8 +322,7 @@ def condition_origin(env: Environment) -> Environment:
     u = uniform01(site_key(env.seed, PURPOSE_CONDITION, origin))
     count = env.law.conditioned_quantile(u)
     cube = env._cube.copy()
-    idx = env.flat_index(np.array([origin], dtype=np.int64))[0]
-    cube[idx] = count
+    cube[env.index.flat_one(origin)] = count
     return Environment(env.dim, env.box_radius, env.law, env.seed, True, cube)
 
 

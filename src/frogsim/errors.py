@@ -21,10 +21,6 @@ class SearchCapError(FrogsimError):
     """A search exceeded its configured size cap."""
 
 
-class StreamCapError(FrogsimError):
-    """A walk stream was asked to grow beyond its configured step cap."""
-
-
 class CensoringBudgetError(FrogsimError):
     """Too many replicas were censored at the configured horizon."""
 

@@ -571,13 +571,13 @@ def subadditivity_audit(
 
 def _random_triple(seed: SeedSpec, dim: int, window: int) -> tuple[Coords, Coords, Coords]:
     key = seed.purpose_key(PURPOSE_BOOTSTRAP)
-    side = 2 * window + 1
+    width = 2 * window + 1
     out = []
     counter = 0
     for _ in range(3):
         pt = []
         for _ in range(dim):
             counter += 1
-            pt.append(int(draw(key, counter) % side) - window)
+            pt.append(int(draw(key, counter) % width) - window)
         out.append(tuple(pt))
     return tuple(out)

@@ -1,14 +1,15 @@
-"""Integer lattice geometry: norms, neighborhoods, signed-permutation symmetries.
+"""Integer lattice geometry: norms, neighborhoods, cube indexing, symmetries.
 
 Sites of Z^d are plain tuples of ints so they can key dicts and sets.
 Bulk geometry (balls, shells) is produced as numpy arrays in a fixed
 canonical order so that every consumer enumerates sites identically.
+Every dense array over a finite piece of Z^d is laid out by ``CubeIndex``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -20,11 +21,11 @@ Coords = tuple[int, ...]
 
 
 def l1(x: Sequence[int]) -> int:
-    return int(sum(abs(c) for c in x))
+    return int(sum(map(abs, x)))
 
 
 def linf(x: Sequence[int]) -> int:
-    return int(max(abs(c) for c in x))
+    return int(max(map(abs, x)))
 
 
 def add(x: Coords, y: Coords) -> Coords:
@@ -86,6 +87,60 @@ def cube_coords(radius: int, dim: int) -> np.ndarray:
     axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * dim
     grid = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grid], axis=1)
+
+
+@dataclass(frozen=True)
+class CubeIndex:
+    """Row-major flat keys of the cube [-radius, radius]^dim.
+
+    Key order is the lex order of ``cube_coords(radius, dim)``, so
+    ``flat(cube_coords(radius, dim))`` is ``arange(size)``.  Keys of sites
+    outside the cube alias sites inside it: check ``contains`` first when a
+    site may lie outside.
+    """
+
+    radius: int
+    dim: int
+    side: int = field(init=False)
+    size: int = field(init=False)
+    _strides: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _offset: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        side = 2 * self.radius + 1
+        strides = tuple(side ** (self.dim - 1 - j) for j in range(self.dim))
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "size", side**self.dim)
+        object.__setattr__(self, "_strides", strides)
+        object.__setattr__(self, "_offset", self.radius * sum(strides))
+
+    # the scalar methods are plain loops: the per-site searches call them in
+    # their innermost loops, where this is faster than any builtin pipeline
+
+    def contains(self, x: Coords) -> bool:
+        r = self.radius
+        for c in x:
+            if not -r <= c <= r:
+                return False
+        return True
+
+    def flat_one(self, x: Coords) -> int:
+        side, r = self.side, self.radius
+        key = 0
+        for c in x:
+            key = key * side + (c + r)
+        return key
+
+    def flat(self, coords: np.ndarray) -> np.ndarray:
+        """Keys of the rows of an (n, dim) integer array."""
+        return coords @ np.asarray(self._strides, dtype=np.int64) + self._offset
+
+    def unflat_one(self, key: int) -> Coords:
+        return tuple(key // s % self.side - self.radius for s in self._strides)
+
+    def unflat(self, keys: np.ndarray) -> np.ndarray:
+        """The (n, dim) sites of an array of keys."""
+        return np.stack([keys // s % self.side - self.radius for s in self._strides], axis=1)
 
 
 def ball_coords(radius: int, dim: int) -> np.ndarray:

@@ -16,13 +16,14 @@ process (out-of-box sites wake nothing) that the oracle replays exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heappop, heappush
 
 import numpy as np
 
 from .environment import Environment, star
 from .errors import FrogsimError, GeometryError, SearchCapError
-from .lattice import Coords, l1, step_vectors, sub
+from .lattice import Coords, CubeIndex, l1, step_vectors, sub
 from .walks import step_codes_np, walk_keys_np
 
 
@@ -62,8 +63,8 @@ class PassageOutcome:
 class ActivationTable:
     """First-visit times and the activation genealogy of one simulation.
 
-    ``visit`` and ``parent`` are dense arrays over the cube of radius
-    ``pos_radius`` = |source|_1 + horizon that bounds every reachable
+    ``visit`` and ``parent`` are dense arrays over ``index``, the cube of
+    radius ``pos_radius`` = |source|_1 + horizon that bounds every reachable
     position.  ``parent`` stores, for each visited site, the flat index of
     the origin of the frog that first stood there (deterministic choice
     among simultaneous arrivals: smallest origin, then smallest frog index).
@@ -74,39 +75,15 @@ class ActivationTable:
         self.source = source
         self.horizon = horizon
         self.pos_radius = pos_radius
-        self.side = 2 * pos_radius + 1
-        n = self.side**dim
-        self.visit = np.full(n, -1, dtype=np.int64)
-        self.parent = np.full(n, -1, dtype=np.int64)
+        self.index = CubeIndex(pos_radius, dim)
+        self.visit = np.full(self.index.size, -1, dtype=np.int64)
+        self.parent = np.full(self.index.size, -1, dtype=np.int64)
         self.awake_trace: list[int] = []
         self.stopped_at: int | None = None
 
-    def flat(self, coords: np.ndarray) -> np.ndarray:
-        R, side = self.pos_radius, self.side
-        out = np.zeros(coords.shape[0], dtype=np.int64)
-        for j in range(self.dim):
-            out = out * side + (coords[:, j] + R)
-        return out
-
-    def flat_one(self, x: Coords) -> int:
-        idx = 0
-        for c in x:
-            idx = idx * self.side + (c + self.pos_radius)
-        return idx
-
-    def unflat(self, idx: int) -> Coords:
-        out = []
-        for _ in range(self.dim):
-            out.append(idx % self.side - self.pos_radius)
-            idx //= self.side
-        return tuple(reversed(out))
-
-    def contains(self, x: Coords) -> bool:
-        return all(-self.pos_radius <= c <= self.pos_radius for c in x)
-
     def visit_time(self, x: Coords) -> HittingTime:
-        if self.contains(x):
-            t = int(self.visit[self.flat_one(x)])
+        if self.index.contains(x):
+            t = int(self.visit[self.index.flat_one(x)])
             if t >= 0:
                 return HittingTime.finite(t, self.horizon)
         return HittingTime.censored(self.horizon)
@@ -115,7 +92,7 @@ class ActivationTable:
         ht = self.visit_time(x)
         if not ht.is_finite:
             raise FrogsimError(f"site {x} was not visited by the horizon {self.horizon}")
-        return self.unflat(int(self.parent[self.flat_one(x)]))
+        return self.index.unflat_one(int(self.parent[self.index.flat_one(x)]))
 
     def genealogy(self, x: Coords) -> list[Coords]:
         """Relay chain source = w_0, ..., w_m = x from the parent pointers."""
@@ -134,9 +111,9 @@ class ActivationTable:
         for idx in visited.tolist():
             rows.append(
                 {
-                    "site": list(self.unflat(idx)),
+                    "site": list(self.index.unflat_one(idx)),
                     "time": int(self.visit[idx]),
-                    "parent": list(self.unflat(int(self.parent[idx]))),
+                    "parent": list(self.index.unflat_one(int(self.parent[idx]))),
                 }
             )
         rows.sort(key=lambda r: (r["time"], r["site"]))
@@ -173,16 +150,16 @@ def simulate_frogs(
             "finite-box values would not match the infinite lattice"
         )
     table = ActivationTable(d, tuple(source), horizon, src_norm + horizon)
+    index = table.index
     steps = step_vectors(d)
     seed = env.seed
 
-    src_arr = np.asarray([source], dtype=np.int64)
-    src_flat = int(table.flat(src_arr)[0])
+    src_flat = index.flat_one(source)
     table.visit[src_flat] = 0
     table.parent[src_flat] = src_flat
 
     count0 = env.omega(source)
-    pos = np.repeat(src_arr, count0, axis=0)
+    pos = np.repeat(np.asarray([source], dtype=np.int64), count0, axis=0)
     ell = np.arange(1, count0 + 1, dtype=np.int64)
     keys = walk_keys_np(seed, pos, ell)
     birth = np.zeros(count0, dtype=np.int64)
@@ -191,11 +168,11 @@ def simulate_frogs(
     want: np.ndarray | None = None
     if stop_targets is not None:
         # targets outside the reachable cube stay censored; drop them from the stop set
-        reachable = [t for t in stop_targets if table.contains(tuple(t))]
+        reachable = [t for t in stop_targets if index.contains(t)]
         if not reachable:
             table.stopped_at = 0
             return table
-        want = table.flat(np.asarray(reachable, dtype=np.int64))
+        want = index.flat(np.asarray(reachable, dtype=np.int64))
         if np.all(table.visit[want] >= 0):
             table.stopped_at = 0
             return table
@@ -206,7 +183,7 @@ def simulate_frogs(
         k = (t - birth).astype(np.uint64)
         codes = step_codes_np(keys, k, d)
         pos += steps[codes]
-        flat = table.flat(pos)
+        flat = index.flat(pos)
         new_mask = table.visit[flat] < 0
         if new_mask.any():
             nf = flat[new_mask]
@@ -221,10 +198,7 @@ def simulate_frogs(
             table.visit[sites] = t
             table.parent[sites] = norg[lead]
 
-            site_coords = np.stack(
-                [(sites // table.side ** (d - 1 - j)) % table.side - table.pos_radius for j in range(d)],
-                axis=1,
-            )
+            site_coords = index.unflat(sites)
             counts = env.counts_at(site_coords)
             wake = counts > 0
             if wake.any():
@@ -261,35 +235,38 @@ def tau(env: Environment, u: Coords, v: Coords, horizon: int) -> HittingTime:
     if v == u:
         return HittingTime.finite(0, horizon)
     sites, times = first_hits(env, u, horizon)
-    delta = sub(v, u)
-    key = _offset_key(delta, horizon)
-    if key is None:
+    hit = _row_time(offset_index(horizon, env.dim), sites, times, sub(v, u))
+    if hit is None:
         return HittingTime.censored(horizon)
+    return HittingTime.finite(hit, horizon)
+
+
+@lru_cache(maxsize=64)
+def offset_index(horizon: int, dim: int) -> CubeIndex:
+    """Layout of the ``first_hits`` keys: offsets from the start, cube of radius ``horizon``."""
+    return CubeIndex(horizon, dim)
+
+
+def _row_time(index: CubeIndex, sites: np.ndarray, times: np.ndarray, delta: Coords) -> int | None:
+    """First-hit time at offset ``delta`` in a ``first_hits`` row; None if never hit."""
+    if not index.contains(delta):
+        return None
+    key = index.flat_one(delta)
     pos = np.searchsorted(sites, key)
     if pos < sites.shape[0] and sites[pos] == key:
-        return HittingTime.finite(int(times[pos]), horizon)
-    return HittingTime.censored(horizon)
-
-
-def _offset_key(delta: Coords, horizon: int) -> int | None:
-    """Flat key of an offset within the cube of radius ``horizon``."""
-    side = 2 * horizon + 1
-    key = 0
-    for c in delta:
-        if abs(c) > horizon:
-            return None
-        key = key * side + (c + horizon)
-    return key
+        return int(times[pos])
+    return None
 
 
 def first_hits(env: Environment, u: Coords, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """First hitting times of every site reached by u's own frogs.
 
-    Returns sorted flat offset keys (cube of radius ``horizon`` centered at
-    u) and the matching times; min over the site's omega(u) walks, k = 0
+    Returns sorted offset keys (laid out by ``offset_index(horizon, dim)``)
+    and the matching times; min over the site's omega(u) walks, k = 0
     included.  Cached per (site, horizon prefix) on the environment.
     """
     count = env.omega(u)
+    index = offset_index(horizon, env.dim)
     cache = _hits_cache(env)
     entry = cache.get(u)
     if entry is not None and entry[0] >= horizon:
@@ -298,7 +275,7 @@ def first_hits(env: Environment, u: Coords, horizon: int) -> tuple[np.ndarray, n
             return sites, times
         # a first hit within h0 steps is a first hit within any horizon >= it
         keep = times <= horizon
-        keys = _offset_keys_np(offs[keep], horizon)
+        keys = index.flat(offs[keep])
         order = np.argsort(keys)
         return keys[order], times[keep][order]
     if count < 1:
@@ -316,7 +293,7 @@ def first_hits(env: Environment, u: Coords, horizon: int) -> tuple[np.ndarray, n
     # prepend the k = 0 self-hit
     offsets = np.concatenate([np.zeros((1, env.dim), dtype=np.int64), offsets])
     times = np.concatenate([[0], times])
-    flat = _offset_keys_np(offsets, horizon)
+    flat = index.flat(offsets)
     order = np.lexsort((times, flat))
     flat = flat[order]
     times = times[order]
@@ -328,14 +305,6 @@ def first_hits(env: Environment, u: Coords, horizon: int) -> tuple[np.ndarray, n
     if len(cache) > 200_000:
         cache.clear()
     return sites, hit_times
-
-
-def _offset_keys_np(offsets: np.ndarray, horizon: int) -> np.ndarray:
-    side = 2 * horizon + 1
-    out = np.zeros(offsets.shape[0], dtype=np.int64)
-    for j in range(offsets.shape[1]):
-        out = out * side + (offsets[:, j] + horizon)
-    return out
 
 
 def _hits_cache(env: Environment) -> dict:
@@ -422,6 +391,7 @@ def oracle_relay_distances(
         raise SearchCapError(f"oracle supports at most {node_cap} occupied sites, found {occ.shape[0]}")
     if env.omega(source) < 1:
         return {}, {}
+    index = offset_index(horizon, env.dim)
     nodes = {tuple(int(c) for c in row) for row in occ}
     nodes.add(tuple(source))
     dist: dict[Coords, int] = {tuple(source): 0}
@@ -437,16 +407,14 @@ def oracle_relay_distances(
         for v in nodes:
             if v in settled:
                 continue
-            key = _offset_key(sub(v, u), horizon)
-            if key is None:
+            hit = _row_time(index, sites, times, sub(v, u))
+            if hit is None:
                 continue
-            pos = np.searchsorted(sites, key)
-            if pos < sites.shape[0] and sites[pos] == key:
-                cand = d_u + int(times[pos])
-                if cand <= horizon and cand < dist.get(v, 1 << 62):
-                    dist[v] = cand
-                    parent[v] = u
-                    heappush(heap, (cand, v))
+            cand = d_u + hit
+            if cand <= horizon and cand < dist.get(v, 1 << 62):
+                dist[v] = cand
+                parent[v] = u
+                heappush(heap, (cand, v))
     return dist, parent
 
 
@@ -455,19 +423,18 @@ def oracle_passage_time(
 ) -> PassageOutcome:
     """Relay-infimum value of T(source, x), censored beyond the horizon."""
     dist, parent = oracle_relay_distances(env, source, horizon, node_cap)
+    index = offset_index(horizon, env.dim)
     best: int | None = None
     best_relay: Coords | None = None
     for u, d_u in dist.items():
         sites, times = first_hits(env, u, horizon)
-        key = _offset_key(sub(x, u), horizon)
-        if key is None:
+        hit = _row_time(index, sites, times, sub(x, u))
+        if hit is None:
             continue
-        pos = np.searchsorted(sites, key)
-        if pos < sites.shape[0] and sites[pos] == key:
-            cand = d_u + int(times[pos])
-            if cand <= horizon and (best is None or cand < best or (cand == best and u < best_relay)):
-                best = cand
-                best_relay = u
+        cand = d_u + hit
+        if cand <= horizon and (best is None or cand < best or (cand == best and u < best_relay)):
+            best = cand
+            best_relay = u
     if best is None:
         return PassageOutcome(HittingTime.censored(horizon), None, horizon, env.box_radius)
     chain = [x] if x != best_relay else []
@@ -484,23 +451,15 @@ def oracle_all_targets(
 ) -> dict[Coords, int]:
     """Oracle values for every box site reachable within the horizon."""
     dist, _ = oracle_relay_distances(env, source, horizon, node_cap)
+    index = offset_index(horizon, env.dim)
     best: dict[Coords, int] = {}
     for u, d_u in dist.items():
         sites, times = first_hits(env, u, horizon)
         ok = d_u + times <= horizon
         for key, t_hit in zip(sites[ok].tolist(), times[ok].tolist()):
-            v = _offset_unflat(key, horizon, env.dim)
+            v = index.unflat_one(key)
             v_abs = tuple(a + b for a, b in zip(v, u))
             cand = d_u + t_hit
             if env.in_box(v_abs) and cand < best.get(v_abs, 1 << 62):
                 best[v_abs] = cand
     return best
-
-
-def _offset_unflat(key: int, horizon: int, dim: int) -> Coords:
-    side = 2 * horizon + 1
-    out = []
-    for _ in range(dim):
-        out.append(key % side - horizon)
-        key //= side
-    return tuple(reversed(out))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .environment import Environment, star
 from .errors import EmptySetError, GeometryError, LawParameterError
-from .lattice import Coords, add, ball_coords, cube_coords, find_adapted_basis, l1, neighbors, scale, sub
+from .lattice import Coords, CubeIndex, add, ball_coords, cube_coords, find_adapted_basis, l1, neighbors, scale, sub
 from .passage import HittingTime, passage_between, simulate_frogs
 from .stats import fit_line, wilson_ci
 from .walks import PURPOSE_FIELD, SeedSpec, site_keys_np, uniform01_np
@@ -30,15 +30,9 @@ class SiteField:
     def __init__(self, dim: int, box_radius: int, bits: np.ndarray, provenance: str):
         self.dim = dim
         self.box_radius = box_radius
-        self._side = 2 * box_radius + 1
-        self.bits = bits  # flat cube, -1 outside the ball
+        self.index = CubeIndex(box_radius, dim)
+        self.bits = bits  # flat over self.index, -1 outside the ball
         self.provenance = provenance
-
-    def flat_one(self, x: Coords) -> int:
-        idx = 0
-        for c in x:
-            idx = idx * self._side + (c + self.box_radius)
-        return idx
 
     def in_box(self, x: Coords) -> bool:
         return l1(x) <= self.box_radius
@@ -46,20 +40,11 @@ class SiteField:
     def bit(self, x: Coords) -> int:
         if not self.in_box(x):
             raise GeometryError(f"site {x} outside field of radius {self.box_radius}")
-        return int(self.bits[self.flat_one(x)])
+        return int(self.bits[self.index.flat_one(x)])
 
     def open_coords(self) -> np.ndarray:
         coords = ball_coords(self.box_radius, self.dim)
-        flat = _flat(coords, self.box_radius, self.dim)
-        return coords[self.bits[flat] == 1]
-
-
-def _flat(coords: np.ndarray, R: int, dim: int) -> np.ndarray:
-    side = 2 * R + 1
-    out = np.zeros(coords.shape[0], dtype=np.int64)
-    for j in range(dim):
-        out = out * side + (coords[:, j] + R)
-    return out
+        return coords[self.bits[self.index.flat(coords)] == 1]
 
 
 def sample_bernoulli_field(p: float, dim: int, box_radius: int, seed: SeedSpec) -> SiteField:
@@ -68,16 +53,17 @@ def sample_bernoulli_field(p: float, dim: int, box_radius: int, seed: SeedSpec) 
         raise LawParameterError(f"percolation parameter p must be in [0,1], got {p}")
     coords = ball_coords(box_radius, dim)
     u = uniform01_np(site_keys_np(seed, PURPOSE_FIELD, coords))
-    bits = np.full((2 * box_radius + 1) ** dim, -1, dtype=np.int8)
-    bits[_flat(coords, box_radius, dim)] = (u < p).astype(np.int8)
+    index = CubeIndex(box_radius, dim)
+    bits = np.full(index.size, -1, dtype=np.int8)
+    bits[index.flat(coords)] = (u < p).astype(np.int8)
     return SiteField(dim, box_radius, bits, provenance=f"bernoulli({p})")
 
 
 def field_from_indicator(dim: int, box_radius: int, values: dict[Coords, int], provenance: str) -> SiteField:
-    bits = np.full((2 * box_radius + 1) ** dim, -1, dtype=np.int8)
+    bits = np.full(CubeIndex(box_radius, dim).size, -1, dtype=np.int8)
     f = SiteField(dim, box_radius, bits, provenance)
     for x, v in values.items():
-        bits[f.flat_one(x)] = 1 if v else 0
+        bits[f.index.flat_one(x)] = 1 if v else 0
     return f
 
 
@@ -120,7 +106,7 @@ def label_clusters(f: SiteField) -> ClusterLabels:
     n = coords.shape[0]
     if n == 0:
         return ClusterLabels(label={}, sizes={}, largest_id=None)
-    flat = _flat(coords, f.box_radius, f.dim)
+    flat = f.index.flat(coords)
     index_of = {int(k): i for i, k in enumerate(flat)}
     uf = _UnionFind(n)
     # half the directions suffice: each edge is seen from its lower endpoint
@@ -129,7 +115,7 @@ def label_clusters(f: SiteField) -> ClusterLabels:
         step[j] = 1
         nb = coords + step
         inside = np.abs(nb).sum(axis=1) <= f.box_radius
-        nb_flat = _flat(nb[inside], f.box_radius, f.dim)
+        nb_flat = f.index.flat(nb[inside])
         open_nb = f.bits[nb_flat] == 1
         src = np.nonzero(inside)[0][open_nb]
         dst = nb_flat[open_nb]

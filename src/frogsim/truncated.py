@@ -25,8 +25,8 @@ import numpy as np
 
 from .environment import Environment, sample_environment, star
 from .errors import GeometryError, SearchCapError
-from .lattice import Coords, l1, linf, sub
-from .passage import first_hits, passage_time_star, tau
+from .lattice import Coords, cube_coords, l1, linf, sub
+from .passage import first_hits, offset_index, passage_time_star, tau
 from .stats import wilson_ci
 from .walks import SeedSpec
 
@@ -88,9 +88,7 @@ class TruncatedResult:
 
 @lru_cache(maxsize=64)
 def _linf_ball_offsets(t: int, d: int) -> np.ndarray:
-    axes = [np.arange(-t, t + 1, dtype=np.int64)] * d
-    grid = np.meshgrid(*axes, indexing="ij")
-    out = np.stack([g.ravel() for g in grid], axis=1)
+    out = cube_coords(t, d)
     out.setflags(write=False)
     return out
 
@@ -108,21 +106,16 @@ def _sigma_row(
     horizon = p.cap if cap_horizon is None else min(cap_horizon, p.cap)
     if env.omega(u) >= 1:
         sites, times = first_hits(env, u, horizon)
-        keys = _ball_keys(offs, horizon)
+        keys = offset_index(horizon, env.dim).flat(offs)
+        if horizon < p.t:
+            # u's frogs stay inside the horizon cube; keys of offsets beyond it would alias
+            keys[np.abs(offs).max(axis=1) > horizon] = -1
         pos = np.searchsorted(sites, keys)
         pos = np.clip(pos, 0, sites.shape[0] - 1) if sites.shape[0] else pos
         if sites.shape[0]:
             found = sites[pos] == keys
             weights[found] = times[pos[found]]
     return offs, weights
-
-
-def _ball_keys(offs: np.ndarray, horizon: int) -> np.ndarray:
-    side = 2 * horizon + 1
-    out = np.zeros(offs.shape[0], dtype=np.int64)
-    for j in range(offs.shape[1]):
-        out = out * side + (offs[:, j] + horizon)
-    return out
 
 
 def _staircase(x: Coords, y: Coords, t: int) -> list[Coords]:
@@ -251,9 +244,7 @@ def _linf_annulus(center: Coords, lo: int, hi: int) -> list[Coords]:
     d = len(center)
     if hi < lo:
         return []
-    axes = [np.arange(-hi, hi + 1, dtype=np.int64)] * d
-    grid = np.meshgrid(*axes, indexing="ij")
-    offs = np.stack([g.ravel() for g in grid], axis=1)
+    offs = cube_coords(hi, d)
     norms = np.abs(offs).max(axis=1)
     offs = offs[(norms >= lo) & (norms <= hi)]
     base = np.asarray(center, dtype=np.int64)
@@ -272,12 +263,8 @@ def exhaustive_truncated_oracle(
     if x == y:
         return 0
     ub = sigma_t(env, x, y, p)
-    span = ub
     base = np.asarray(x, dtype=np.int64)
-    axes = [np.arange(-span, span + 1, dtype=np.int64)] * env.dim
-    grid = np.meshgrid(*axes, indexing="ij")
-    offs = np.stack([g.ravel() for g in grid], axis=1)
-    pts = offs + base
+    pts = cube_coords(ub, env.dim) + base
     keep = np.abs(pts - base).sum(axis=1) + np.abs(pts - np.asarray(y)).sum(axis=1) <= ub
     cand = [tuple(int(c) for c in row) for row in pts[keep]]
     if len(cand) > node_cap:

@@ -1,9 +1,11 @@
-"""Deterministic, seeded walk streams.
+"""Deterministic, seeded walk step codes.
 
 Every frog's trajectory is a pure function of (master seed, experiment tag,
 origin site, frog index): direction codes come from a counter-based keyed
 mixing function, so hitting times queried in any order, or in parallel, see
-one consistent realization of the walk family.
+one consistent realization of the walk family.  Step k of a frog is a pure
+function of (walk key, k), so no per-frog state is ever cached: callers
+draw whole batches of (key, counter) pairs with ``step_codes_np``.
 
 Key derivation layout (all arithmetic mod 2^64; see docs/key-derivation.md
 for frozen test vectors):
@@ -28,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StreamCapError
-from .lattice import Coords, step_vectors
+from .lattice import Coords
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -43,8 +44,6 @@ PURPOSE_FIELD = 3
 PURPOSE_CONDITION = 4
 PURPOSE_CHILD = 5
 PURPOSE_BOOTSTRAP = 6
-
-DEFAULT_STREAM_CAP = 1 << 22
 
 
 def mix64(z: int) -> int:
@@ -145,63 +144,9 @@ def walk_keys_np(seed: SeedSpec, coords: np.ndarray, ells: np.ndarray) -> np.nda
 
 
 def step_code(key: int, k: int, dim: int) -> int:
-    """Direction code of step k >= 1 for the stream with this key."""
+    """Direction code of step k >= 1 of the walk with this key."""
     return draw(key, k) % (2 * dim)
 
 
 def step_codes_np(keys: np.ndarray, counters: np.ndarray, dim: int) -> np.ndarray:
     return (draw_np(keys, counters) % np.uint64(2 * dim)).astype(np.int64)
-
-
-class WalkStream:
-    """Lazily materialized trajectory of one frog.
-
-    Only the direction-code cache mutates; extending it never changes
-    previously returned positions.  ``max_steps`` bounds cache growth and
-    overflow raises instead of silently truncating.
-    """
-
-    def __init__(self, seed: SeedSpec, origin: Coords, ell: int, max_steps: int = DEFAULT_STREAM_CAP):
-        self.origin = tuple(origin)
-        self.ell = int(ell)
-        self.dim = len(origin)
-        self.key = walk_key(seed, self.origin, self.ell)
-        self.max_steps = int(max_steps)
-        self._codes = np.empty(0, dtype=np.uint8)
-
-    def _ensure(self, k: int) -> None:
-        have = self._codes.shape[0]
-        if k <= have:
-            return
-        if k > self.max_steps:
-            raise StreamCapError(
-                f"stream {(self.origin, self.ell)} asked for {k} steps, cap is {self.max_steps}"
-            )
-        new_len = min(self.max_steps, max(64, 2 * have, k))
-        counters = np.arange(have + 1, new_len + 1, dtype=np.uint64)
-        keys = np.full(counters.shape, self.key, dtype=np.uint64)
-        fresh = step_codes_np(keys, counters, self.dim).astype(np.uint8)
-        self._codes = np.concatenate([self._codes, fresh])
-
-    def codes(self, k: int) -> np.ndarray:
-        """Direction codes of steps 1..k."""
-        self._ensure(k)
-        return self._codes[:k]
-
-    def positions(self, k: int) -> np.ndarray:
-        """Positions S_0..S_k as a (k+1, d) array."""
-        out = np.empty((k + 1, self.dim), dtype=np.int64)
-        out[0] = self.origin
-        if k:
-            steps = step_vectors(self.dim)[self.codes(k).astype(np.int64)]
-            out[1:] = np.cumsum(steps, axis=0) + np.asarray(self.origin, dtype=np.int64)
-        return out
-
-    def position(self, k: int) -> Coords:
-        if k == 0:
-            return self.origin
-        return tuple(int(c) for c in self.positions(k)[k])
-
-
-def derive_stream(seed: SeedSpec, x: Coords, ell: int, max_steps: int = DEFAULT_STREAM_CAP) -> WalkStream:
-    return WalkStream(seed, x, ell, max_steps=max_steps)

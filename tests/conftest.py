@@ -1,6 +1,7 @@
 import numpy as np
 
-from frogsim.environment import ConfigLaw, Environment, _flat_index
+from frogsim.environment import ConfigLaw, Environment
+from frogsim.lattice import CubeIndex
 from frogsim.walks import SeedSpec
 
 
@@ -8,7 +9,8 @@ def env_from_counts(dim, radius, counts, seed=None, law=None, conditioned=False)
     """Hand-built environment: zero everywhere except the given site counts."""
     law = law or ConfigLaw.bernoulli(0.5)
     seed = seed or SeedSpec(0, "fixture")
-    cube = np.zeros((2 * radius + 1) ** dim, dtype=np.int32)
+    index = CubeIndex(radius, dim)
+    cube = np.zeros(index.size, dtype=np.int32)
     for x, c in counts.items():
-        cube[_flat_index(np.array([x], dtype=np.int64), radius, dim)[0]] = c
+        cube[index.flat_one(x)] = c
     return Environment(dim, radius, law, seed, conditioned, cube)

@@ -22,7 +22,7 @@ from frogsim.estimation import (
 )
 from frogsim.cli import main as cli_main
 from frogsim.lattice import ball_coords, l1, linf, sub
-from frogsim.passage import first_hits, oracle_all_targets, simulate_frogs
+from frogsim.passage import first_hits, offset_index, oracle_all_targets, simulate_frogs
 from frogsim.percolation import chemical_ratio_experiment, hole_radius_experiment
 from frogsim.truncated import TruncationParams, agreement_experiment, sigma_t
 from frogsim.walks import SeedSpec
@@ -72,15 +72,10 @@ def oracle_sweep():
         for u in [(0, 0), (1, -1), (3, 2)]:
             if env.omega(u) >= 1:
                 sites, times = first_hits(env, u, horizon)
+                index = offset_index(horizon, 2)
                 for key, t_hit in zip(sites.tolist(), times.tolist()):
                     tau_checks += 1
-                    side = 2 * horizon + 1
-                    off = []
-                    kk = key
-                    for _ in range(2):
-                        off.append(kk % side - horizon)
-                        kk //= side
-                    if t_hit < abs(off[0]) + abs(off[1]):
+                    if t_hit < l1(index.unflat_one(key)):
                         tau_bound_violations += 1
     elapsed = time.monotonic() - t0
     return {

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from frogsim.errors import EmptySetError, GeometryError
 from frogsim.lattice import (
     AdaptedBasis,
+    CubeIndex,
     SignedPermutation,
     all_signed_permutations,
     ball_coords,
     closest_in_set,
+    cube_coords,
     default_probe_set,
     find_adapted_basis,
     identity_map,
@@ -153,3 +157,36 @@ def test_step_vectors_shape():
     sv = step_vectors(3)
     assert sv.shape == (6, 3)
     assert np.abs(sv).sum(axis=1).tolist() == [1] * 6
+
+
+cube_shapes = st.tuples(st.integers(0, 6), st.sampled_from([1, 2, 3]))
+
+
+@given(cube_shapes)
+def test_cube_index_keys_follow_cube_coords(shape):
+    radius, dim = shape
+    index = CubeIndex(radius, dim)
+    coords = cube_coords(radius, dim)
+    assert index.size == coords.shape[0] == (2 * radius + 1) ** dim
+    assert np.array_equal(index.flat(coords), np.arange(index.size))
+    assert [index.flat_one(tuple(row)) for row in coords.tolist()] == list(range(index.size))
+
+
+@given(cube_shapes, st.data())
+def test_cube_index_unflat_inverts_flat(shape, data):
+    radius, dim = shape
+    index = CubeIndex(radius, dim)
+    coords = cube_coords(radius, dim)
+    assert np.array_equal(index.unflat(index.flat(coords)), coords)
+    key = data.draw(st.integers(0, index.size - 1))
+    x = index.unflat_one(key)
+    assert x == tuple(coords[key].tolist())
+    assert index.flat_one(x) == key
+
+
+@given(cube_shapes)
+def test_cube_index_contains_exactly_the_cube(shape):
+    radius, dim = shape
+    index = CubeIndex(radius, dim)
+    for row in cube_coords(radius + 2, dim).tolist():
+        assert index.contains(tuple(row)) == (max(abs(c) for c in row) <= radius)

@@ -57,7 +57,7 @@ def test_single_source_no_awakenings():
     table = simulate_frogs(env, (0, 0), 20)
     visited = np.nonzero(table.visit >= 0)[0]
     assert visited.shape[0] > 1
-    src = table.flat_one((0, 0))
+    src = table.index.flat_one((0, 0))
     assert np.all(table.parent[visited] == src)
 
 

@@ -1,6 +1,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from frogsim import cli
 from frogsim.cli import main
 from frogsim.reports import dump_csv, dump_json, fmt12, normalize, round12
 
@@ -133,3 +136,50 @@ def test_cli_audit_and_percolation(tmp_path):
     ) == 0
     assert (out2 / "hole_tail.csv").exists()
     assert (out2 / "chemical_ratio.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,size",
+    [
+        (["mu", "--law", "poisson:1.0", "--k", "4", "--replicas", "0"], "replicas"),
+        (["mu", "--law", "poisson:1.0", "--k", "4", "--replicas", "-2"], "replicas"),
+        (["tails", "--law", "poisson:1.0", "--k", "4", "--replicas", "0", "--epsilon", "0.5",
+          "--mu-hat", "2.0"], "replicas"),
+        (["concentration", "--law", "constant:1", "--k", "4", "--replicas", "0"], "replicas"),
+        (["truncation", "--law", "poisson:1.0", "--x", "4,0", "--t", "2", "--replicas", "0",
+          "--mu-hat", "1.5"], "replicas"),
+        (["percolation", "--p", "0.8", "--radius", "30", "--replicas", "0"], "replicas"),
+        (["percolation", "--p", "0.8", "--radius", "30", "--replicas", "2", "--white-n", "3",
+          "--white-replicas", "0"], "white_replicas"),
+        (["audit", "--law", "bernoulli:0.8", "--triples", "0"], "triples"),
+    ],
+    ids=["mu-0", "mu-neg", "tails", "concentration", "truncation", "percolation", "white", "audit"],
+)
+def test_cli_rejects_empty_sample(argv, size, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--seed", "1", "--out", str(out)) == 2
+    assert not (out / "report.json").exists()
+    assert f"{argv[0]}: {size} must be" in capsys.readouterr().err
+
+
+def test_cli_replay_rejects_empty_sample(tmp_path):
+    plan = {"plan_version": 1, "command": "percolation",
+            "params": {"seed": 1, "tag": "", "dim": 2, "p": 0.8, "radius": 30, "replicas": 0}}
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan), encoding="utf-8")
+    assert run_cli("replay", str(path), "--out", str(tmp_path / "r")) == 2
+    assert not (tmp_path / "r" / "report.json").exists()
+
+
+def test_cli_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
+    def exhausted(plan, outdir, threads=1):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.RUNNERS, "mu", exhausted)
+    code = run_cli(
+        "mu", "--law", "poisson:1.0", "--k", "4", "--replicas", "2", "--seed", "1",
+        "--out", str(tmp_path / "m"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "frogsim mu" in err

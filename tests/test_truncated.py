@@ -4,10 +4,12 @@ import pytest
 from conftest import env_from_counts
 from frogsim.environment import ConfigLaw, condition_origin, sample_environment, star
 from frogsim.errors import SearchCapError
-from frogsim.lattice import ball_coords, l1, linf, sub
+from frogsim.lattice import add, ball_coords, l1, linf, sub
+from frogsim.passage import tau
 from frogsim.truncated import (
     Tiling,
     TruncationParams,
+    _sigma_row,
     agreement_experiment,
     box_count_bound,
     exhaustive_truncated_oracle,
@@ -54,6 +56,22 @@ def test_sigma_sandwich_random_pairs():
         y = tuple(int(v) for v in rng.integers(-6, 7, 2))
         s = sigma_t(env, x, y, p)
         assert l1(sub(y, x)) <= s <= 4 * p.K * max(p.t, linf(sub(y, x)))
+
+
+@pytest.mark.parametrize("cap_horizon", [None, 2])
+def test_sigma_row_matches_tau(cap_horizon):
+    # the row is a bulk lookup in first_hits' keys; tau is the one-site lookup
+    env = condition_origin(poisson_env(seed=5, radius=40))
+    p = TruncationParams.make(3, 2, c4_hat=1.0)
+    horizon = p.cap if cap_horizon is None else min(cap_horizon, p.cap)
+    starts = [(0, 0), (1, 0), (0, 1), (-1, -1), (2, 3), (-3, 1)]
+    assert {env.omega(u) >= 1 for u in starts} == {True, False}
+    for u in starts:
+        offs, weights = _sigma_row(env, u, p, cap_horizon)
+        assert offs.shape[0] == (2 * p.t + 1) ** 2
+        for off, w in zip(offs.tolist(), weights.tolist()):
+            hit = tau(env, u, add(u, tuple(off)), horizon)
+            assert w == (hit.time if hit.is_finite else p.cap)
 
 
 def test_truncated_identity():

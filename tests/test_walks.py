@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from frogsim.errors import StreamCapError
+from frogsim.lattice import step_vectors
 from frogsim.walks import (
     SeedSpec,
-    derive_stream,
     draw,
     draw_np,
     mix64,
@@ -31,47 +30,52 @@ TEST_VECTORS = [
 ]
 
 
+def walk_codes(seed, x, ell, n):
+    """Direction codes of steps 1..n of frog (x, ell), drawn as one batch."""
+    keys = np.full(n, walk_key(seed, x, ell), dtype=np.uint64)
+    return step_codes_np(keys, np.arange(1, n + 1, dtype=np.uint64), len(x))
+
+
+def walk_positions(seed, x, ell, n):
+    """Positions S_0..S_n of frog (x, ell) as an (n+1, d) array."""
+    steps = step_vectors(len(x))[walk_codes(seed, x, ell, n)]
+    return np.concatenate([[x], np.cumsum(steps, axis=0) + np.asarray(x)])
+
+
 @pytest.mark.parametrize("master,tag,x,ell,key,codes", TEST_VECTORS)
 def test_published_vectors(master, tag, x, ell, key, codes):
     seed = SeedSpec(master, tag)
     assert walk_key(seed, x, ell) == key
     got = [step_code(key, k, len(x)) for k in range(1, 17)]
     assert got == codes
-    stream = derive_stream(seed, x, ell)
-    assert stream.codes(16).tolist() == codes
+    assert walk_codes(seed, x, ell, 16).tolist() == codes
 
 
 def test_determinism_same_key():
     seed = SeedSpec(99, "repro")
-    a = derive_stream(seed, (3, -1), 4)
-    b = derive_stream(seed, (3, -1), 4)
-    assert np.array_equal(a.positions(10_000), b.positions(10_000))
+    a = walk_positions(seed, (3, -1), 4, 10_000)
+    b = walk_positions(seed, (3, -1), 4, 10_000)
+    assert np.array_equal(a, b)
 
 
 def test_streams_differ_between_frogs():
     # pinned: for master seed 0 the two origin frogs diverge at the first step
-    a = derive_stream(SeedSpec(0, ""), (0, 0), 1).codes(64)
-    b = derive_stream(SeedSpec(0, ""), (0, 0), 2).codes(64)
+    a = walk_codes(SeedSpec(0, ""), (0, 0), 1, 64)
+    b = walk_codes(SeedSpec(0, ""), (0, 0), 2, 64)
     assert a[0] != b[0]
     assert not np.array_equal(a, b)
 
 
 def test_walk_position_contract():
     seed = SeedSpec(5, "walks")
-    w = derive_stream(seed, (2, 3), 1)
-    assert w.position(0) == (2, 3)
-    pos = w.positions(200)
+    pos = walk_positions(seed, (2, 3), 1, 200)
+    assert tuple(pos[0]) == (2, 3)
     steps = np.abs(np.diff(pos, axis=0)).sum(axis=1)
     assert np.all(steps == 1)
     norms = np.abs(pos - np.array([2, 3])).sum(axis=1)
     ks = np.arange(201)
     assert np.all(norms <= ks)
     assert np.all((norms - ks) % 2 == 0)
-    assert l1_dist(w.position(1), (2, 3)) == 1
-
-
-def l1_dist(a, b):
-    return sum(abs(x - y) for x, y in zip(a, b))
 
 
 def test_scalar_numpy_paths_agree():
@@ -102,8 +106,7 @@ def test_walk_keys_np_matches_scalar():
 def test_direction_frequencies():
     # 10^6 steps of one stream: each direction near 1/4 within 5 sigma
     seed = SeedSpec(123, "freq")
-    w = derive_stream(seed, (0, 0), 1, max_steps=1 << 21)
-    codes = w.codes(1_000_000)
+    codes = walk_codes(seed, (0, 0), 1, 1_000_000)
     counts = np.bincount(codes, minlength=4)
     n = codes.shape[0]
     p = 1 / 4
@@ -119,20 +122,6 @@ def test_uniform01_range():
     assert np.all((0.0 <= u) & (u < 1.0))
     assert uniform01(0) == 0.0
     assert 0.0 <= uniform01(2**64 - 1) < 1.0
-
-
-def test_stream_cap():
-    w = derive_stream(SeedSpec(1, "cap"), (0, 0), 1, max_steps=128)
-    w.codes(128)
-    with pytest.raises(StreamCapError):
-        w.codes(129)
-
-
-def test_cache_extension_stable():
-    w = derive_stream(SeedSpec(17, "grow"), (0, 0), 1)
-    first = w.positions(50).copy()
-    w.codes(5000)
-    assert np.array_equal(w.positions(50), first)
 
 
 def test_child_seeds_disjoint():
