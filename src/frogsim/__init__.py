@@ -10,29 +10,17 @@ from .errors import (
     PlanError,
     SearchCapError,
 )
-from .lattice import (
-    AdaptedBasis,
-    SignedPermutation,
-    all_signed_permutations,
-    closest_in_set,
-    find_adapted_basis,
-    identity_map,
-    l1,
-    linf,
-    neighbors,
-)
+from .lattice import closest_in_set, l1, linf, neighbors
 from .passage import (
     ActivationTable,
     HittingTime,
     PassageOutcome,
-    jump_witness_scan,
     oracle_passage_time,
     passage_between,
     passage_time,
     passage_time_star,
     simulate_frogs,
     tau,
-    witness_last_relay,
 )
 from .walks import SeedSpec
 
@@ -40,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivationTable",
-    "AdaptedBasis",
     "CensoringBudgetError",
     "ConfigLaw",
     "EmptySetError",
@@ -53,13 +40,8 @@ __all__ = [
     "PlanError",
     "SearchCapError",
     "SeedSpec",
-    "SignedPermutation",
-    "all_signed_permutations",
     "closest_in_set",
     "condition_origin",
-    "find_adapted_basis",
-    "identity_map",
-    "jump_witness_scan",
     "l1",
     "linf",
     "neighbors",
@@ -71,5 +53,4 @@ __all__ = [
     "simulate_frogs",
     "star",
     "tau",
-    "witness_last_relay",
 ]

@@ -354,6 +354,18 @@ RUNNERS = {
     "audit": run_audit,
 }
 
+# the params each runner reads without a default
+REQUIRED_PARAMS = {
+    "sample-env": ("seed", "law", "dim", "radius"),
+    "passage": ("seed", "law", "dim", "radius", "x", "horizon"),
+    "mu": ("seed", "law", "direction", "k", "replicas"),
+    "tails": ("seed", "law", "k", "replicas", "epsilon", "side"),
+    "concentration": ("seed", "law", "k", "replicas"),
+    "truncation": ("seed", "law", "dim", "x", "t", "replicas"),
+    "percolation": ("seed", "dim", "p", "radius", "replicas"),
+    "audit": ("seed", "law", "dim", "triples"),
+}
+
 # the sample-size parameters of each replicated command; fewer than one
 # replica leaves nothing to estimate
 SAMPLE_SIZES = {
@@ -366,16 +378,35 @@ SAMPLE_SIZES = {
 }
 
 
+def _check_params(command: str, params: dict) -> None:
+    missing = [key for key in REQUIRED_PARAMS[command] if key not in params]
+    if missing:
+        raise PlanError(f"{command}: plan params lack {', '.join(missing)}")
+    for size in SAMPLE_SIZES.get(command, ()):
+        if size in params and not (isinstance(params[size], int) and params[size] >= 1):
+            raise PlanError(f"{command}: {size} must be an integer >= 1, got {params[size]!r}")
+    dim = params.get("dim")
+    if dim is None:
+        return
+    points = [(key, params[key]) for key in ("direction", "x") if key in params]
+    points += [("targets", t) for t in params.get("targets", ())]
+    for key, point in points:
+        if not (isinstance(point, (list, tuple)) and len(point) == dim):
+            raise PlanError(f"{command}: {key} must have dim = {dim} coordinates, got {point!r}")
+
+
 def execute_plan(plan: dict, outdir: Path, threads: int = 1) -> str:
+    if not isinstance(plan, dict):
+        raise PlanError(f"a plan must be a JSON object, got {type(plan).__name__}")
     command = plan.get("command")
     if command not in RUNNERS:
         raise PlanError(f"unknown command {command!r} in plan")
     if plan.get("plan_version") != PLAN_VERSION:
         raise PlanError(f"unsupported plan version {plan.get('plan_version')}")
-    params = plan["params"]
-    for size in SAMPLE_SIZES.get(command, ()):
-        if size in params and not (isinstance(params[size], int) and params[size] >= 1):
-            raise PlanError(f"{command}: {size} must be an integer >= 1, got {params[size]!r}")
+    params = plan.get("params")
+    if not isinstance(params, dict):
+        raise PlanError(f"{command}: plan params must be a JSON object, got {params!r}")
+    _check_params(command, params)
     plan.setdefault("software_version", __version__)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
@@ -397,8 +428,11 @@ def _common_args(sp: argparse.ArgumentParser, law: bool = True) -> None:
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--seed", type=int, required=True, help="master seed (required; no environment fallback)")
     sp.add_argument("--tag", default="", help="experiment tag mixed into every derived key")
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", required=True, help="output directory for plan + reports")
+
+
+def _threads_arg(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--threads", type=int, default=1, help="threads over replicas; never changes the bytes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,12 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mu", help="time-constant estimation ladder")
     _common_args(sp)
+    _threads_arg(sp)
     sp.add_argument("--direction", default="1,0")
     sp.add_argument("--k", required=True, help="comma list, e.g. 4,8,16,32")
     sp.add_argument("--replicas", type=int, required=True)
 
     sp = sub.add_parser("tails", help="deviation tail curves")
     _common_args(sp)
+    _threads_arg(sp)
     sp.add_argument("--direction", default="1,0")
     sp.add_argument("--k", required=True)
     sp.add_argument("--replicas", type=int, required=True)
@@ -435,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("concentration", help="std scaling of the modified passage time")
     _common_args(sp)
+    _threads_arg(sp)
     sp.add_argument("--direction", default="1,0")
     sp.add_argument("--k", required=True)
     sp.add_argument("--replicas", type=int, required=True)
@@ -469,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("replay", help="re-execute a stored plan byte-identically")
     sp.add_argument("plan", help="path to plan.json")
     sp.add_argument("--out", default=None, help="output directory (default: the plan's directory)")
-    sp.add_argument("--threads", type=int, default=1)
+    _threads_arg(sp)
 
     return ap
 
@@ -529,10 +566,11 @@ def main(argv: list[str] | None = None) -> int:
                 raise PlanError(f"plan file {plan_path} does not exist")
             plan = json.loads(plan_path.read_text(encoding="utf-8"))
             outdir = Path(args.out) if args.out else plan_path.parent
-            summary = execute_plan(plan, outdir, threads=args.threads)
         else:
             plan = _plan_from_args(args)
-            summary = execute_plan(plan, Path(args.out), threads=args.threads)
+            outdir = Path(args.out)
+        # only the replicated commands offer --threads
+        summary = execute_plan(plan, outdir, threads=getattr(args, "threads", 1))
         print(summary)
         return 0
     except CensoringBudgetError as exc:

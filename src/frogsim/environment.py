@@ -8,7 +8,6 @@ others, and two boxes sampled from the same seed agree on their overlap.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -291,9 +290,6 @@ class Environment:
         cube = np.full(index.size, -1, dtype=np.int32)
         cube[index.flat(coords)] = counts
         return Environment(dim, R, law, seed, obj["conditioned_origin"], cube)
-
-    def dump_json(self) -> str:
-        return json.dumps(self.to_json(), separators=(",", ":"))
 
 
 def sample_environment(law: ConfigLaw, dim: int, box_radius: int, seed: SeedSpec) -> Environment:

@@ -243,32 +243,6 @@ class TailCurve:
         return [p for p in self.points if p.hits > 0]
 
 
-def deviation_tail_experiment(
-    law: ConfigLaw,
-    epsilon: float,
-    side: str,
-    x_ladder: Sequence[Coords],
-    replicas: int,
-    mu_hat: float,
-    seed: SeedSpec,
-    threads: int = 1,
-    horizon_factor: float = 1.25,
-) -> TailCurve:
-    """Empirical tail of T(0, x) against (1 +/- eps) mu_hat |x|_1.
-
-    Runs on origin-conditioned environments; zero-hit points are reported as
-    censored and excluded from the log-linear fit.  ``mu_hat`` must come
-    from a disjoint seed range (the caller derives it from calibration
-    seeds; nothing here reuses the tail seeds).
-    """
-    if side not in ("upper", "lower"):
-        raise LawParameterError(f"side must be upper or lower, got {side!r}")
-    samples = collect_tail_samples(
-        law, epsilon, x_ladder, replicas, mu_hat, seed, threads, horizon_factor
-    )
-    return tail_curve_from_samples(samples, epsilon, side, mu_hat, law.label())
-
-
 def collect_tail_samples(
     law: ConfigLaw,
     epsilon: float,
@@ -296,6 +270,13 @@ def collect_tail_samples(
 def tail_curve_from_samples(
     samples: PassageSamples, epsilon: float, side: str, mu_hat: float, law_label: str
 ) -> TailCurve:
+    """Empirical tail of T(0, x) against (1 +/- eps) mu_hat |x|_1.
+
+    Zero-hit points are excluded from the log-linear fit.  ``mu_hat`` must
+    come from a seed range disjoint from the samples'.
+    """
+    if side not in ("upper", "lower"):
+        raise LawParameterError(f"side must be upper or lower, got {side!r}")
     points = []
     for i, x in enumerate(samples.targets):
         finite, censored = samples.column(i)

@@ -343,36 +343,6 @@ def passage_time_star(
     return passage_between(env, origin_star, x_star, horizon, strict=strict)
 
 
-def witness_last_relay(env: Environment, x: Coords, horizon: int, strict: bool = True) -> Coords:
-    """The occupied site v(x) with T(0*, x) = T(0*, v(x)) + tau(v(x), x)."""
-    source = star(env, (0,) * env.dim)
-    table = simulate_frogs(env, source, horizon, stop_targets=[x], strict=strict)
-    value = table.visit_time(x)
-    if not value.is_finite:
-        raise FrogsimError(f"passage from {source} to {x} censored at {horizon}; no relay witness")
-    return table.first_visitor_origin(x)
-
-
-def jump_witness_scan(
-    env: Environment, x: Coords, horizon: int, t: int, strict: bool = True
-) -> bool:
-    """Whether the activation genealogy of T(0, x) contains a relay jump >= t.
-
-    Scans consecutive genealogy pairs (v1, v2); the final pair into x only
-    counts when x is itself occupied, matching the occupied-relay event.
-    """
-    origin = (0,) * env.dim
-    table = simulate_frogs(env, origin, horizon, stop_targets=[x], strict=strict)
-    if not table.visit_time(x).is_finite:
-        raise FrogsimError(f"passage to {x} censored at {horizon}; genealogy incomplete")
-    chain = table.genealogy(x)
-    pairs = list(zip(chain[:-1], chain[1:]))
-    if pairs and env.omega(x) < 1:
-        # the last hop ends at an unoccupied target: not an occupied relay pair
-        pairs.pop()
-    return any(l1(sub(b, a)) >= t for a, b in pairs)
-
-
 # ---------------------------------------------------------------------------
 # Brute-force oracle: Dijkstra on the complete relay graph over occupied sites
 # ---------------------------------------------------------------------------

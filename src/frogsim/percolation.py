@@ -1,7 +1,7 @@
 """Site percolation structures and the renormalized block fields.
 
 Bernoulli fields, union-find cluster labeling, chemical distance, hole
-radii, and the block-level white/good indicators that couple occupancy and
+radii, and the block-level white indicator that couples occupancy and
 local passage-time control.  The infinite cluster is proxied by the largest
 cluster in the box; experiments that consume it keep a boundary margin to
 damp finite-size bias.
@@ -12,14 +12,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .environment import Environment, star
+from .environment import Environment
 from .errors import EmptySetError, GeometryError, LawParameterError
-from .lattice import Coords, CubeIndex, add, ball_coords, cube_coords, find_adapted_basis, l1, neighbors, scale, sub
-from .passage import HittingTime, passage_between, simulate_frogs
+from .lattice import Coords, CubeIndex, add, ball_coords, cube_coords, l1, neighbors, scale, sub
+from .passage import HittingTime, simulate_frogs
 from .stats import fit_line, wilson_ci
 from .walks import PURPOSE_FIELD, SeedSpec, site_keys_np, uniform01_np
 
@@ -243,73 +243,6 @@ def white_site_indicator(
 def _tile_offsets(half: int, d: int) -> list[Coords]:
     """Offsets of the half-open tile (-half, half]^d."""
     return [tuple(t) for t in itertools.product(range(-half + 1, half + 1), repeat=d)]
-
-
-# ---------------------------------------------------------------------------
-# Good sites: directional passage control through adapted bases
-# ---------------------------------------------------------------------------
-
-
-def rational_directions(M: int, dim: int) -> list[Coords]:
-    """Integer vectors z with |z|_1 = M, standing for directions z / M."""
-    cube = cube_coords(M, dim)
-    return [tuple(int(c) for c in row) for row in cube if int(np.abs(row).sum()) == M]
-
-
-def good_site_indicator(
-    env: Environment,
-    v: Coords,
-    N: int,
-    M: int,
-    delta: float,
-    mu_hat: Mapping[Coords, float],
-    horizon_slack: float = 1.0,
-) -> int:
-    """1 iff, for every direction z/M and unit step, the modified passage
-    time between consecutive anchors stays below N |z|_1 mu_hat (1 + delta),
-    and every anchor's nearest occupied site lies within sqrt(N).
-
-    ``mu_hat`` maps each integer direction z (|z|_1 = M) to an estimated
-    time constant per unit l1 length; the resulting field differs from the
-    ideal one by exactly that estimation error.
-
-    ``delta >= 1000`` is the documented infinite-tolerance surrogate: the
-    timing condition holds almost surely at that scale and no finite box
-    could decide it by simulation, so only the star-proximity condition is
-    evaluated.
-    """
-    d = env.dim
-    timing_vacuous = delta >= 1000.0
-    dirs = rational_directions(M, d)
-    missing = [z for z in dirs if z not in mu_hat]
-    if missing:
-        raise GeometryError(f"mu_hat missing directions {missing[:3]}... ({len(missing)} total)")
-    sqrt_n = math.isqrt(N)
-    for z in dirs:
-        basis = find_adapted_basis(z)
-        threshold = N * M * mu_hat[z] * (1.0 + delta)
-        horizon = math.ceil(threshold * horizon_slack)
-        anchor0 = scale(N, basis.apply(v))
-        if l1(anchor0) + sqrt_n > env.box_radius:
-            raise GeometryError("good-site anchors exceed the sampled box")
-        a_star = star(env, anchor0, search_cap=env.box_radius)
-        if l1(sub(a_star, anchor0)) > sqrt_n:
-            return 0
-        for ax in range(d):
-            for sgn in (1, -1):
-                xi = tuple(sgn if i == ax else 0 for i in range(d))
-                anchor1 = scale(N, basis.apply(add(v, xi)))
-                if l1(anchor1) + sqrt_n > env.box_radius:
-                    raise GeometryError("good-site anchors exceed the sampled box")
-                b_star = star(env, anchor1, search_cap=env.box_radius)
-                if l1(sub(b_star, anchor1)) > sqrt_n:
-                    return 0
-                if timing_vacuous or a_star == b_star:
-                    continue
-                out = passage_between(env, a_star, b_star, horizon)
-                if not out.value.is_finite or out.value.time > threshold:
-                    return 0
-    return 1
 
 
 # ---------------------------------------------------------------------------

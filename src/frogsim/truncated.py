@@ -312,10 +312,6 @@ class Tiling:
         return tuple(self.t * c for c in q)
 
 
-def tiling_box_of(tiling: Tiling, z: Coords) -> Coords:
-    return tiling.box_of(z)
-
-
 def geodesic_box_count(witness: Sequence[Coords], tiling: Tiling) -> int:
     return len({tiling.box_of(z) for z in witness})
 

@@ -10,7 +10,6 @@ from frogsim.estimation import (
     collect_passage_samples,
     collect_tail_samples,
     concentration_experiment,
-    deviation_tail_experiment,
     direct_path_event_check,
     estimate_time_constant,
     probe_mu_hint,
@@ -96,14 +95,12 @@ def test_tail_lower_below_path_bound_is_empty():
 
 
 def test_tail_requires_positive_epsilon():
+    law = ConfigLaw.constant(1)
     with pytest.raises(LawParameterError):
-        deviation_tail_experiment(
-            ConfigLaw.constant(1), 0.0, "lower", [(4, 0)], 10, 1.0, SeedSpec(13)
-        )
+        collect_tail_samples(law, 0.0, [(4, 0)], 10, 1.0, SeedSpec(13))
+    samples = collect_tail_samples(law, 0.5, [(4, 0)], 10, 1.0, SeedSpec(13))
     with pytest.raises(LawParameterError):
-        deviation_tail_experiment(
-            ConfigLaw.constant(1), 0.5, "sideways", [(4, 0)], 10, 1.0, SeedSpec(13)
-        )
+        tail_curve_from_samples(samples, 0.5, "sideways", 1.0, law.label())
 
 
 def test_tail_curves_two_sided():

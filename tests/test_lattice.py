@@ -3,18 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from frogsim.errors import EmptySetError, GeometryError
+from frogsim.errors import EmptySetError
 from frogsim.lattice import (
-    AdaptedBasis,
     CubeIndex,
-    SignedPermutation,
-    all_signed_permutations,
     ball_coords,
     closest_in_set,
     cube_coords,
-    default_probe_set,
-    find_adapted_basis,
-    identity_map,
     l1,
     linf,
     neighbors,
@@ -64,83 +58,6 @@ def test_closest_in_set_order_independent():
 def test_closest_in_set_empty():
     with pytest.raises(EmptySetError):
         closest_in_set((0, 0), [])
-
-
-def test_signed_permutation_apply():
-    g = SignedPermutation(perm=(1, 0), signs=(1, -1))
-    assert g.apply((3, 5)) == (5, -3)
-    ident = identity_map(3)
-    assert ident.apply((4, -2, 7)) == (4, -2, 7)
-
-
-def test_signed_permutation_group_laws():
-    rng = np.random.default_rng(1)
-    group = all_signed_permutations(3)
-    assert len(group) == 48
-    for _ in range(50):
-        g = group[rng.integers(len(group))]
-        h = group[rng.integers(len(group))]
-        x = tuple(int(v) for v in rng.integers(-9, 10, 3))
-        assert g.compose(h).apply(x) == g.apply(h.apply(x))
-        assert g.compose(g.inverse()).apply(x) == x
-        assert l1(g.apply(x)) == l1(x)
-        assert linf(g.apply(x)) == linf(x)
-
-
-def test_adapted_map_examples():
-    swap = SignedPermutation(perm=(1, 0), signs=(1, 1))
-    basis = AdaptedBasis(maps=(identity_map(2), swap), base_point=(2, 1), quality=0.5)
-    assert basis.apply((1, 0)) == (2, 1)
-    assert basis.apply((0, 0)) == (0, 0)
-    assert basis.apply((1, 1)) == (3, 3)
-
-
-def test_adapted_map_upper_bound_random():
-    rng = np.random.default_rng(2)
-    for _ in range(30):
-        x = tuple(int(v) for v in rng.integers(-4, 5, 2))
-        if l1(x) == 0:
-            continue
-        basis = find_adapted_basis(x)
-        for _ in range(20):
-            y = tuple(int(v) for v in rng.integers(-6, 7, 2))
-            assert l1(basis.apply(y)) <= l1(x) * l1(y)
-
-
-def test_find_adapted_basis_unit_direction():
-    basis = find_adapted_basis((1, 0))
-    assert basis.quality == pytest.approx(1.0)
-    assert basis.maps[0].apply((1, 0)) == (1, 0)
-    assert basis.images() == [(1, 0), (0, 1)]
-
-
-def test_find_adapted_basis_diagonal_brute_force():
-    # independent exhaustive check over the 8 grid symmetries of Z^2
-    x = (1, 1)
-    probes = default_probe_set(2)
-    best = 0.0
-    for g in all_signed_permutations(2):
-        worst = min(
-            l1((y[0] * x[0] + y[1] * g.apply(x)[0], y[0] * x[1] + y[1] * g.apply(x)[1]))
-            / (l1(x) * l1(y))
-            for y in probes
-        )
-        best = max(best, worst)
-    basis = find_adapted_basis(x)
-    assert basis.quality == pytest.approx(best)
-    assert basis.quality == pytest.approx(0.5)
-
-
-def test_find_adapted_basis_quality_at_most_one():
-    for x in [(1, 0), (1, 1), (2, 1), (3, -2)]:
-        assert find_adapted_basis(x).quality <= 1.0 + 1e-12
-
-
-def test_find_adapted_basis_errors():
-    with pytest.raises(GeometryError):
-        find_adapted_basis((0, 0))
-    with pytest.raises(GeometryError):
-        find_adapted_basis((1, 0, 0, 0, 0))
 
 
 def test_ball_and_shell():

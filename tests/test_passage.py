@@ -7,7 +7,6 @@ from frogsim.errors import FrogsimError, GeometryError
 from frogsim.lattice import ball_coords, l1
 from frogsim.passage import (
     HittingTime,
-    jump_witness_scan,
     oracle_all_targets,
     oracle_passage_time,
     passage_between,
@@ -15,7 +14,6 @@ from frogsim.passage import (
     passage_time_star,
     simulate_frogs,
     tau,
-    witness_last_relay,
 )
 from frogsim.walks import SeedSpec
 
@@ -147,44 +145,9 @@ def test_witness_telescopes():
         hop = tau(env, a, b, 40)
         assert hop.is_finite
         total += hop.time
+        # relay identity: T(0, b) = T(0, a) + tau(a, b) at every link
+        assert passage_between(env, out.witness[0], b, 40).value.time == total
     assert total == out.value.time
-
-
-def test_witness_last_relay_identity_and_pin():
-    env = make_env(radius=50)
-    v = witness_last_relay(env, (5, 2), 40)
-    assert v == (7, -1)  # pinned for seed 7, tag "dev", bernoulli(0.7)
-    source = star(env, (0, 0))
-    t_v = passage_between(env, source, v, 40).value
-    t_x = passage_between(env, source, (5, 2), 40).value
-    hop = tau(env, v, (5, 2), 40)
-    assert t_v.is_finite and t_x.is_finite and hop.is_finite
-    assert t_v.time + hop.time == t_x.time
-
-
-def test_witness_last_relay_censored_raises():
-    env = make_env(radius=40)
-    with pytest.raises(FrogsimError):
-        witness_last_relay(env, (39, 0), 5, strict=False)
-
-
-def test_jump_witness_scan_bounds():
-    env = make_env(radius=40)
-    x = (6, 1)
-    assert jump_witness_scan(env, x, 30, 0) is True
-    assert jump_witness_scan(env, x, 30, 2 * env.box_radius + 1) is False
-
-
-def test_jump_witness_frequency_decreases():
-    counts = {2: 0, 5: 0}
-    for rep in range(25):
-        env = condition_origin(
-            sample_environment(ConfigLaw.bernoulli(0.6), 2, 40, SeedSpec(4000 + rep, "jump"))
-        )
-        for t in counts:
-            if jump_witness_scan(env, (7, 0), 38, t):
-                counts[t] += 1
-    assert counts[5] <= counts[2]
 
 
 def test_passage_time_star_matches_plain_when_occupied():

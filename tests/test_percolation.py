@@ -10,12 +10,10 @@ from frogsim.percolation import (
     chemical_distance,
     chemical_ratio_experiment,
     field_from_indicator,
-    good_site_indicator,
     hole_radius,
     hole_radius_experiment,
     label_clusters,
     marginal_curve,
-    rational_directions,
     sample_bernoulli_field,
     white_site_indicator,
 )
@@ -146,38 +144,6 @@ def test_white_locality():
     assert white_site_indicator(env, (0, 0), N, subbox_side=1) == white_site_indicator(
         env2, (0, 0), N, subbox_side=1
     )
-
-
-def test_good_fixture_and_star_condition():
-    mu_hat = {z: 2.5 for z in rational_directions(1, 2)}
-    env = sample_environment(ConfigLaw.constant(1), 2, 80, SeedSpec(6, "good"))
-    assert good_site_indicator(env, (0, 0), 9, 1, 1.0, mu_hat) == 1
-
-    # giant delta: the timing condition is vacuous, stars decide
-    assert good_site_indicator(env, (0, 0), 9, 1, 1e6, mu_hat) == 1
-
-    # one anchor isolated from frogs far beyond sqrt(N) -> 0
-    counts = {tuple(int(c) for c in row): 1 for row in ball_coords(80, 2).tolist()}
-    anchor = (9, 0)
-    for row in ball_coords(80, 2).tolist():
-        x = tuple(row)
-        if l1(tuple(a - b for a, b in zip(x, anchor))) <= 4:
-            counts[x] = 0
-    env2 = env_from_counts(2, 80, counts, seed=SeedSpec(6, "good"))
-    assert good_site_indicator(env2, (0, 0), 9, 1, 1e6, mu_hat) == 0
-
-
-def test_good_missing_direction_errors():
-    env = sample_environment(ConfigLaw.constant(1), 2, 80, SeedSpec(6, "good"))
-    with pytest.raises(GeometryError):
-        good_site_indicator(env, (0, 0), 9, 1, 1.0, {(1, 0): 2.5})
-
-
-def test_rational_directions():
-    assert sorted(rational_directions(1, 2)) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
-    dirs2 = rational_directions(2, 2)
-    assert len(dirs2) == 8
-    assert all(l1(z) == 2 for z in dirs2)
 
 
 def test_marginal_curve_constant_indicator():

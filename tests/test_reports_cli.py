@@ -183,3 +183,79 @@ def test_cli_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "frogsim mu" in err
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["mu", "--law", "poisson:1.0", "--dim", "3", "--k", "2,4", "--replicas", "2"], "direction"),
+        (["tails", "--law", "poisson:1.0", "--dim", "3", "--k", "4", "--replicas", "2",
+          "--epsilon", "0.5", "--mu-hat", "2.0"], "direction"),
+        (["concentration", "--law", "constant:1", "--dim", "3", "--k", "4", "--replicas", "2"],
+         "direction"),
+        (["passage", "--law", "bernoulli:0.7", "--dim", "3", "--radius", "8", "--x", "3,0",
+          "--horizon", "20"], "x"),
+        (["truncation", "--law", "poisson:1.0", "--dim", "3", "--x", "4,0", "--t", "2",
+          "--replicas", "1", "--mu-hat", "1.5"], "x"),
+        (["percolation", "--p", "0.8", "--dim", "3", "--radius", "30", "--replicas", "1"], "targets"),
+    ],
+    ids=["mu", "tails", "concentration", "passage", "truncation", "percolation"],
+)
+def test_cli_rejects_point_of_wrong_dimension(argv, key, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--seed", "1", "--out", str(out)) == 2
+    assert not (out / "plan.json").exists()
+    assert f"{argv[0]}: {key} must have dim = 3 coordinates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "plan,message",
+    [
+        ([1, 2], "must be a JSON object"),
+        ({"plan_version": 1, "command": "mu"}, "params must be a JSON object"),
+        ({"plan_version": 1, "command": "mu", "params": [1]}, "params must be a JSON object"),
+        ({"plan_version": 1, "command": "mu",
+          "params": {"seed": 1, "dim": 2, "direction": [1, 0], "k": [4], "replicas": 2}}, "lack law"),
+    ],
+    ids=["list", "no-params", "params-list", "no-law"],
+)
+def test_cli_replay_rejects_malformed_plan(plan, message, tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan), encoding="utf-8")
+    out = tmp_path / "r"
+    assert run_cli("replay", str(path), "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("plan error:") and message in err
+
+
+def test_cli_replay_rejects_unknown_tail_side(tmp_path, capsys):
+    plan = {"plan_version": 1, "command": "tails",
+            "params": {"seed": 3, "tag": "", "law": "bernoulli:0.7", "dim": 2, "direction": [1, 0],
+                       "k": [4], "replicas": 4, "epsilon": 0.5, "side": "sideways", "mu_hat": 2.5}}
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan), encoding="utf-8")
+    out = tmp_path / "r"
+    assert run_cli("replay", str(path), "--out", str(out)) == 2
+    assert "side must be upper or lower" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample-env", "--law", "poisson:1.0", "--radius", "3"],
+        ["passage", "--law", "bernoulli:0.7", "--radius", "8", "--x", "3,0", "--horizon", "20"],
+        ["truncation", "--law", "poisson:1.0", "--x", "4,0", "--t", "2", "--replicas", "1",
+         "--mu-hat", "1.5"],
+        ["percolation", "--p", "0.8", "--radius", "30", "--replicas", "1"],
+        ["audit", "--law", "bernoulli:0.8", "--triples", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_threads_only_on_replicated_commands(argv, tmp_path):
+    # these commands run no replica pool, so the flag would do nothing
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--seed", "1", "--threads", "2", "--out", str(out)) == 2
+    assert not out.exists()

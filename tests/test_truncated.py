@@ -15,7 +15,6 @@ from frogsim.truncated import (
     exhaustive_truncated_oracle,
     geodesic_box_count,
     sigma_t,
-    tiling_box_of,
     truncated_passage,
 )
 from frogsim.walks import SeedSpec
@@ -136,12 +135,12 @@ def test_truncated_monotone_under_weight_domination():
 
 def test_tiling_examples():
     tl = Tiling(t=4, dim=2)
-    assert tiling_box_of(tl, (0, 0)) == (0, 0)
-    assert tiling_box_of(tl, (4, 0)) == (1, 0)
+    assert tl.box_of((0, 0)) == (0, 0)
+    assert tl.box_of((4, 0)) == (1, 0)
     # half-open convention: coordinate t/2 belongs to the box below
-    assert tiling_box_of(tl, (2, 2)) == (0, 0)
-    assert tiling_box_of(tl, (3, 0)) == (1, 0)
-    assert tiling_box_of(tl, (-2, 0)) == (-1, 0)
+    assert tl.box_of((2, 2)) == (0, 0)
+    assert tl.box_of((3, 0)) == (1, 0)
+    assert tl.box_of((-2, 0)) == (-1, 0)
     assert tl.center((2, -1)) == (8, -4)
 
 
