@@ -167,7 +167,7 @@ def run_tails(plan: dict, outdir: Path, threads: int = 1) -> str:
             threads=threads,
         )
         mu_hat = est.mu_hat
-    sides = ["upper", "lower"] if params["side"] == "both" else [params["side"]]
+    sides = TAIL_SIDES[params["side"]]
     samples = collect_tail_samples(
         law, eps, ladder, params["replicas"], mu_hat, seed, threads=threads
     )
@@ -354,6 +354,8 @@ RUNNERS = {
     "audit": run_audit,
 }
 
+TAIL_SIDES = {"upper": ["upper"], "lower": ["lower"], "both": ["upper", "lower"]}
+
 # the params each runner reads without a default
 REQUIRED_PARAMS = {
     "sample-env": ("seed", "law", "dim", "radius"),
@@ -385,6 +387,18 @@ def _check_params(command: str, params: dict) -> None:
     for size in SAMPLE_SIZES.get(command, ()):
         if size in params and not (isinstance(params[size], int) and params[size] >= 1):
             raise PlanError(f"{command}: {size} must be an integer >= 1, got {params[size]!r}")
+    for key in ("law", "white_law"):
+        if key in params and not isinstance(params[key], str):
+            raise PlanError(f"{command}: {key} must be a string such as poisson:1.0, got {params[key]!r}")
+    for key in ("k", "t", "calibration_k", "white_n"):
+        ladder = params.get(key)
+        if key in params and not (
+            isinstance(ladder, list) and ladder and all(type(v) is int and v >= 1 for v in ladder)
+        ):
+            raise PlanError(f"{command}: {key} must be a non-empty list of positive integers, got {ladder!r}")
+    side = params.get("side")
+    if command == "tails" and not (isinstance(side, str) and side in TAIL_SIDES):
+        raise PlanError(f"tails: side must be upper or lower (or both), got {side!r}")
     dim = params.get("dim")
     if dim is None:
         return
@@ -466,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", required=True)
     sp.add_argument("--replicas", type=int, required=True)
     sp.add_argument("--epsilon", type=float, required=True)
-    sp.add_argument("--side", choices=["upper", "lower", "both"], default="both")
+    sp.add_argument("--side", choices=list(TAIL_SIDES), default="both")
     sp.add_argument("--mu-hat", type=float, default=None, help="calibrated estimate; omitted -> internal calibration on a disjoint seed stream")
 
     sp = sub.add_parser("concentration", help="std scaling of the modified passage time")

@@ -1,20 +1,24 @@
-"""Initial frog configurations on a finite box.
+"""Initial frog configurations, with counts computed on demand.
 
-An Environment holds the sampled counts omega on the l1 ball of a given
-radius.  Sampling is site-keyed: every site's count is a pure function of
-(seed, site), so growing the box or resampling one site never disturbs the
-others, and two boxes sampled from the same seed agree on their overlap.
+Every site's count omega is a pure function of (seed, site), so an
+Environment stores no counts: it computes them for the sites it is asked
+about, for whole arrays (``counts_at``) or one site at a time through a
+small memo (``omega``).  A few fixed sites override the keyed counts (the
+conditioned origin, or counts read from a file).  The box radius is only a
+mask: growing it never disturbs a count, and two boxes with the same seed
+agree on their overlap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from .errors import GeometryError, LawParameterError, SearchCapError
-from .lattice import Coords, CubeIndex, ball_coords, closest_in_set, l1, shell_coords
+from .lattice import Coords, CubeIndex, ball_coords, closest_in_set, l1, linf, shell_coords
 from .walks import (
     PURPOSE_CONDITION,
     PURPOSE_OMEGA,
@@ -142,34 +146,41 @@ class ConfigLaw:
     def p_zero(self) -> float:
         return self.pmf(0)
 
-    def _cdf_table(self) -> np.ndarray:
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        """The cdf table, built once per law: poisson tables cost O(k^2) pmf work."""
         if self.kind == "constant":
             k = int(self.params[0])
-            return np.concatenate([np.zeros(k), np.ones(1)])
-        vals = []
-        total = 0.0
-        k = 0
-        while total < 1.0 - _CDF_TAIL:
-            total += self.pmf(k)
-            vals.append(min(total, 1.0))
-            k += 1
-            if k > 100_000:
-                raise LawParameterError("law cdf did not reach 1; check parameters")
-        vals[-1] = 1.0
-        return np.asarray(vals)
+            cdf = np.concatenate([np.zeros(k), np.ones(1)])
+        else:
+            vals = []
+            total = 0.0
+            k = 0
+            while total < 1.0 - _CDF_TAIL:
+                total += self.pmf(k)
+                vals.append(min(total, 1.0))
+                k += 1
+                if k > 100_000:
+                    raise LawParameterError("law cdf did not reach 1; check parameters")
+            vals[-1] = 1.0
+            cdf = np.asarray(vals)
+        cdf.setflags(write=False)
+        return cdf
+
+    @cached_property
+    def _conditioned_cdf(self) -> np.ndarray:
+        p0 = float(self.p_zero())
+        cond = np.clip((self._cdf - p0) / (1.0 - p0), 0.0, 1.0)
+        cond.setflags(write=False)
+        return cond
 
     def quantile_counts(self, uniforms: np.ndarray) -> np.ndarray:
         """Inverse-CDF sampling: count = #{k : cdf(k) <= u}."""
-        cdf = self._cdf_table()
-        return np.searchsorted(cdf, uniforms, side="right").astype(np.int32)
+        return np.searchsorted(self._cdf, uniforms, side="right").astype(np.int32)
 
     def conditioned_quantile(self, u: float) -> int:
         """Inverse CDF of the law conditioned on {count >= 1}."""
-        cdf = self._cdf_table()
-        p0 = float(self.p_zero())
-        cond = (cdf - p0) / (1.0 - p0)
-        cond = np.clip(cond, 0.0, 1.0)
-        k = int(np.searchsorted(cond, u, side="right"))
+        k = int(np.searchsorted(self._conditioned_cdf, u, side="right"))
         return max(k, 1)
 
     def to_json(self) -> dict:
@@ -194,7 +205,13 @@ ENV_SCHEMA_VERSION = 1
 
 
 class Environment:
-    """Sampled counts on the l1 ball of radius box_radius; immutable."""
+    """The counts of one configuration, read on demand; immutable.
+
+    A site's count is its fixed count if it has one, else the law's keyed
+    count at (seed, site).  ``box_radius`` only masks the domain: sites
+    beyond the l1 ball report no frogs to ``counts_at``, and ``omega``
+    refuses them.
+    """
 
     def __init__(
         self,
@@ -203,22 +220,23 @@ class Environment:
         law: ConfigLaw,
         seed: SeedSpec,
         conditioned_origin: bool,
-        cube: np.ndarray,
+        fixed: dict[Coords, int],
     ):
         self.dim = dim
         self.box_radius = box_radius
         self.law = law
         self.seed = seed
         self.conditioned_origin = conditioned_origin
-        self.index = CubeIndex(box_radius, dim)
-        self._cube = cube  # flat over self.index, int32, -1 outside the l1 ball
+        self._fixed = dict(fixed)
+        self._memo = dict(self._fixed)  # omega per site, filled as sites are asked for
         self._occupied: np.ndarray | None = None
-        self._cube.setflags(write=False)
+        # the fixed sites as sorted keys of the smallest cube holding them
+        sites = sorted(self._fixed)
+        self._fixed_index = CubeIndex(max((linf(x) for x in sites), default=0), dim)
+        self._fixed_keys = self._fixed_index.flat(np.asarray(sites, dtype=np.int64).reshape(-1, dim))
+        self._fixed_counts = np.asarray([self._fixed[x] for x in sites], dtype=np.int32)
 
-    # -- indexing ------------------------------------------------------------
-
-    def in_box_mask(self, coords: np.ndarray) -> np.ndarray:
-        return np.abs(coords).sum(axis=1) <= self.box_radius
+    # -- counts ----------------------------------------------------------------
 
     def in_box(self, x: Coords) -> bool:
         return l1(x) <= self.box_radius
@@ -226,38 +244,44 @@ class Environment:
     def omega(self, x: Coords) -> int:
         if not self.in_box(x):
             raise GeometryError(f"site {x} outside box of radius {self.box_radius}")
-        return int(self._cube[self.index.flat_one(x)])
+        count = self._memo.get(x)
+        if count is None:
+            u = uniform01(site_key(self.seed, PURPOSE_OMEGA, x))
+            count = int(np.searchsorted(self.law._cdf, u, side="right"))
+            self._memo[x] = count
+        return count
 
     def counts_at(self, coords: np.ndarray) -> np.ndarray:
-        """Counts for arbitrary positions; sites outside the box report 0."""
-        inside = self.in_box_mask(coords)
-        out = np.zeros(coords.shape[0], dtype=np.int32)
-        if inside.any():
-            out[inside] = self._cube[self.index.flat(coords[inside])]
+        """Counts at the rows of an (n, dim) array; sites outside the box report 0."""
+        out = self.law.quantile_counts(uniform01_np(site_keys_np(self.seed, PURPOSE_OMEGA, coords)))
+        if self._fixed:
+            near = np.nonzero(np.abs(coords).max(axis=1) <= self._fixed_index.radius)[0]
+            keys = self._fixed_index.flat(coords[near])
+            pos = np.minimum(np.searchsorted(self._fixed_keys, keys), self._fixed_keys.shape[0] - 1)
+            hit = self._fixed_keys[pos] == keys
+            out[near[hit]] = self._fixed_counts[pos[hit]]
+        out[np.abs(coords).sum(axis=1) > self.box_radius] = 0
         return out
 
     def occupied_coords(self) -> np.ndarray:
         """All sites of the box with at least one frog, lex order."""
         if self._occupied is None:
             coords = ball_coords(self.box_radius, self.dim)
-            counts = self._cube[self.index.flat(coords)]
-            self._occupied = coords[counts > 0]
+            self._occupied = coords[self.counts_at(coords) > 0]
         return self._occupied
 
     # -- derived environments --------------------------------------------------
 
     def with_radius(self, box_radius: int) -> "Environment":
-        """The same realization on a (possibly) larger box; pure re-keying."""
+        """The same realization on a (possibly) larger box; nothing is resampled."""
         if box_radius <= self.box_radius:
             return self
-        env = sample_environment(self.law, self.dim, box_radius, self.seed)
-        if self.conditioned_origin:
-            env = condition_origin(env)
-        return env
+        return Environment(
+            self.dim, box_radius, self.law, self.seed, self.conditioned_origin, self._fixed
+        )
 
     def to_json(self) -> dict:
-        coords = ball_coords(self.box_radius, self.dim)
-        counts = self._cube[self.index.flat(coords)]
+        counts = self.counts_at(ball_coords(self.box_radius, self.dim))
         runs: list[list[int]] = []
         for v in counts.tolist():
             if runs and runs[-1][0] == v:
@@ -276,6 +300,7 @@ class Environment:
 
     @staticmethod
     def from_json(obj: dict) -> "Environment":
+        """The stored counts, every site of the ball a fixed site."""
         if obj["version"] != ENV_SCHEMA_VERSION:
             raise GeometryError(f"unsupported environment schema version {obj['version']}")
         dim = obj["dim"]
@@ -286,26 +311,18 @@ class Environment:
         coords = ball_coords(R, dim)
         if counts.shape[0] != coords.shape[0]:
             raise GeometryError("rle_counts length does not match the box")
-        index = CubeIndex(R, dim)
-        cube = np.full(index.size, -1, dtype=np.int32)
-        cube[index.flat(coords)] = counts
-        return Environment(dim, R, law, seed, obj["conditioned_origin"], cube)
+        fixed = dict(zip(map(tuple, coords.tolist()), counts.tolist()))
+        return Environment(dim, R, law, seed, obj["conditioned_origin"], fixed)
 
 
 def sample_environment(law: ConfigLaw, dim: int, box_radius: int, seed: SeedSpec) -> Environment:
+    """The keyed realization of ``law`` at ``seed``, masked to the l1 ball of ``box_radius``.
+
+    O(1): counts are computed when a site is first asked for.
+    """
     if box_radius < 0:
         raise GeometryError(f"box radius must be >= 0, got {box_radius}")
-    index = CubeIndex(box_radius, dim)
-    cube = np.full(index.size, -1, dtype=np.int32)
-    coords = ball_coords(box_radius, dim)
-    if law.kind == "constant":
-        counts = np.full(coords.shape[0], int(law.params[0]), dtype=np.int32)
-    else:
-        keys = site_keys_np(seed, PURPOSE_OMEGA, coords)
-        u = uniform01_np(keys)
-        counts = law.quantile_counts(u)
-    cube[index.flat(coords)] = counts
-    return Environment(dim, box_radius, law, seed, False, cube)
+    return Environment(dim, box_radius, law, seed, False, {})
 
 
 def condition_origin(env: Environment) -> Environment:
@@ -316,10 +333,8 @@ def condition_origin(env: Environment) -> Environment:
     """
     origin = (0,) * env.dim
     u = uniform01(site_key(env.seed, PURPOSE_CONDITION, origin))
-    count = env.law.conditioned_quantile(u)
-    cube = env._cube.copy()
-    cube[env.index.flat_one(origin)] = count
-    return Environment(env.dim, env.box_radius, env.law, env.seed, True, cube)
+    fixed = {**env._fixed, origin: env.law.conditioned_quantile(u)}
+    return Environment(env.dim, env.box_radius, env.law, env.seed, True, fixed)
 
 
 def star(env: Environment, x: Coords, search_cap: int | None = None) -> Coords:

@@ -6,11 +6,14 @@ Trajectories come from keyed streams, so the hitting time tau(u, v), the
 dynamic first-visit time and the brute-force relay oracle all observe the
 same realization and can be cross-checked for exact equality.
 
-Finite-box exactness: with box_radius >= horizon + |source|_1, nothing
-outside the box can influence any event up to the horizon, because frogs
-move one step per time unit.  The engine refuses smaller boxes unless
-``strict=False``, in which case it computes the well-defined finite-box
-process (out-of-box sites wake nothing) that the oracle replays exactly.
+The environment's box is a mask, not storage: counts are computed for the
+sites the frogs reach.  With box_radius >= horizon + |source|_1 the mask
+cannot influence any event up to the horizon, because frogs move one step
+per time unit, and the engine computes the process on all of Z^d.  It
+refuses smaller boxes unless ``strict=False``, in which case it computes
+the well-defined finite-box process (out-of-box sites wake nothing) that
+the oracle replays exactly.  The activation table starts small and grows
+with the frogs' reach, so memory follows the sites a run visits.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .environment import Environment, star
 from .errors import FrogsimError, GeometryError, SearchCapError
-from .lattice import Coords, CubeIndex, l1, step_vectors, sub
+from .lattice import Coords, CubeIndex, l1, linf, step_vectors, sub
 from .walks import step_codes_np, walk_keys_np
 
 
@@ -60,26 +63,48 @@ class PassageOutcome:
     box_radius: int
 
 
+# radius of a fresh table beyond |source|_inf; the table doubles from there
+_START_RADIUS = 16
+
+
 class ActivationTable:
     """First-visit times and the activation genealogy of one simulation.
 
-    ``visit`` and ``parent`` are dense arrays over ``index``, the cube of
-    radius ``pos_radius`` = |source|_1 + horizon that bounds every reachable
-    position.  ``parent`` stores, for each visited site, the flat index of
-    the origin of the frog that first stood there (deterministic choice
-    among simultaneous arrivals: smallest origin, then smallest frog index).
+    ``visit`` and ``parent`` are dense arrays over ``index``, a cube centred
+    on the origin that ``grow`` enlarges as the frogs spread; the cube of
+    radius |source|_1 + horizon bounds every reachable position, so the
+    table never needs more.  ``parent`` stores, for each visited site, the
+    flat index of the origin of the frog that first stood there
+    (deterministic choice among simultaneous arrivals: smallest origin, then
+    smallest frog index).
     """
 
-    def __init__(self, dim: int, source: Coords, horizon: int, pos_radius: int):
+    def __init__(self, dim: int, source: Coords, horizon: int, radius: int):
         self.dim = dim
         self.source = source
         self.horizon = horizon
-        self.pos_radius = pos_radius
-        self.index = CubeIndex(pos_radius, dim)
+        self.index = CubeIndex(radius, dim)
         self.visit = np.full(self.index.size, -1, dtype=np.int64)
         self.parent = np.full(self.index.size, -1, dtype=np.int64)
         self.awake_trace: list[int] = []
         self.stopped_at: int | None = None
+
+    def grow(self, radius: int) -> CubeIndex:
+        """Move the table onto the cube of ``radius``; returns the old layout."""
+        old = self.index
+        self.index = CubeIndex(radius, self.dim)
+        seen = np.nonzero(self.visit >= 0)[0]
+        moved = self.rekey(old, seen)
+        visit = np.full(self.index.size, -1, dtype=np.int64)
+        parent = np.full(self.index.size, -1, dtype=np.int64)
+        visit[moved] = self.visit[seen]
+        parent[moved] = self.rekey(old, self.parent[seen])
+        self.visit, self.parent = visit, parent
+        return old
+
+    def rekey(self, old: CubeIndex, keys: np.ndarray) -> np.ndarray:
+        """Keys laid out by ``old`` as keys of the current layout."""
+        return self.index.flat(old.unflat(keys))
 
     def visit_time(self, x: Coords) -> HittingTime:
         if self.index.contains(x):
@@ -149,7 +174,11 @@ def simulate_frogs(
             f"box radius {env.box_radius} < horizon {horizon} + |source|_1 {src_norm}; "
             "finite-box values would not match the infinite lattice"
         )
-    table = ActivationTable(d, tuple(source), horizon, src_norm + horizon)
+    # frogs move one step per time unit: at time t every frog lies within
+    # |source|_1 + t of the origin, so this cube bounds the whole run
+    reach_cube = CubeIndex(src_norm + horizon, d)
+    reach = linf(source)  # bounds |position|_inf of every live frog
+    table = ActivationTable(d, tuple(source), horizon, min(reach + _START_RADIUS, reach_cube.radius))
     index = table.index
     steps = step_vectors(d)
     seed = env.seed
@@ -165,15 +194,18 @@ def simulate_frogs(
     birth = np.zeros(count0, dtype=np.int64)
     origin_flat = np.full(count0, src_flat, dtype=np.int64)
 
-    want: np.ndarray | None = None
+    targets: np.ndarray | None = None
     if stop_targets is not None:
         # targets outside the reachable cube stay censored; drop them from the stop set
-        reachable = [t for t in stop_targets if index.contains(t)]
+        reachable = [t for t in stop_targets if reach_cube.contains(t)]
         if not reachable:
             table.stopped_at = 0
             return table
-        want = index.flat(np.asarray(reachable, dtype=np.int64))
-        if np.all(table.visit[want] >= 0):
+        targets = np.asarray(reachable, dtype=np.int64)
+        # a target beyond the table is unvisited, and its key would alias a site inside
+        target_reach = int(np.abs(targets).max())
+        want = index.flat(targets)
+        if target_reach <= index.radius and np.all(table.visit[want] >= 0):
             table.stopped_at = 0
             return table
 
@@ -183,6 +215,15 @@ def simulate_frogs(
         k = (t - birth).astype(np.uint64)
         codes = step_codes_np(keys, k, d)
         pos += steps[codes]
+        reach += 1
+        if reach > index.radius:
+            reach = int(np.abs(pos).max())
+            if reach > index.radius:
+                old = table.grow(min(max(2 * index.radius, reach), reach_cube.radius))
+                index = table.index
+                origin_flat = table.rekey(old, origin_flat)
+                if targets is not None:
+                    want = index.flat(targets)
         flat = index.flat(pos)
         new_mask = table.visit[flat] < 0
         if new_mask.any():
@@ -216,7 +257,7 @@ def simulate_frogs(
                 ell = np.concatenate([ell, new_ell])
                 birth = np.concatenate([birth, np.full(total, t, dtype=np.int64)])
                 origin_flat = np.concatenate([origin_flat, rep_flat])
-        if want is not None and np.all(table.visit[want] >= 0):
+        if targets is not None and target_reach <= index.radius and np.all(table.visit[want] >= 0):
             table.stopped_at = t
             break
     return table

@@ -143,7 +143,8 @@ def truncated_passage(
     because every edge weight dominates the l1 step and the single edge
     (x, y) already costs at most that bound; the staircase upper bound and
     the goal's tentative distance prune the region further, soundly.
-    Reads of the configuration outside the sampled box raise GeometryError.
+    Reads of the configuration outside the box raise GeometryError; a box of
+    radius ``_relay_radius(x, y, p)`` holds the whole region.
     """
     if x == y:
         return TruncatedResult(0, (x,), 0, 0, 0)
@@ -238,6 +239,16 @@ def truncated_passage(
         settled=len(settled),
         relaxations=relaxations,
     )
+
+
+def _relay_radius(x: Coords, y: Coords, p: TruncationParams) -> int:
+    """A bound on |z|_1 over every site z that ``truncated_passage(env, x, y, p)`` reads.
+
+    |x-z|_1 + |z-y|_1 <= B = 4K(t v |x-y|_inf) and the triangle inequality
+    give 2|z|_1 <= |x|_1 + |y|_1 + B.
+    """
+    bound = 4 * p.K * max(p.t, linf(sub(y, x)))
+    return (l1(x) + l1(y) + bound + 1) // 2
 
 
 def _linf_annulus(center: Coords, lo: int, hi: int) -> list[Coords]:
@@ -385,15 +396,17 @@ def agreement_experiment(
         env = sample_environment(law, d, radius0, rep_seed)
         origin_star = star(env, (0,) * d, search_cap=radius0)
         x_star = star(env, x, search_cap=radius0)
-        need = horizon + l1(origin_star)
-        env = env.with_radius(max(radius0, need))
+        # one box holds every site either search reads: the engine's reach
+        # and, for each t, the relay region of truncated_passage
+        need = max(_relay_radius(origin_star, x_star, p) for p in params.values())
+        env = env.with_radius(max(radius0, horizon + l1(origin_star), need))
         t_star = passage_time_star(env, x, horizon)
         # descending t reuses the per-site hitting-time cache for smaller caps
         for t in sorted(t_ladder, reverse=True):
             if not t_star.value.is_finite:
                 censored[t] += 1
                 continue
-            trunc, env = _truncated_with_retry(env, origin_star, x_star, params[t])
+            trunc = truncated_passage(env, origin_star, x_star, params[t])
             compared[t] += 1
             if trunc.value != t_star.value.time:
                 disagree[t] += 1
@@ -421,17 +434,3 @@ def agreement_experiment(
             )
         )
     return table
-
-
-def _truncated_with_retry(
-    env: Environment, a: Coords, b: Coords, p: TruncationParams, max_retries: int = 6
-) -> tuple[TruncatedResult, Environment]:
-    """Grow the box (a pure re-keying) whenever the search runs off its edge."""
-    for _ in range(max_retries):
-        try:
-            return truncated_passage(env, a, b, p), env
-        except GeometryError:
-            env = env.with_radius(2 * env.box_radius)
-    raise GeometryError(
-        f"truncated search still exceeds the box after {max_retries} doublings"
-    )

@@ -2,12 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import env_from_counts
+from conftest import LAWS, env_from_counts
 from frogsim.environment import ConfigLaw, Environment, condition_origin, sample_environment, star
 from frogsim.errors import GeometryError, LawParameterError, SearchCapError
-from frogsim.lattice import ball_coords
-from frogsim.walks import SeedSpec
+from frogsim.lattice import ball_coords, shell_coords
+from frogsim.walks import (
+    PURPOSE_CONDITION,
+    PURPOSE_OMEGA,
+    SeedSpec,
+    site_key,
+    site_keys_np,
+    uniform01,
+    uniform01_np,
+)
 
 
 def test_constant_law_fills_box():
@@ -150,3 +160,30 @@ def test_explicit_pmf_sampling():
     for k, p in enumerate([0.25, 0.5, 0.25]):
         frac = float((counts == k).mean())
         assert abs(frac - p) <= 5 * math.sqrt(p * (1 - p) / n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3), st.integers(0, 8), st.sampled_from(LAWS), st.integers(0, 2**32),
+    st.booleans(),
+)
+def test_lazy_counts_match_keyed_reference(dim, radius, law, master, conditioned):
+    seed = SeedSpec(master, "lazy")
+    env = sample_environment(law, dim, radius, seed)
+    coords = ball_coords(radius, dim)
+    # the eager keyed sampler these environments replace
+    ref = law.quantile_counts(uniform01_np(site_keys_np(seed, PURPOSE_OMEGA, coords)))
+    if conditioned:
+        env = condition_origin(env)
+        origin = (0,) * dim
+        ref[np.all(coords == 0, axis=1)] = law.conditioned_quantile(
+            uniform01(site_key(seed, PURPOSE_CONDITION, origin))
+        )
+    assert np.array_equal(env.counts_at(coords), ref)
+    assert [env.omega(tuple(x)) for x in coords.tolist()] == ref.tolist()
+    # the box is a mask: the next shell reports no frogs, and growing it keeps every count
+    beyond = np.asarray(shell_coords((0,) * dim, radius + 1), dtype=np.int64)
+    assert not env.counts_at(beyond).any()
+    grown = env.with_radius(radius + 3)
+    assert np.array_equal(grown.counts_at(coords), ref)
+    assert grown.counts_at(beyond).tolist() == [grown.omega(tuple(x)) for x in beyond.tolist()]

@@ -1,7 +1,12 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import env_from_counts
+from conftest import LAWS, env_from_counts
+from frogsim import passage
 from frogsim.environment import ConfigLaw, condition_origin, sample_environment, star
 from frogsim.errors import FrogsimError, GeometryError
 from frogsim.lattice import ball_coords, l1
@@ -199,3 +204,64 @@ def test_unoccupied_source_raises():
     )
     with pytest.raises(FrogsimError):
         simulate_frogs(env, empty, 5)
+
+
+@contextmanager
+def start_radius(radius):
+    """Run the engine with activation tables that start at this radius beyond |source|_inf."""
+    saved = passage._START_RADIUS
+    passage._START_RADIUS = radius
+    try:
+        yield
+    finally:
+        passage._START_RADIUS = saved
+
+
+@st.composite
+def engine_cases(draw):
+    """A small random environment, an occupied source (often off the origin) and a horizon."""
+    dim = draw(st.integers(1, 3))
+    radius = draw(st.integers(0, 8 if dim < 3 else 4))  # the oracle is quadratic in the sites
+    law = draw(st.sampled_from(LAWS))
+    env = sample_environment(law, dim, radius, SeedSpec(draw(st.integers(0, 2**32)), "grow"))
+    if draw(st.booleans()):
+        env = condition_origin(env)
+    occupied = [tuple(x) for x in env.occupied_coords().tolist()]
+    if not occupied:
+        env = condition_origin(env)
+        occupied = [(0,) * dim]
+    source = draw(st.sampled_from(occupied))
+    return env, source, draw(st.integers(0, 14))
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine_cases(), st.data())
+def test_growing_table_matches_full_layout(case, data):
+    env, source, horizon = case
+    # stop targets anywhere around the reachable cube of radius |source|_1 + horizon, beyond it too
+    span = l1(source) + horizon + 2
+    point = st.tuples(*[st.integers(-span, span)] * env.dim)
+    stop = data.draw(st.none() | st.lists(point, max_size=3))
+    runs = []
+    for start in (10**6, 0):  # the full cube up front, then doubling from |source|_inf
+        with start_radius(start):
+            runs.append(simulate_frogs(env, source, horizon, stop_targets=stop, strict=False,
+                                       record_trace=True))
+    full, grown = runs
+    assert full.index.radius == l1(source) + horizon
+    assert grown.to_json() == full.to_json()  # every visit, parent and stopped_at
+    assert grown.awake_trace == full.awake_trace
+    for x in stop or []:
+        assert grown.visit_time(x) == full.visit_time(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(engine_cases())
+def test_growing_engine_matches_oracle(case):
+    env, source, horizon = case
+    with start_radius(0):
+        table = simulate_frogs(env, source, horizon, strict=False)
+    oracle = oracle_all_targets(env, source, horizon)
+    for x in map(tuple, ball_coords(env.box_radius, env.dim).tolist()):
+        ht = table.visit_time(x)
+        assert (ht.time if ht.is_finite else None) == oracle.get(x)

@@ -1,8 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import frogsim
 from frogsim import cli
 from frogsim.cli import main
 from frogsim.reports import dump_csv, dump_json, fmt12, normalize, round12
@@ -259,3 +264,58 @@ def test_cli_threads_only_on_replicated_commands(argv, tmp_path):
     out = tmp_path / "o"
     assert run_cli(*argv, "--seed", "1", "--threads", "2", "--out", str(out)) == 2
     assert not out.exists()
+
+
+MU_PARAMS = {"seed": 1, "tag": "", "law": "poisson:1.0", "dim": 2, "direction": [1, 0],
+             "k": [4, 8], "replicas": 2}
+TAILS_PARAMS = {"seed": 3, "tag": "", "law": "bernoulli:0.7", "dim": 2, "direction": [1, 0],
+                "k": [4], "replicas": 4, "epsilon": 0.5, "side": "both", "mu_hat": 2.5}
+TRUNCATION_PARAMS = {"seed": 1, "tag": "", "law": "poisson:1.0", "dim": 2, "x": [4, 0], "t": [2],
+                     "replicas": 1, "gamma": 1.0, "mu_hat": 1.5}
+
+
+@pytest.mark.parametrize(
+    "command,params,message",
+    [
+        ("mu", {**MU_PARAMS, "law": 5}, "law must be a string"),
+        ("mu", {**MU_PARAMS, "k": 4}, "k must be a non-empty list of positive integers"),
+        ("mu", {**MU_PARAMS, "k": [4, -8]}, "k must be a non-empty list of positive integers"),
+        ("truncation", {**TRUNCATION_PARAMS, "t": [2.5]}, "t must be a non-empty list of positive integers"),
+        ("tails", {**TAILS_PARAMS, "side": "sideways"}, "side must be upper or lower"),
+    ],
+    ids=["law-int", "k-int", "k-negative", "t-float", "side"],
+)
+def test_cli_replay_rejects_mistyped_params(command, params, message, tmp_path, capsys):
+    # rejected before plan.json is written, not by a traceback or after sampling
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"plan_version": 1, "command": command, "params": params}), encoding="utf-8")
+    out = tmp_path / "r"
+    assert run_cli("replay", str(path), "--out", str(out)) == 2
+    assert not (out / "plan.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("plan error:") and message in err
+
+
+def test_cli_mu_dim3_runs_in_bounded_memory(tmp_path):
+    # the eager worst-case box of this plan needed over 1.5 GB; counts are now
+    # computed for the sites the run reaches and the activation table grows with it
+    limit = 1536 * 2**20
+    script = (
+        "import resource, sys; from frogsim.cli import main; code = main(sys.argv[1:]); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)"
+    )
+    src = str(Path(frogsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = tmp_path / "mu3"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "mu", "--law", "poisson:1.0", "--dim", "3",
+         "--direction", "1,0,0", "--k", "2,4", "--replicas", "4", "--seed", "1", "--out", str(out)],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        # one BLAS thread: a pool per core would reserve address space under the cap
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "report.json").is_file()
+    max_rss_kb = int(proc.stdout.split()[-1])  # ru_maxrss is in KiB on Linux
+    assert max_rss_kb < 256 * 1024
