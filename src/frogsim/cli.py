@@ -399,6 +399,12 @@ def _check_params(command: str, params: dict) -> None:
     side = params.get("side")
     if command == "tails" and not (isinstance(side, str) and side in TAIL_SIDES):
         raise PlanError(f"tails: side must be upper or lower (or both), got {side!r}")
+    if command == "percolation":
+        p, radius = params["p"], params["radius"]
+        if not (type(p) in (int, float) and 0 <= p <= 1):
+            raise PlanError(f"percolation: p must be a number in [0, 1], got {p!r}")
+        if not (type(radius) is int and radius >= 0):
+            raise PlanError(f"percolation: radius must be an integer >= 0, got {radius!r}")
     dim = params.get("dim")
     if dim is None:
         return
@@ -407,6 +413,8 @@ def _check_params(command: str, params: dict) -> None:
     for key, point in points:
         if not (isinstance(point, (list, tuple)) and len(point) == dim):
             raise PlanError(f"{command}: {key} must have dim = {dim} coordinates, got {point!r}")
+    if command == "percolation" and [0] * dim in [list(t) for t in params.get("targets", ())]:
+        raise PlanError("percolation: a target must not be the origin, whose chemical ratio is 0/0")
 
 
 def execute_plan(plan: dict, outdir: Path, threads: int = 1) -> str:

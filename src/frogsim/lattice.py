@@ -90,14 +90,15 @@ class CubeIndex:
     Key order is the lex order of ``cube_coords(radius, dim)``, so
     ``flat(cube_coords(radius, dim))`` is ``arange(size)``.  Keys of sites
     outside the cube alias sites inside it: check ``contains`` first when a
-    site may lie outside.
+    site may lie outside.  The neighbour of a key along axis j is the key
+    plus or minus ``strides[j]`` when both sites lie in the cube.
     """
 
     radius: int
     dim: int
     side: int = field(init=False)
     size: int = field(init=False)
-    _strides: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    strides: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _offset: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -105,7 +106,7 @@ class CubeIndex:
         strides = tuple(side ** (self.dim - 1 - j) for j in range(self.dim))
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "size", side**self.dim)
-        object.__setattr__(self, "_strides", strides)
+        object.__setattr__(self, "strides", strides)
         object.__setattr__(self, "_offset", self.radius * sum(strides))
 
     # the scalar methods are plain loops: the per-site searches call them in
@@ -127,14 +128,14 @@ class CubeIndex:
 
     def flat(self, coords: np.ndarray) -> np.ndarray:
         """Keys of the rows of an (n, dim) integer array."""
-        return coords @ np.asarray(self._strides, dtype=np.int64) + self._offset
+        return coords @ np.asarray(self.strides, dtype=np.int64) + self._offset
 
     def unflat_one(self, key: int) -> Coords:
-        return tuple(key // s % self.side - self.radius for s in self._strides)
+        return tuple(key // s % self.side - self.radius for s in self.strides)
 
     def unflat(self, keys: np.ndarray) -> np.ndarray:
         """The (n, dim) sites of an array of keys."""
-        return np.stack([keys // s % self.side - self.radius for s in self._strides], axis=1)
+        return np.stack([keys // s % self.side - self.radius for s in self.strides], axis=1)
 
 
 def ball_coords(radius: int, dim: int) -> np.ndarray:

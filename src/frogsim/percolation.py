@@ -1,6 +1,6 @@
 """Site percolation structures and the renormalized block fields.
 
-Bernoulli fields, union-find cluster labeling, chemical distance, hole
+Bernoulli fields, array labelling of clusters, chemical distance, hole
 radii, and the block-level white indicator that couples occupancy and
 local passage-time control.  The infinite cluster is proxied by the largest
 cluster in the box; experiments that consume it keep a boundary margin to
@@ -18,7 +18,7 @@ import numpy as np
 
 from .environment import Environment
 from .errors import EmptySetError, GeometryError, LawParameterError
-from .lattice import Coords, CubeIndex, add, ball_coords, cube_coords, l1, neighbors, scale, sub
+from .lattice import Coords, CubeIndex, add, ball_coords, cube_coords, l1, scale, sub
 from .passage import HittingTime, simulate_frogs
 from .stats import fit_line, wilson_ci
 from .walks import PURPOSE_FIELD, SeedSpec, site_keys_np, uniform01_np
@@ -67,86 +67,81 @@ def field_from_indicator(dim: int, box_radius: int, values: dict[Coords, int], p
     return f
 
 
-class _UnionFind:
-    """Union by size with path compression over flat indices."""
-
-    def __init__(self, n: int):
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
-
-    def find(self, a: int) -> int:
-        parent = self.parent
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+def _open_cube(f: SiteField) -> tuple[np.ndarray, CubeIndex]:
+    """The open set as a flat bool array over the cube one layer wider than
+    ``f.index``.  The extra layer is closed, so a site's neighbours are its
+    key plus or minus a stride and an open neighbour never wraps."""
+    is_open = np.pad(f.bits.reshape((f.index.side,) * f.dim) == 1, 1)
+    return is_open.ravel(), CubeIndex(f.box_radius + 1, f.dim)
 
 
 @dataclass
 class ClusterLabels:
-    label: dict[Coords, int]
+    label: np.ndarray  # cluster id of each row of f.open_coords()
     sizes: dict[int, int]
     largest_id: int | None
 
 
 def label_clusters(f: SiteField) -> ClusterLabels:
-    """Connected components of the open set under nearest-neighbor adjacency."""
-    coords = f.open_coords()
-    n = coords.shape[0]
-    if n == 0:
-        return ClusterLabels(label={}, sizes={}, largest_id=None)
-    flat = f.index.flat(coords)
-    index_of = {int(k): i for i, k in enumerate(flat)}
-    uf = _UnionFind(n)
-    # half the directions suffice: each edge is seen from its lower endpoint
-    for j in range(f.dim):
-        step = np.zeros(f.dim, dtype=np.int64)
-        step[j] = 1
-        nb = coords + step
-        inside = np.abs(nb).sum(axis=1) <= f.box_radius
-        nb_flat = f.index.flat(nb[inside])
-        open_nb = f.bits[nb_flat] == 1
-        src = np.nonzero(inside)[0][open_nb]
-        dst = nb_flat[open_nb]
-        for i, k in zip(src.tolist(), dst.tolist()):
-            uf.union(i, index_of[k])
-    label: dict[Coords, int] = {}
-    sizes: dict[int, int] = {}
-    for i in range(n):
-        root = uf.find(i)
-        label[tuple(int(c) for c in coords[i])] = root
-        sizes[root] = sizes.get(root, 0) + 1
-    # deterministic largest: max size, then smallest root id
-    largest = min(((-s, r) for r, s in sizes.items()))[1]
-    return ClusterLabels(label=label, sizes=sizes, largest_id=largest)
+    """Connected components of the open set under nearest-neighbor adjacency.
+
+    A cluster's id is the row of its lex-smallest site in ``f.open_coords()``.
+    The largest cluster is the one of maximal size; among equal sizes, the one
+    with the smallest id, i.e. the lex-smallest lowest site.
+    """
+    is_open, index = _open_cube(f)
+    keys = np.flatnonzero(is_open)  # ascending, so aligned with f.open_coords()
+    if keys.size == 0:
+        return ClusterLabels(label=np.zeros(0, dtype=np.int64), sizes={}, largest_id=None)
+    row = np.zeros(index.size, dtype=np.int64)
+    row[keys] = np.arange(keys.size)
+    lo, hi = [], []
+    for s in index.strides:
+        both = keys[is_open[keys + s]]
+        lo.append(row[both])
+        hi.append(row[both + s])
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    # hook each root to the smallest root across its edges, then jump pointers
+    # until every site points at its root; once no edge joins two roots, each
+    # cluster points at its smallest row
+    lab = np.arange(keys.size)
+    while True:
+        a, b = lab[lo], lab[hi]
+        if np.array_equal(a, b):
+            break
+        np.minimum.at(lab, a, b)
+        np.minimum.at(lab, b, a)
+        while not np.array_equal(jumped := lab[lab], lab):
+            lab = jumped
+    counts = np.bincount(lab)
+    ids = np.flatnonzero(counts)
+    largest = int(np.argmax(counts))  # argmax takes the first, smallest id
+    return ClusterLabels(label=lab, sizes=dict(zip(ids.tolist(), counts[ids].tolist())), largest_id=largest)
 
 
-def open_distances_from(f: SiteField, source: Coords) -> dict[Coords, int]:
-    """BFS distances inside the open set from an open source site."""
-    dist = {source: 0}
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            du = dist[u]
-            for w in neighbors(u):
-                if w in dist or not f.in_box(w) or f.bit(w) != 1:
-                    continue
-                dist[w] = du + 1
-                nxt.append(w)
-        frontier = nxt
-    return dist
+def open_distances_from(f: SiteField, source: Coords) -> np.ndarray:
+    """BFS distances inside the open set from an open source site.
+
+    Flat over ``f.index``: 0 at the source, -1 at sites that are closed or
+    not reached.
+    """
+    if not f.in_box(source):
+        raise GeometryError(f"site {source} outside field of radius {f.box_radius}")
+    is_open, index = _open_cube(f)
+    steps = np.array([s * sign for s in index.strides for sign in (1, -1)])
+    dist = np.full(index.size, -1, dtype=np.int64)
+    frontier = np.array([index.flat_one(source)])
+    dist[frontier] = 0
+    layer = 0
+    while frontier.size:
+        layer += 1
+        nxt = (frontier[:, None] + steps).ravel()
+        # repeats dropped by hand: the first np.unique call in a process
+        # imports numpy.ma, about 20 ms
+        nxt = np.sort(nxt[is_open[nxt] & (dist[nxt] < 0)])
+        frontier = nxt[np.diff(nxt, prepend=-1) != 0]
+        dist[frontier] = layer
+    return dist.reshape((index.side,) * f.dim)[(slice(1, -1),) * f.dim].ravel()
 
 
 def chemical_distance(f: SiteField, v1: Coords, v2: Coords) -> HittingTime:
@@ -157,23 +152,15 @@ def chemical_distance(f: SiteField, v1: Coords, v2: Coords) -> HittingTime:
         return HittingTime.censored(None)
     if v1 == v2:
         return HittingTime.finite(0)
-    dist = open_distances_from(f, v1)
-    if v2 in dist:
-        return HittingTime.finite(dist[v2])
-    return HittingTime.censored(None)
+    d = int(open_distances_from(f, v1)[f.index.flat_one(v2)])
+    return HittingTime.finite(d) if d >= 0 else HittingTime.censored(None)
 
 
 def hole_radius(f: SiteField, labels: ClusterLabels) -> int:
     """Smallest l1 radius at which the ball around 0 meets the largest cluster."""
     if labels.largest_id is None:
         raise EmptySetError("field has no open sites, hole radius undefined")
-    best = None
-    for x, lab in labels.label.items():
-        if lab == labels.largest_id:
-            r = l1(x)
-            if best is None or r < best:
-                best = r
-    return int(best)
+    return int(np.abs(f.open_coords()[labels.label == labels.largest_id]).sum(axis=1).min())
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +340,15 @@ def chemical_ratio_experiment(
     connected = 0
     per_target = {v: [] for v in targets}
     origin = (0,) * dim
+    target_keys = CubeIndex(box_radius, dim).flat(np.array(targets, dtype=np.int64).reshape(-1, dim))
     for r in range(replicas):
         f = sample_bernoulli_field(p, dim, box_radius, seed.child("chem", r))
         if f.bit(origin) != 1:
             continue
         dist = open_distances_from(f, origin)
-        for v in targets:
-            if v in dist:
-                per_target[v].append(dist[v] / l1(v))
+        for v, d in zip(targets, dist[target_keys].tolist()):
+            if d >= 0:
+                per_target[v].append(d / l1(v))
                 connected += 1
     for v in targets:
         ratios = per_target[v]

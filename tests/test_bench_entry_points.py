@@ -15,6 +15,8 @@ import pytest
 
 from frogsim.cli import execute_plan
 from frogsim.passage import simulate_frogs
+from frogsim.percolation import label_clusters, sample_bernoulli_field
+from frogsim.walks import SeedSpec
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -37,3 +39,9 @@ def test_tracer_target_resolves(module, qualname):
 def test_bench_call_signatures():
     inspect.signature(execute_plan).bind({}, Path("."), threads=1)
     inspect.signature(simulate_frogs).bind(None, (0, 0), 1, record_trace=True)
+
+
+def test_label_clusters_labels_every_open_site():
+    # the tracer counts len(labels.label) as the sites labelled
+    f = sample_bernoulli_field(0.6, 2, 12, SeedSpec(4, "tracer"))
+    assert len(label_clusters(f).label) == f.open_coords().shape[0]

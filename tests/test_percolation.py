@@ -1,11 +1,14 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import env_from_counts
 from frogsim.environment import ConfigLaw, sample_environment
 from frogsim.errors import EmptySetError, GeometryError
-from frogsim.lattice import ball_coords, l1
+from frogsim.lattice import ball_coords, l1, neighbors
 from frogsim.percolation import (
     chemical_distance,
     chemical_ratio_experiment,
@@ -14,6 +17,7 @@ from frogsim.percolation import (
     hole_radius_experiment,
     label_clusters,
     marginal_curve,
+    open_distances_from,
     sample_bernoulli_field,
     white_site_indicator,
 )
@@ -73,6 +77,19 @@ def test_label_clusters_two_components():
     sizes = sorted(labels.sizes.values())
     assert sizes == [3, 4]
     assert labels.sizes[labels.largest_id] == 4
+
+
+def test_largest_cluster_tie_takes_lex_smallest_lowest_site():
+    # two clusters of size 6 at hole radii 2 and 4; the union-find this
+    # replaced picked the far one by its root, the rule picks the lowest site
+    near = [(0, -2), (1, -3), (1, -2), (2, -4), (2, -3), (3, -3)]
+    far = [(0, 4), (0, 5), (0, 6), (1, 3), (1, 4), (2, 3)]
+    f = field_from_indicator(2, 6, {x: 1 for x in near + far}, "tie")
+    labels = label_clusters(f)
+    assert sorted(labels.sizes.values()) == [6, 6]
+    rows = [tuple(r) for r in f.open_coords().tolist()]
+    assert rows[labels.largest_id] == (0, -2)
+    assert hole_radius(f, labels) == 2
 
 
 def test_chemical_distance_cases():
@@ -192,3 +209,95 @@ def test_chemical_ratio_experiment_smoke():
     assert rep.max_ratio >= 1.0
     with pytest.raises(GeometryError):
         chemical_ratio_experiment(0.85, 2, 40, [(39, 0)], 5, SeedSpec(6, "chem"))
+
+
+# ---------------------------------------------------------------------------
+# Differential check: the array labelling and BFS against site-by-site oracles
+# ---------------------------------------------------------------------------
+
+
+class _UnionFind:
+    """Union by size with path compression over flat indices."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, a):
+        root = a
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[a] != root:
+            self.parent[a], a = root, self.parent[a]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+
+
+def _oracle_clusters(f):
+    """The open clusters as sets of sites, by union-find over neighbour pairs."""
+    sites = [tuple(r) for r in f.open_coords().tolist()]
+    index_of = {x: i for i, x in enumerate(sites)}
+    uf = _UnionFind(len(sites))
+    for x in sites:
+        for w in neighbors(x):
+            if w in index_of:
+                uf.union(index_of[x], index_of[w])
+    clusters = {}
+    for x in sites:
+        clusters.setdefault(uf.find(index_of[x]), set()).add(x)
+    return [frozenset(c) for c in clusters.values()]
+
+
+def _oracle_distances(f, source):
+    """BFS over a dict of sites, one neighbour at a time."""
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in neighbors(u):
+                if w in dist or not f.in_box(w) or f.bit(w) != 1:
+                    continue
+                dist[w] = dist[u] + 1
+                nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3), st.integers(0, 6), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.data()
+)
+def test_array_percolation_matches_oracles(dim, radius, p, seed, data):
+    f = sample_bernoulli_field(p, dim, radius, SeedSpec(seed, "diff"))
+    labels = label_clusters(f)
+    sites = [tuple(r) for r in f.open_coords().tolist()]
+    assert len(labels.label) == len(sites)
+    clusters = {}
+    for x, lab in zip(sites, labels.label.tolist()):
+        clusters.setdefault(lab, set()).add(x)
+    expected = _oracle_clusters(f)
+    assert {frozenset(c) for c in clusters.values()} == set(expected)
+    # a cluster's id is the row of its lowest site, and sizes count its sites
+    assert labels.sizes == {sites.index(min(c)): len(c) for c in expected}
+    if not expected:
+        assert labels.largest_id is None
+    else:
+        largest = min(expected, key=lambda c: (-len(c), min(c)))
+        assert clusters[labels.largest_id] == largest
+        assert hole_radius(f, labels) == min(l1(x) for x in largest)
+
+    cube = [tuple(r) for r in ball_coords(radius, dim).tolist()]
+    source = data.draw(st.sampled_from(cube))
+    dist = open_distances_from(f, source)
+    assert dist.shape == (f.index.size,)
+    reached = {f.index.unflat_one(int(k)): int(dist[k]) for k in np.flatnonzero(dist >= 0)}
+    assert reached == _oracle_distances(f, source)

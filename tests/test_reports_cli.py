@@ -272,6 +272,8 @@ TAILS_PARAMS = {"seed": 3, "tag": "", "law": "bernoulli:0.7", "dim": 2, "directi
                 "k": [4], "replicas": 4, "epsilon": 0.5, "side": "both", "mu_hat": 2.5}
 TRUNCATION_PARAMS = {"seed": 1, "tag": "", "law": "poisson:1.0", "dim": 2, "x": [4, 0], "t": [2],
                      "replicas": 1, "gamma": 1.0, "mu_hat": 1.5}
+PERCOLATION_PARAMS = {"seed": 1, "tag": "", "dim": 2, "p": 0.8, "radius": 20, "replicas": 2,
+                      "targets": [[5, 0], [0, 5]]}
 
 
 @pytest.mark.parametrize(
@@ -282,8 +284,13 @@ TRUNCATION_PARAMS = {"seed": 1, "tag": "", "law": "poisson:1.0", "dim": 2, "x": 
         ("mu", {**MU_PARAMS, "k": [4, -8]}, "k must be a non-empty list of positive integers"),
         ("truncation", {**TRUNCATION_PARAMS, "t": [2.5]}, "t must be a non-empty list of positive integers"),
         ("tails", {**TAILS_PARAMS, "side": "sideways"}, "side must be upper or lower"),
+        ("percolation", {**PERCOLATION_PARAMS, "p": "0.8"}, "p must be a number in [0, 1]"),
+        ("percolation", {**PERCOLATION_PARAMS, "p": True}, "p must be a number in [0, 1]"),
+        ("percolation", {**PERCOLATION_PARAMS, "radius": 20.5}, "radius must be an integer >= 0"),
+        ("percolation", {**PERCOLATION_PARAMS, "targets": [[5, 0], [0, 0]]}, "must not be the origin"),
     ],
-    ids=["law-int", "k-int", "k-negative", "t-float", "side"],
+    ids=["law-int", "k-int", "k-negative", "t-float", "side", "p-string", "p-bool", "radius-float",
+         "origin-target"],
 )
 def test_cli_replay_rejects_mistyped_params(command, params, message, tmp_path, capsys):
     # rejected before plan.json is written, not by a traceback or after sampling
@@ -294,6 +301,26 @@ def test_cli_replay_rejects_mistyped_params(command, params, message, tmp_path, 
     assert not (out / "plan.json").exists()
     err = capsys.readouterr().err
     assert err.startswith("plan error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--p", "0.8", "--radius", "20", "--targets", "0,0;5,0"], "a target must not be the origin"),
+        (["--p", "1.5", "--radius", "20"], "p must be a number in [0, 1]"),
+        (["--p", "nan", "--radius", "20"], "p must be a number in [0, 1]"),
+        (["--p", "0.8", "--radius", "-3"], "radius must be an integer >= 0"),
+    ],
+    ids=["origin-target", "p-above-one", "p-nan", "radius-negative"],
+)
+def test_cli_rejects_bad_percolation_plan(argv, message, tmp_path, capsys):
+    # an origin target used to end in a ZeroDivisionError traceback, and a bad
+    # p or radius was rejected only after plan.json was written
+    out = tmp_path / "o"
+    assert run_cli("percolation", *argv, "--replicas", "2", "--seed", "1", "--out", str(out)) == 2
+    assert not (out / "plan.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("plan error:") and f"percolation: {message}" in err
 
 
 def test_cli_mu_dim3_runs_in_bounded_memory(tmp_path):
