@@ -10,7 +10,7 @@ from .errors import (
     PlanError,
     SearchCapError,
 )
-from .lattice import closest_in_set, l1, linf, neighbors
+from .lattice import closest_in_set, l1, linf
 from .passage import (
     ActivationTable,
     HittingTime,
@@ -44,7 +44,6 @@ __all__ = [
     "condition_origin",
     "l1",
     "linf",
-    "neighbors",
     "oracle_passage_time",
     "passage_between",
     "passage_time",

@@ -26,13 +26,13 @@ from .estimation import (
     subadditivity_audit,
     tail_curve_from_samples,
 )
-from .lattice import Coords
+from .lattice import Coords, l1
 from .passage import oracle_passage_time, passage_time, passage_time_star, simulate_frogs
 from .percolation import (
+    boundary_margin,
     chemical_ratio_experiment,
     hole_radius_experiment,
-    marginal_curve,
-    white_site_indicator,
+    white_marginal_curve,
 )
 from .reports import dump_csv, dump_json
 from .truncated import agreement_experiment
@@ -263,7 +263,7 @@ def run_percolation(plan: dict, outdir: Path, threads: int = 1) -> str:
     hole = hole_radius_experiment(
         params["p"], params["dim"], params["radius"], params["replicas"], seed
     )
-    targets = [tuple(t) for t in params.get("targets", [[20, 0], [0, 20]])]
+    targets = [tuple(t) for t in params.get("targets", PERCOLATION_TARGETS)]
     chem = chemical_ratio_experiment(
         params["p"], params["dim"], params["radius"], targets, params["replicas"], seed
     )
@@ -295,18 +295,13 @@ def run_percolation(plan: dict, outdir: Path, threads: int = 1) -> str:
     )
     extra = ""
     if params.get("white_n"):
-        subbox = params.get("white_subbox")
-        law = ConfigLaw.parse(params.get("white_law", "poisson:1.0"))
-
-        def factory(N, s):
-            return sample_environment(law, params["dim"], params["dim"] * N + N + 2, s)
-
-        rows = marginal_curve(
-            lambda env, N: white_site_indicator(env, (0,) * params["dim"], N, subbox_side=subbox),
+        rows = white_marginal_curve(
+            ConfigLaw.parse(params.get("white_law", "poisson:1.0")),
+            params["dim"],
             params["white_n"],
             params.get("white_replicas", 20),
             seed.child("white-marginal"),
-            factory,
+            params.get("white_subbox"),
         )
         dump_csv(
             outdir / "white_marginal.csv",
@@ -355,6 +350,9 @@ RUNNERS = {
 }
 
 TAIL_SIDES = {"upper": ["upper"], "lower": ["lower"], "both": ["upper", "lower"]}
+
+# the chemical-distance targets of a percolation plan that names none
+PERCOLATION_TARGETS = [[20, 0], [0, 20]]
 
 # the params each runner reads without a default
 REQUIRED_PARAMS = {
@@ -413,8 +411,20 @@ def _check_params(command: str, params: dict) -> None:
     for key, point in points:
         if not (isinstance(point, (list, tuple)) and len(point) == dim):
             raise PlanError(f"{command}: {key} must have dim = {dim} coordinates, got {point!r}")
-    if command == "percolation" and [0] * dim in [list(t) for t in params.get("targets", ())]:
-        raise PlanError("percolation: a target must not be the origin, whose chemical ratio is 0/0")
+        if not all(type(c) is int for c in point):
+            raise PlanError(f"{command}: {key} must have integer coordinates, got {point!r}")
+    if command == "percolation":
+        targets = [list(t) for t in params.get("targets", PERCOLATION_TARGETS)]
+        if [0] * dim in targets:
+            raise PlanError("percolation: a target must not be the origin, whose chemical ratio is 0/0")
+        radius = params["radius"]
+        margin = boundary_margin(radius)
+        for t in targets:
+            if l1(t) > radius - margin:
+                raise PlanError(
+                    f"percolation: target {tuple(t)} lies inside the boundary margin of {margin}: "
+                    f"its l1 norm must be at most radius - margin = {radius - margin}"
+                )
 
 
 def execute_plan(plan: dict, outdir: Path, threads: int = 1) -> str:

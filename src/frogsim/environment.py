@@ -337,19 +337,19 @@ def condition_origin(env: Environment) -> Environment:
     return Environment(env.dim, env.box_radius, env.law, env.seed, True, fixed)
 
 
-def star(env: Environment, x: Coords, search_cap: int | None = None) -> Coords:
+def star(env: Environment, x: Coords) -> Coords:
     """The closest occupied site to x, searching expanding l1 shells.
 
-    Ties break lexicographically.  Hitting the cap raises: a silent
-    fallback would bias every downstream statistic.
+    Ties break lexicographically.  The search covers l1 distances up to the
+    box radius; finding nothing raises: a silent fallback would bias every
+    downstream statistic.
     """
     if not env.in_box(x):
         raise GeometryError(f"site {x} outside box of radius {env.box_radius}")
-    cap = env.box_radius if search_cap is None else search_cap
-    for r in range(cap + 1):
+    for r in range(env.box_radius + 1):
         hits = [s for s in shell_coords(x, r) if env.in_box(s) and env.omega(s) >= 1]
         if hits:
             return closest_in_set(x, hits)
     raise SearchCapError(
-        f"no occupied site within l1 distance {cap} of {x}; box too small for this law/seed"
+        f"no occupied site within l1 distance {env.box_radius} of {x}; box too small for this law/seed"
     )

@@ -31,6 +31,7 @@ from .walks import (
 )
 
 DEFAULT_CENSOR_BUDGET = 0.05
+_BOOTSTRAP = 200  # resamples per bootstrap interval
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +46,6 @@ class PassageSamples:
     targets: list[Coords]
     values: np.ndarray  # (replicas, n_targets) float
     horizon: int
-    conditioned: bool
-    use_star: bool
 
     def column(self, i: int) -> tuple[np.ndarray, int]:
         col = self.values[:, i]
@@ -56,14 +55,14 @@ class PassageSamples:
 
 def _one_replica(args) -> np.ndarray:
     law, dim, targets, horizon, rep_seed, conditioned, use_star = args
-    radius = horizon + 8
-    env = sample_environment(law, dim, radius, rep_seed)
+    # star searches the whole box, so this radius decides when SearchCapError is raised
+    env = sample_environment(law, dim, horizon + 8, rep_seed)
     if conditioned:
         env = condition_origin(env)
     origin = (0,) * dim
     if use_star:
-        source = star(env, origin, search_cap=radius)
-        goals = [star(env, x, search_cap=radius) for x in targets]
+        source = star(env, origin)
+        goals = [star(env, x) for x in targets]
     else:
         source = origin
         goals = list(targets)
@@ -116,19 +115,20 @@ def collect_passage_samples(
             censored=censored,
             total=total,
         )
-    return PassageSamples(
-        targets=targets, values=values, horizon=horizon, conditioned=conditioned, use_star=use_star
-    )
+    return PassageSamples(targets=targets, values=values, horizon=horizon)
 
 
-def _auto_horizon(mu_hint: float, norm: int, factor: float = 3.0, floor: int = 32) -> int:
-    return max(floor, math.ceil(factor * mu_hint * norm))
+def _auto_horizon(mu_hint: float, norm: int) -> int:
+    return max(32, math.ceil(3.0 * mu_hint * norm))
 
 
-def probe_mu_hint(law: ConfigLaw, dim: int, seed: SeedSpec, k: int = 6, replicas: int = 12) -> float:
-    """Cheap pilot estimate of the time constant used only to size horizons."""
-    direction = (1,) + (0,) * (dim - 1)
-    target = scale(k, direction)
+def probe_mu_hint(law: ConfigLaw, dim: int, seed: SeedSpec) -> float:
+    """Cheap pilot estimate of the time constant used only to size horizons.
+
+    The mean of T*(0, 6 e1) / 6 over 12 replicas.
+    """
+    k, replicas = 6, 12
+    target = scale(k, (1,) + (0,) * (dim - 1))
     horizon = 30 * k
     samples = collect_passage_samples(
         law, dim, [target], replicas, seed.child("probe"), horizon,
@@ -172,7 +172,6 @@ def estimate_time_constant(
     seed: SeedSpec,
     mu_hint: float | None = None,
     threads: int = 1,
-    censor_budget: float = DEFAULT_CENSOR_BUDGET,
 ) -> TimeConstantEstimate:
     """Per-k statistics of T*(0, k dir)/k and the conservative estimate mu_hat.
 
@@ -192,8 +191,7 @@ def estimate_time_constant(
     targets = [scale(k, direction) for k in k_ladder]
     samples = collect_passage_samples(
         law, dim, targets, replicas, seed, horizon,
-        conditioned=False, use_star=True, threads=threads,
-        censor_budget=censor_budget, stream="mu",
+        conditioned=False, use_star=True, threads=threads, stream="mu",
     )
     per_k: dict[int, SummaryStats] = {}
     for i, k in enumerate(k_ladder):
@@ -251,7 +249,6 @@ def collect_tail_samples(
     mu_hat: float,
     seed: SeedSpec,
     threads: int = 1,
-    horizon_factor: float = 1.25,
 ) -> PassageSamples:
     if epsilon <= 0:
         raise LawParameterError(f"epsilon must be > 0, got {epsilon}")
@@ -259,7 +256,7 @@ def collect_tail_samples(
     norms = [l1(x) for x in x_ladder]
     # the horizon only needs to clear the largest upper threshold: a censored
     # replica then certainly lies in the upper tail and outside the lower one
-    horizon = max(32, math.ceil(horizon_factor * (1 + epsilon) * mu_hat * max(norms)))
+    horizon = max(32, math.ceil(1.25 * (1 + epsilon) * mu_hat * max(norms)))
     return collect_passage_samples(
         law, dim, x_ladder, replicas, seed, horizon,
         conditioned=True, use_star=False, threads=threads, stream="tails",
@@ -349,13 +346,12 @@ def concentration_experiment(
     seed: SeedSpec,
     mu_hint: float | None = None,
     threads: int = 1,
-    bootstrap: int = 200,
-    censor_budget: float = DEFAULT_CENSOR_BUDGET,
 ) -> ConcentrationReport:
     """Sample std of T*(0, x) per ladder point and its scaling exponent.
 
     Requires a finite-mean law (every built-in law qualifies).  The slope of
-    log std against log |x|_1 gauges the square-root concentration scale.
+    log std against log |x|_1 gauges the square-root concentration scale;
+    each std carries a 200-resample percentile bootstrap interval.
     """
     if not math.isfinite(law.mean()):
         raise LawParameterError("concentration experiment needs a finite-mean law")
@@ -366,8 +362,7 @@ def concentration_experiment(
     horizon = _auto_horizon(mu_hint, max(norms))
     samples = collect_passage_samples(
         law, dim, x_ladder, replicas, seed, horizon,
-        conditioned=False, use_star=True, threads=threads,
-        censor_budget=censor_budget, stream="concentration",
+        conditioned=False, use_star=True, threads=threads, stream="concentration",
     )
     rows = []
     boot_key = seed.child("boot").purpose_key(PURPOSE_BOOTSTRAP)
@@ -375,11 +370,11 @@ def concentration_experiment(
     for i, x in enumerate(x_ladder):
         finite, censored = samples.column(i)
         stats = summarize(finite, censored)
-        count = bootstrap * finite.size
+        count = _BOOTSTRAP * finite.size
         counters = np.arange(offset, offset + count, dtype=np.uint64)
         offset += count
         words = draw_np(np.full(count, boot_key, dtype=np.uint64), counters)
-        q = uniform01_np(words).reshape(bootstrap, finite.size)
+        q = uniform01_np(words).reshape(_BOOTSTRAP, finite.size)
         lo, hi = bootstrap_std_ci(finite, q)
         rows.append(
             ConcentrationRow(
@@ -500,8 +495,7 @@ def subadditivity_audit(
         rep_seed = seed.child("audit", r)
         # sources live in the window cube (l1 norm up to dim * window) and
         # stars drift at most a few sites beyond it for any sensible law
-        radius = horizon + dim * window + 6
-        env = sample_environment(law, dim, radius, rep_seed)
+        env = sample_environment(law, dim, horizon + dim * window + 6, rep_seed)
         pts = _random_triple(rep_seed, dim, window)
         x, y, z = pts
 
@@ -529,7 +523,7 @@ def subadditivity_audit(
             if txz > txy + tyz:
                 violations += 1
                 details.append({"kind": "plain", "triple": [x, y, z], "values": [txy, tyz, txz]})
-        xs, ys, zs = (star(env, p, search_cap=radius) for p in pts)
+        xs, ys, zs = (star(env, p) for p in pts)
         sxy, sxz = passage_pair(xs, ys, zs)
         syz = passage_one(ys, zs)
         if None in (sxy, syz, sxz):

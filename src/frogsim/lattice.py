@@ -53,12 +53,6 @@ def step_vectors(dim: int) -> np.ndarray:
     return out
 
 
-def neighbors(x: Coords) -> list[Coords]:
-    """The 2d nearest neighbors of x, in canonical step order."""
-    d = len(x)
-    return [add(x, tuple(v)) for v in step_vectors(d).tolist()]
-
-
 def closest_in_set(x: Coords, sites: Iterable[Coords]) -> Coords:
     """The l1-closest element of ``sites``; ties broken lexicographically.
 

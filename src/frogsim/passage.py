@@ -373,12 +373,10 @@ def passage_between(
     return PassageOutcome(value=value, witness=witness, horizon=horizon, box_radius=env.box_radius)
 
 
-def passage_time_star(
-    env: Environment, x: Coords, horizon: int, search_cap: int | None = None, strict: bool = True
-) -> PassageOutcome:
+def passage_time_star(env: Environment, x: Coords, horizon: int, strict: bool = True) -> PassageOutcome:
     """T*(0, x) = T(0*, x*) between the occupied sites closest to 0 and x."""
-    origin_star = star(env, (0,) * env.dim, search_cap)
-    x_star = star(env, x, search_cap)
+    origin_star = star(env, (0,) * env.dim)
+    x_star = star(env, x)
     if x_star == origin_star:
         return PassageOutcome(HittingTime.finite(0, horizon), (origin_star,), horizon, env.box_radius)
     return passage_between(env, origin_star, x_star, horizon, strict=strict)

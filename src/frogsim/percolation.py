@@ -1,6 +1,6 @@
 """Site percolation structures and the renormalized block fields.
 
-Bernoulli fields, array labelling of clusters, chemical distance, hole
+Bernoulli fields, array labelling of clusters, chemical distances, hole
 radii, and the block-level white indicator that couples occupancy and
 local passage-time control.  The infinite cluster is proxied by the largest
 cluster in the box; experiments that consume it keep a boundary margin to
@@ -12,14 +12,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .environment import Environment
+from .environment import ConfigLaw, Environment, sample_environment
 from .errors import EmptySetError, GeometryError, LawParameterError
 from .lattice import Coords, CubeIndex, add, ball_coords, cube_coords, l1, scale, sub
-from .passage import HittingTime, simulate_frogs
+from .passage import simulate_frogs
 from .stats import fit_line, wilson_ci
 from .walks import PURPOSE_FIELD, SeedSpec, site_keys_np, uniform01_np
 
@@ -144,18 +144,6 @@ def open_distances_from(f: SiteField, source: Coords) -> np.ndarray:
     return dist.reshape((index.side,) * f.dim)[(slice(1, -1),) * f.dim].ravel()
 
 
-def chemical_distance(f: SiteField, v1: Coords, v2: Coords) -> HittingTime:
-    """Graph distance inside the open set; censored when unreachable."""
-    if not (f.in_box(v1) and f.in_box(v2)):
-        raise GeometryError("chemical distance endpoints must lie in the field's box")
-    if f.bit(v1) != 1 or f.bit(v2) != 1:
-        return HittingTime.censored(None)
-    if v1 == v2:
-        return HittingTime.finite(0)
-    d = int(open_distances_from(f, v1)[f.index.flat_one(v2)])
-    return HittingTime.finite(d) if d >= 0 else HittingTime.censored(None)
-
-
 def hole_radius(f: SiteField, labels: ClusterLabels) -> int:
     """Smallest l1 radius at which the ball around 0 meets the largest cluster."""
     if labels.largest_id is None:
@@ -247,23 +235,38 @@ class MarginalRow:
     ci_hi: float
 
 
-def marginal_curve(
-    indicator: Callable[[Environment, int], int],
+def white_marginal_curve(
+    law: ConfigLaw,
+    dim: int,
     N_ladder: Sequence[int],
     replicas: int,
     seed: SeedSpec,
-    env_factory: Callable[[int, SeedSpec], Environment],
+    subbox_side: int | None,
 ) -> list[MarginalRow]:
-    """Monte Carlo marginal P(v = 0 satisfies the indicator) per block scale."""
+    """Monte Carlo marginal P(the origin block is white) per block scale N.
+
+    Each replica samples ``law`` on the box of radius dim*N + N + 2, which
+    holds the white window around the origin.
+    """
     rows = []
     for N in N_ladder:
         hits = 0
         for r in range(replicas):
-            env = env_factory(N, seed.child(f"marginal-N{N}", r))
-            hits += indicator(env, N)
+            env = sample_environment(law, dim, dim * N + N + 2, seed.child(f"marginal-N{N}", r))
+            hits += white_site_indicator(env, (0,) * dim, N, subbox_side=subbox_side)
         lo, hi = wilson_ci(hits, replicas)
         rows.append(MarginalRow(N=N, replicas=replicas, hits=hits, phat=hits / replicas, ci_lo=lo, ci_hi=hi))
     return rows
+
+
+def boundary_margin(box_radius: int) -> int:
+    """Width of the boundary shell of a field of l1 radius ``box_radius``.
+
+    Near the boundary the largest cluster is a poor proxy for the infinite
+    one, so hole radii and chemical-distance targets with l1 norm above
+    ``box_radius - boundary_margin(box_radius)`` are not used.
+    """
+    return box_radius // 10
 
 
 @dataclass
@@ -286,7 +289,7 @@ def hole_radius_experiment(
     Replicas whose largest cluster sits entirely outside the boundary margin
     would bias the tail, so radii past the margin are discarded as censored.
     """
-    margin = box_radius // 10
+    margin = boundary_margin(box_radius)
     radii: list[int] = []
     for r in range(replicas):
         f = sample_bernoulli_field(p, dim, box_radius, seed.child("hole", r))
@@ -331,7 +334,7 @@ def chemical_ratio_experiment(
     seed: SeedSpec,
 ) -> ChemicalRatioReport:
     """Ratio of chemical distance to l1 distance on connected origin-target pairs."""
-    margin = box_radius // 10
+    margin = boundary_margin(box_radius)
     for v in targets:
         if l1(v) > box_radius - margin:
             raise GeometryError(f"target {v} inside the boundary margin of {margin}")

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
+_ALPHAS = np.round(np.arange(0.1, 1.01, 0.1), 2)  # the exponent grid of fit_alpha_grid
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,9 @@ def summarize(values: np.ndarray, censored_count: int = 0) -> SummaryStats:
     return SummaryStats(n, mean, std, mean - half, mean + half, censored_count)
 
 
-def wilson_ci(hits: int, n: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval; exact endpoints at zero or full counts."""
+def wilson_ci(hits: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval; exact endpoints at zero or full counts."""
+    z = Z95
     if n == 0:
         return float("nan"), float("nan")
     phat = hits / n
@@ -67,20 +69,16 @@ def fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-def fit_alpha_grid(
-    norms: np.ndarray, log_probs: np.ndarray, alphas: np.ndarray | None = None
-) -> dict:
-    """Best stretched-exponential exponent on a fixed grid.
+def fit_alpha_grid(norms: np.ndarray, log_probs: np.ndarray) -> dict:
+    """Best stretched-exponential exponent on the grid alpha = 0.1, 0.2, ..., 1.0.
 
     Fits log p = a + b * |x|^alpha per alpha and reports the alpha with the
     highest R^2; exploratory output, never asserted against.
     """
-    if alphas is None:
-        alphas = np.round(np.arange(0.1, 1.01, 0.1), 2)
     norms = np.asarray(norms, dtype=float)
     log_probs = np.asarray(log_probs, dtype=float)
     best = None
-    for alpha in alphas:
+    for alpha in _ALPHAS:
         xs = norms**alpha
         slope, intercept = fit_line(xs, log_probs)
         pred = slope * xs + intercept

@@ -57,24 +57,19 @@ class TruncationParams:
         return 4 * self.K * self.t
 
 
-def sigma_t(
-    env: Environment, x: Coords, y: Coords, p: TruncationParams, cap_horizon: int | None = None
-) -> int:
+def sigma_t(env: Environment, x: Coords, y: Coords, p: TruncationParams) -> int:
     """Two-point edge weight; always within the l1 / 4K(t v gap) sandwich.
 
-    ``cap_horizon`` shrinks the hitting-time scan below 4Kt (never above),
-    which can only raise the value; the default is exact.
+    A short edge costs the hitting time tau(x, y) when it is at most 4Kt,
+    and 4Kt otherwise.
     """
     gap = linf(sub(y, x))
     if gap > p.t:
         return 4 * p.K * gap
     if x == y and env.omega(x) >= 1:
         return 0
-    horizon = p.cap if cap_horizon is None else min(cap_horizon, p.cap)
-    hit = tau(env, x, y, horizon)
-    if hit.is_finite and hit.time <= p.cap:
-        return int(hit.time)
-    return p.cap
+    hit = tau(env, x, y, p.cap)
+    return int(hit.time) if hit.is_finite else p.cap
 
 
 @dataclass
@@ -93,23 +88,18 @@ def _linf_ball_offsets(t: int, d: int) -> np.ndarray:
     return out
 
 
-def _sigma_row(
-    env: Environment, u: Coords, p: TruncationParams, cap_horizon: int | None
-) -> tuple[np.ndarray, np.ndarray]:
+def _sigma_row(env: Environment, u: Coords, p: TruncationParams) -> tuple[np.ndarray, np.ndarray]:
     """sigma(u, .) over the l-infinity ball of radius t around u.
 
     Returns the offsets (m, d) and their weights; the capped value stands in
-    wherever u's frogs do not hit within the horizon.
+    wherever u's frogs do not hit within 4Kt steps.  Every offset lies in
+    the cube of ``offset_index(4Kt, d)``, since 4Kt > t, so no key aliases.
     """
     offs = _linf_ball_offsets(p.t, env.dim)
     weights = np.full(offs.shape[0], p.cap, dtype=np.int64)
-    horizon = p.cap if cap_horizon is None else min(cap_horizon, p.cap)
     if env.omega(u) >= 1:
-        sites, times = first_hits(env, u, horizon)
-        keys = offset_index(horizon, env.dim).flat(offs)
-        if horizon < p.t:
-            # u's frogs stay inside the horizon cube; keys of offsets beyond it would alias
-            keys[np.abs(offs).max(axis=1) > horizon] = -1
+        sites, times = first_hits(env, u, p.cap)
+        keys = offset_index(p.cap, env.dim).flat(offs)
         pos = np.searchsorted(sites, keys)
         pos = np.clip(pos, 0, sites.shape[0] - 1) if sites.shape[0] else pos
         if sites.shape[0]:
@@ -130,13 +120,7 @@ def _staircase(x: Coords, y: Coords, t: int) -> list[Coords]:
     return path
 
 
-def truncated_passage(
-    env: Environment,
-    x: Coords,
-    y: Coords,
-    p: TruncationParams,
-    cap_horizon: int | None = None,
-) -> TruncatedResult:
+def truncated_passage(env: Environment, x: Coords, y: Coords, p: TruncationParams) -> TruncatedResult:
     """Exact shortest relay-path value from x to y under the two-point weight.
 
     Candidate relays live inside {z : |x-z|_1 + |z-y|_1 <= 4K(t v |x-y|_inf)}
@@ -153,8 +137,8 @@ def truncated_passage(
     ub = 0
     stair = _staircase(x, y, p.t)
     for a, b in zip(stair[:-1], stair[1:]):
-        ub += sigma_t(env, a, b, p, cap_horizon)
-    direct = sigma_t(env, x, y, p, cap_horizon)
+        ub += sigma_t(env, a, b, p)
+    direct = sigma_t(env, x, y, p)
     ub = min(ub, direct)
 
     dist: dict[Coords, int] = {x: 0}
@@ -177,7 +161,7 @@ def truncated_passage(
         if u == y:
             break
         # short edges from the hitting-time row; bound-prune in bulk first
-        offs, weights = _sigma_row(env, u, p, cap_horizon)
+        offs, weights = _sigma_row(env, u, p)
         vpts = offs + np.asarray(u, dtype=np.int64)
         nd_all = d_u + weights
         h_all = np.abs(vpts - np.asarray(y, dtype=np.int64)).sum(axis=1)
@@ -319,9 +303,6 @@ class Tiling:
         t = self.t
         return tuple(-((t - 2 * c) // (2 * t)) for c in z)
 
-    def center(self, q: Coords) -> Coords:
-        return tuple(self.t * c for c in q)
-
 
 def geodesic_box_count(witness: Sequence[Coords], tiling: Tiling) -> int:
     return len({tiling.box_of(z) for z in witness})
@@ -369,19 +350,18 @@ def agreement_experiment(
     mu_hat: float,
     c4_hat: float | None = None,
     gamma: float = 1.0,
-    horizon_factor: float = 3.0,
 ) -> AgreementTable:
     """Fraction of replicas with T_t(0*, x*) != T*(0, x), per truncation scale.
 
     One environment per replica serves every t, so the comparison is a
-    coupling across the ladder.  Censored modified passage times are
-    excluded from the comparison and reported.
+    coupling across the ladder.  T*(0, x) is censored at 3 mu_hat |x|_1;
+    censored values are excluded from the comparison and reported.
     """
     d = len(x)
     if c4_hat is None:
         c4_hat = 5.0 * mu_hat
     params = {t: TruncationParams.make(t, d, c4_hat, gamma) for t in t_ladder}
-    horizon = math.ceil(horizon_factor * mu_hat * l1(x))
+    horizon = math.ceil(3.0 * mu_hat * l1(x))
     radius0 = horizon + 8
     table = AgreementTable(x=x, law_label=law.label(), params_by_t=params)
 
@@ -394,8 +374,8 @@ def agreement_experiment(
     for r in range(replicas):
         rep_seed = seed.child("agreement", r)
         env = sample_environment(law, d, radius0, rep_seed)
-        origin_star = star(env, (0,) * d, search_cap=radius0)
-        x_star = star(env, x, search_cap=radius0)
+        origin_star = star(env, (0,) * d)
+        x_star = star(env, x)
         # one box holds every site either search reads: the engine's reach
         # and, for each t, the relay region of truncated_passage
         need = max(_relay_radius(origin_star, x_star, p) for p in params.values())

@@ -11,7 +11,6 @@ from frogsim.lattice import (
     cube_coords,
     l1,
     linf,
-    neighbors,
     shell_coords,
     step_vectors,
 )
@@ -32,11 +31,12 @@ def test_norm_inequalities_random():
 
 
 def test_neighbors_canonical_order():
-    assert neighbors((0, 0)) == [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    assert neighbors((5,)) == [(6,), (4,)]
-    nb3 = neighbors((0, 0, 0))
+    # walk direction codes index the unit steps in the order +e1, -e1, +e2, -e2, ...
+    assert step_vectors(2).tolist() == [[1, 0], [-1, 0], [0, 1], [0, -1]]
+    assert step_vectors(1).tolist() == [[1], [-1]]
+    nb3 = step_vectors(3)
     assert len(nb3) == 6
-    for p in nb3:
+    for p in nb3.tolist():
         assert l1(p) == 1
 
 

@@ -259,9 +259,32 @@ def test_growing_table_matches_full_layout(case, data):
 @given(engine_cases())
 def test_growing_engine_matches_oracle(case):
     env, source, horizon = case
-    with start_radius(0):
-        table = simulate_frogs(env, source, horizon, strict=False)
     oracle = oracle_all_targets(env, source, horizon)
-    for x in map(tuple, ball_coords(env.box_radius, env.dim).tolist()):
-        ht = table.visit_time(x)
-        assert (ht.time if ht.is_finite else None) == oracle.get(x)
+    for start in (passage._START_RADIUS, 0):  # the default table, then doubling from |source|_inf
+        with start_radius(start):
+            table = simulate_frogs(env, source, horizon, strict=False)
+        for x in map(tuple, ball_coords(env.box_radius, env.dim).tolist()):
+            ht = table.visit_time(x)
+            assert (ht.time if ht.is_finite else None) == oracle.get(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 2), st.integers(0, 6), st.sampled_from(LAWS), st.integers(0, 2**32), st.data()
+)
+def test_triangle_inequality_tiny_environments(dim, radius, law, seed, data):
+    # y's frogs wake when y is first visited and then walk as in the run from y,
+    # so T(x, z) <= T(x, y) + T(y, z); out-of-box sites wake nothing in both runs
+    env = condition_origin(sample_environment(law, dim, radius, SeedSpec(seed, "triangle")))
+    occupied = st.sampled_from([tuple(v) for v in env.occupied_coords().tolist()])
+    x, y = data.draw(occupied), data.draw(occupied)
+    z = data.draw(st.sampled_from([tuple(v) for v in ball_coords(radius, dim).tolist()]))
+    horizon = 24
+
+    def T(a, b):
+        return simulate_frogs(env, a, horizon, stop_targets=[b], strict=False).visit_time(b)
+
+    txy, tyz, txz = T(x, y), T(y, z), T(x, z)
+    if txy.is_finite and tyz.is_finite and txy.time + tyz.time <= horizon:
+        assert txz.is_finite
+        assert txz.time <= txy.time + tyz.time

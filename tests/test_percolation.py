@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 from conftest import env_from_counts
 from frogsim.environment import ConfigLaw, sample_environment
 from frogsim.errors import EmptySetError, GeometryError
-from frogsim.lattice import ball_coords, l1, neighbors
+from frogsim.lattice import add, ball_coords, l1, step_vectors
 from frogsim.percolation import (
-    chemical_distance,
     chemical_ratio_experiment,
     field_from_indicator,
     hole_radius,
     hole_radius_experiment,
     label_clusters,
-    marginal_curve,
     open_distances_from,
     sample_bernoulli_field,
+    white_marginal_curve,
     white_site_indicator,
 )
 from frogsim.walks import SeedSpec
@@ -94,19 +93,22 @@ def test_largest_cluster_tie_takes_lex_smallest_lowest_site():
 
 def test_chemical_distance_cases():
     f = ones_field(6)
-    assert chemical_distance(f, (0, 0), (0, 0)).time == 0
-    assert chemical_distance(f, (0, 0), (3, -2)).time == 5
+    dist = open_distances_from(f, (0, 0))
+    assert dist[f.index.flat_one((0, 0))] == 0
+    assert dist[f.index.flat_one((3, -2))] == 5
     closed = field_from_indicator(2, 4, {(0, 0): 1, (1, 1): 1}, "gap")
-    assert not chemical_distance(closed, (0, 0), (1, 1)).is_finite
-    assert not chemical_distance(closed, (0, 0), (2, 0)).is_finite
+    dist = open_distances_from(closed, (0, 0))
+    assert dist[closed.index.flat_one((1, 1))] == -1  # open, not reached
+    assert dist[closed.index.flat_one((2, 0))] == -1  # closed
 
 
 def test_chemical_at_least_l1():
     f = sample_bernoulli_field(0.75, 2, 20, SeedSpec(4, "chem"))
+    dist = open_distances_from(f, (0, 0))
     for target in [(5, 0), (3, 3), (-6, 2)]:
-        ht = chemical_distance(f, (0, 0), target)
-        if ht.is_finite:
-            assert ht.time >= l1(target)
+        d = dist[f.index.flat_one(target)]
+        if d >= 0:
+            assert d >= l1(target)
 
 
 def test_hole_radius_cases():
@@ -163,33 +165,15 @@ def test_white_locality():
     )
 
 
-def test_marginal_curve_constant_indicator():
-    rows = marginal_curve(
-        lambda env, N: 1,
-        [2, 4],
-        replicas=10,
-        seed=SeedSpec(1, "marg"),
-        env_factory=lambda N, s: sample_environment(ConfigLaw.constant(1), 2, 2, s),
-    )
-    assert [r.phat for r in rows] == [1.0, 1.0]
-    assert all(r.replicas == 10 for r in rows)
-    assert all(r.ci_hi <= 1.0 for r in rows)
-
-
 def test_white_marginal_reports():
     # desk-scale white marginals: the passage condition dominates and the
     # curve may sit at zero; the report still carries counts and intervals
-    def factory(N, s):
-        return sample_environment(ConfigLaw.poisson(1.0), 2, 3 * N + 2, s)
-
-    rows = marginal_curve(
-        lambda env, N: white_site_indicator(env, (0, 0), N, subbox_side=2),
-        [5, 7],
-        replicas=6,
-        seed=SeedSpec(2, "wm"),
-        env_factory=factory,
+    rows = white_marginal_curve(
+        ConfigLaw.poisson(1.0), 2, [5, 7], replicas=6, seed=SeedSpec(2, "wm"), subbox_side=2
     )
+    assert [r.N for r in rows] == [5, 7]
     for r in rows:
+        assert r.replicas == 6
         assert 0.0 <= r.phat <= 1.0
         assert r.ci_lo <= r.phat <= r.ci_hi
 
@@ -239,6 +223,11 @@ class _UnionFind:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
+
+
+def neighbors(x):
+    """The 2d nearest neighbours of x."""
+    return [add(x, tuple(v)) for v in step_vectors(len(x)).tolist()]
 
 
 def _oracle_clusters(f):

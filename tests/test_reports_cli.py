@@ -288,9 +288,14 @@ PERCOLATION_PARAMS = {"seed": 1, "tag": "", "dim": 2, "p": 0.8, "radius": 20, "r
         ("percolation", {**PERCOLATION_PARAMS, "p": True}, "p must be a number in [0, 1]"),
         ("percolation", {**PERCOLATION_PARAMS, "radius": 20.5}, "radius must be an integer >= 0"),
         ("percolation", {**PERCOLATION_PARAMS, "targets": [[5, 0], [0, 0]]}, "must not be the origin"),
+        # without targets the plan runs the default ones, (20, 0) and (0, 20)
+        ("percolation", {k: v for k, v in PERCOLATION_PARAMS.items() if k != "targets"},
+         "target (20, 0) lies inside the boundary margin of 2"),
+        ("percolation", {**PERCOLATION_PARAMS, "targets": [["5", 0]]}, "targets must have integer coordinates"),
+        ("mu", {**MU_PARAMS, "direction": [1.5, 0]}, "direction must have integer coordinates"),
     ],
     ids=["law-int", "k-int", "k-negative", "t-float", "side", "p-string", "p-bool", "radius-float",
-         "origin-target"],
+         "origin-target", "default-target-in-margin", "target-string", "direction-float"],
 )
 def test_cli_replay_rejects_mistyped_params(command, params, message, tmp_path, capsys):
     # rejected before plan.json is written, not by a traceback or after sampling
@@ -310,12 +315,14 @@ def test_cli_replay_rejects_mistyped_params(command, params, message, tmp_path, 
         (["--p", "1.5", "--radius", "20"], "p must be a number in [0, 1]"),
         (["--p", "nan", "--radius", "20"], "p must be a number in [0, 1]"),
         (["--p", "0.8", "--radius", "-3"], "radius must be an integer >= 0"),
+        (["--p", "0.8", "--radius", "20", "--targets", "19,0"],
+         "target (19, 0) lies inside the boundary margin of 2"),
     ],
-    ids=["origin-target", "p-above-one", "p-nan", "radius-negative"],
+    ids=["origin-target", "p-above-one", "p-nan", "radius-negative", "target-in-margin"],
 )
 def test_cli_rejects_bad_percolation_plan(argv, message, tmp_path, capsys):
     # an origin target used to end in a ZeroDivisionError traceback, and a bad
-    # p or radius was rejected only after plan.json was written
+    # p, radius or target margin was rejected only after plan.json was written
     out = tmp_path / "o"
     assert run_cli("percolation", *argv, "--replicas", "2", "--seed", "1", "--out", str(out)) == 2
     assert not (out / "plan.json").exists()
