@@ -10,7 +10,7 @@ from .errors import (
     PlanError,
     SearchCapError,
 )
-from .lattice import closest_in_set, l1, linf
+from .lattice import l1, linf
 from .passage import (
     ActivationTable,
     HittingTime,
@@ -40,7 +40,6 @@ __all__ = [
     "PlanError",
     "SearchCapError",
     "SeedSpec",
-    "closest_in_set",
     "condition_origin",
     "l1",
     "linf",

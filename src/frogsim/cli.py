@@ -13,12 +13,15 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import __version__
 from .environment import ConfigLaw, condition_origin, sample_environment
 from .errors import CensoringBudgetError, FrogsimError, PlanError
 from .estimation import (
+    ConcentrationRow,
+    TailPoint,
     collect_tail_samples,
     concentration_experiment,
     estimate_time_constant,
@@ -26,26 +29,21 @@ from .estimation import (
     subadditivity_audit,
     tail_curve_from_samples,
 )
-from .lattice import Coords, l1
+from .lattice import l1
 from .passage import oracle_passage_time, passage_time, passage_time_star, simulate_frogs
 from .percolation import (
+    MarginalRow,
     boundary_margin,
     chemical_ratio_experiment,
     hole_radius_experiment,
     white_marginal_curve,
 )
 from .reports import dump_csv, dump_json
-from .truncated import agreement_experiment
+from .stats import SummaryStats
+from .truncated import AgreementRow, agreement_experiment
 from .walks import SeedSpec
 
 PLAN_VERSION = 1
-
-
-def _parse_point(text: str) -> Coords:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise PlanError(f"bad lattice point {text!r}: {exc}") from None
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -55,16 +53,119 @@ def _parse_ints(text: str) -> list[int]:
         raise PlanError(f"bad integer list {text!r}: {exc}") from None
 
 
-def _parse_points(text: str) -> list[Coords]:
-    return [_parse_point(part) for part in text.split(";") if part]
+def _parse_points(text: str) -> list[list[int]]:
+    return [_parse_ints(part) for part in text.split(";") if part]
+
+
+REQUIRED = object()  # the table default of a flag that every run must give
+
+# Each command's parameters in plan order: (plan key, parser, default, help).
+# The flag is the key with dashes.  An int or float parser is argparse's
+# type and bool makes a switch; any other parser turns the flag's text into
+# the plan value in _plan_from_args, so that a malformed value exits 2 as a
+# plan error.  A default of None leaves the key out of the plan, and a
+# parser of None marks a key that only a stored plan sets.  A replayed plan
+# gets every absent key at its default; REQUIRED_PARAMS lists the keys it
+# must carry.
+_SEED = [
+    ("seed", int, REQUIRED, "master seed (required; no environment fallback)"),
+    ("tag", str, "", "experiment tag mixed into every derived key"),
+]
+_LAW = [
+    *_SEED,
+    ("law", str, REQUIRED, "poisson:1.0 | bernoulli:0.7 | geometric:0.5 | constant:1 | explicit:p0,p1,..."),
+    ("dim", int, 2, None),
+]
+_LADDER = [
+    *_LAW,
+    ("direction", _parse_ints, [1, 0], None),
+    ("k", _parse_ints, REQUIRED, "comma list, e.g. 4,8,16,32"),
+    ("replicas", int, REQUIRED, None),
+]
+COMMANDS = {
+    "sample-env": ("sample a configuration and serialize it", [
+        *_LAW,
+        ("radius", int, REQUIRED, None),
+        ("condition", bool, False, "condition on an occupied origin"),
+    ]),
+    "passage": ("one passage time with witness", [
+        *_LAW,
+        ("radius", int, REQUIRED, None),
+        ("x", _parse_ints, REQUIRED, "target site, e.g. 3,0"),
+        ("horizon", int, REQUIRED, None),
+        ("check_oracle", bool, False, None),
+        ("dump_table", bool, False, "write the activation table and genealogy"),
+    ]),
+    "mu": ("time-constant estimation ladder", _LADDER),
+    "tails": ("deviation tail curves", [
+        *_LADDER,
+        ("epsilon", float, REQUIRED, None),
+        ("side", str, "both", None),
+        ("mu_hat", float, None, "calibrated estimate; omitted -> internal calibration on a disjoint seed stream"),
+        ("calibration_k", None, [4, 8, 16], None),
+        ("calibration_replicas", None, 200, None),
+    ]),
+    "concentration": ("std scaling of the modified passage time", [
+        *_LADDER,
+        ("mu_hint", float, None, None),
+    ]),
+    "truncation": ("truncated-vs-modified agreement experiment", [
+        *_LAW,
+        ("x", _parse_ints, REQUIRED, None),
+        ("t", _parse_ints, REQUIRED, "truncation scales, e.g. 1,2,4,8,16"),
+        ("replicas", int, REQUIRED, None),
+        ("gamma", float, 1.0, None),
+        ("mu_hat", float, None, None),
+        ("c4_hat", float, None, None),
+    ]),
+    "percolation": ("hole radius tail and chemical distance ratios", [
+        *_SEED,
+        ("dim", int, 2, None),
+        ("p", float, REQUIRED, None),
+        ("radius", int, REQUIRED, None),
+        ("replicas", int, REQUIRED, None),
+        ("targets", _parse_points, [[20, 0], [0, 20]], "semicolon-separated sites"),
+        # the white_* keys enter a plan only with --white-n
+        ("white_n", _parse_ints, None, "optional block-scale ladder for the white marginal, e.g. 3,5"),
+        ("white_replicas", int, 20, None),
+        ("white_law", str, "poisson:1.0", None),
+        ("white_subbox", int, None, None),
+    ]),
+    "audit": ("subadditivity audit", [
+        *_LAW,
+        ("triples", int, REQUIRED, None),
+        ("window", int, 5, None),
+        ("horizon", int, 60, None),
+    ]),
+}
+DEFAULTS = {
+    command: {key: default for key, _, default, _ in table if default is not REQUIRED}
+    for command, (_, table) in COMMANDS.items()
+}
+
+# the commands whose replicas a thread pool can share; replay takes the flag too
+THREADED = ("mu", "tails", "concentration")
+THREADS = {"type": int, "default": 1, "help": "threads over replicas; never changes the bytes"}
+
+TAIL_SIDES = {"upper": ["upper"], "lower": ["lower"], "both": ["upper", "lower"]}
+
+
+def _params(plan: dict) -> dict:
+    """The plan's params, with every key the plan leaves out at its default."""
+    return {**DEFAULTS[plan["command"]], **plan["params"]}
 
 
 def _seed(params: dict) -> SeedSpec:
-    return SeedSpec(int(params["seed"]), params.get("tag", ""))
+    return SeedSpec(int(params["seed"]), params["tag"])
 
 
 def _law(params: dict) -> ConfigLaw:
     return ConfigLaw.parse(params["law"])
+
+
+def _columns(row_type: type) -> list[str]:
+    """The CSV header of a table whose rows are ``row_type`` dataclasses."""
+    return [f.name for f in fields(row_type)]
 
 
 # ---------------------------------------------------------------------------
@@ -72,18 +173,18 @@ def _law(params: dict) -> ConfigLaw:
 # ---------------------------------------------------------------------------
 
 
-def run_sample_env(plan: dict, outdir: Path, threads: int = 1) -> str:
-    params = plan["params"]
+def run_sample_env(plan: dict, outdir: Path, threads: int) -> str:
+    params = _params(plan)
     env = sample_environment(_law(params), params["dim"], params["radius"], _seed(params))
-    if params.get("condition"):
+    if params["condition"]:
         env = condition_origin(env)
     dump_json(env.to_json(), outdir / "environment.json")
     occ = env.occupied_coords().shape[0]
     return f"sampled {params['law']} box radius {params['radius']}: {occ} occupied sites"
 
 
-def run_passage(plan: dict, outdir: Path, threads: int = 1) -> str:
-    params = plan["params"]
+def run_passage(plan: dict, outdir: Path, threads: int) -> str:
+    params = _params(plan)
     env = sample_environment(_law(params), params["dim"], params["radius"], _seed(params))
     env = condition_origin(env)
     x = tuple(params["x"])
@@ -104,11 +205,11 @@ def run_passage(plan: dict, outdir: Path, threads: int = 1) -> str:
     star_out = passage_time_star(env, x, horizon, strict=not finite_box)
     report["star_value"] = star_out.value.time
     report["star_censored"] = not star_out.value.is_finite
-    if params.get("check_oracle"):
+    if params["check_oracle"]:
         oracle = oracle_passage_time(env, (0,) * env.dim, x, horizon)
         report["oracle_value"] = oracle.value.time
         report["oracle_matches"] = oracle.value.time == out.value.time
-    if params.get("dump_table"):
+    if params["dump_table"]:
         table = simulate_frogs(env, (0,) * env.dim, horizon, strict=not finite_box)
         env_ref = {"law": env.law.label(), "seed": env.seed.master_seed, "tag": env.seed.experiment_tag,
                    "box_radius": env.box_radius}
@@ -118,15 +219,10 @@ def run_passage(plan: dict, outdir: Path, threads: int = 1) -> str:
     return f"T(0,{x}) = {val}"
 
 
-def run_mu(plan: dict, outdir: Path, threads: int = 1) -> str:
-    params = plan["params"]
+def run_mu(plan: dict, outdir: Path, threads: int) -> str:
+    params = _params(plan)
     est = estimate_time_constant(
-        _law(params),
-        tuple(params["direction"]),
-        params["k"],
-        params["replicas"],
-        _seed(params),
-        threads=threads,
+        _law(params), tuple(params["direction"]), params["k"], params["replicas"], _seed(params), threads=threads
     )
     dump_json(
         {
@@ -141,36 +237,26 @@ def run_mu(plan: dict, outdir: Path, threads: int = 1) -> str:
         },
         outdir / "report.json",
     )
-    dump_csv(
-        outdir / "per_k.csv",
-        ["k", "n", "mean", "std", "ci_lo", "ci_hi", "censored_count"],
-        [[r["k"], r["n"], r["mean"], r["std"], r["ci_lo"], r["ci_hi"], r["censored_count"]] for r in est.rows()],
-    )
+    dump_csv(outdir / "per_k.csv", ["k", *_columns(SummaryStats)], [list(r.values()) for r in est.rows()])
     return f"mu_hat({est.direction}) = {est.mu_hat:.6g} from {est.replicas} replicas"
 
 
-def run_tails(plan: dict, outdir: Path, threads: int = 1) -> str:
-    params = plan["params"]
+def run_tails(plan: dict, outdir: Path, threads: int) -> str:
+    params = _params(plan)
     law = _law(params)
     seed = _seed(params)
     eps = params["epsilon"]
-    if eps <= 0:
-        raise PlanError(f"epsilon must be > 0, got {eps}")
-    kladder = params["k"]
-    direction = tuple(params.get("direction", (1, 0)))
-    ladder = [tuple(k * c for c in direction) for k in kladder]
-    mu_hat = params.get("mu_hat")
+    direction = tuple(params["direction"])
+    ladder = [tuple(k * c for c in direction) for k in params["k"]]
+    mu_hat = params["mu_hat"]
     if mu_hat is None:
         est = estimate_time_constant(
-            law, direction, params.get("calibration_k", [4, 8, 16]),
-            params.get("calibration_replicas", 200), seed.child("calibration"),
+            law, direction, params["calibration_k"], params["calibration_replicas"], seed.child("calibration"),
             threads=threads,
         )
         mu_hat = est.mu_hat
     sides = TAIL_SIDES[params["side"]]
-    samples = collect_tail_samples(
-        law, eps, ladder, params["replicas"], mu_hat, seed, threads=threads
-    )
+    samples = collect_tail_samples(law, eps, ladder, params["replicas"], mu_hat, seed, threads=threads)
     curves = {side: tail_curve_from_samples(samples, eps, side, mu_hat, law.label()) for side in sides}
     report = {"plan": plan, "epsilon": eps, "mu_hat": mu_hat, "law": law.label(), "sides": {}}
     for side, curve in curves.items():
@@ -180,23 +266,18 @@ def run_tails(plan: dict, outdir: Path, threads: int = 1) -> str:
             "all_censored": curve.all_censored,
             "points": [vars(p) for p in curve.points],
         }
-        dump_csv(
-            outdir / f"tail_{side}.csv",
-            ["norm", "replicas", "hits", "phat", "ci_lo", "ci_hi", "censored"],
-            [[p.norm, p.replicas, p.hits, p.phat, p.ci_lo, p.ci_hi, p.censored] for p in curve.points],
-        )
+        dump_csv(outdir / f"tail_{side}.csv", _columns(TailPoint), [astuple(p) for p in curve.points])
     dump_json(report, outdir / "report.json")
     slopes = ", ".join(f"{s}: {c.fitted_log_slope:.4g}" for s, c in curves.items())
     return f"tail slopes ({slopes}) at eps={eps}, mu_hat={mu_hat:.4g}"
 
 
-def run_concentration(plan: dict, outdir: Path, threads: int = 1) -> str:
-    params = plan["params"]
-    direction = tuple(params.get("direction", (1, 0)))
-    ladder = [tuple(k * c for c in direction) for k in params["k"]]
+def run_concentration(plan: dict, outdir: Path, threads: int) -> str:
+    params = _params(plan)
+    ladder = [tuple(k * c for c in params["direction"]) for k in params["k"]]
     rep = concentration_experiment(
         _law(params), ladder, params["replicas"], _seed(params),
-        mu_hint=params.get("mu_hint"), threads=threads,
+        mu_hint=params["mu_hint"], threads=threads,
     )
     dump_json(
         {
@@ -209,30 +290,20 @@ def run_concentration(plan: dict, outdir: Path, threads: int = 1) -> str:
         },
         outdir / "report.json",
     )
-    dump_csv(
-        outdir / "concentration.csv",
-        ["norm", "n", "mean", "std", "std_ci_lo", "std_ci_hi", "ratio_sqrt", "censored"],
-        [[r.norm, r.n, r.mean, r.std, r.std_ci_lo, r.std_ci_hi, r.ratio_sqrt, r.censored] for r in rep.rows],
-    )
+    dump_csv(outdir / "concentration.csv", _columns(ConcentrationRow), [astuple(r) for r in rep.rows])
     return f"std slope = {rep.fitted_std_slope:.4g} over {len(rep.rows)} ladder points"
 
 
-def run_truncation(plan: dict, outdir: Path, threads: int = 1) -> str:
-    params = plan["params"]
+def run_truncation(plan: dict, outdir: Path, threads: int) -> str:
+    params = _params(plan)
     law = _law(params)
     seed = _seed(params)
-    mu_hat = params.get("mu_hat")
+    mu_hat = params["mu_hat"]
     if mu_hat is None:
         mu_hat = probe_mu_hint(law, params["dim"], seed.child("calibration"))
     table = agreement_experiment(
-        law,
-        tuple(params["x"]),
-        params["t"],
-        params["replicas"],
-        seed,
-        mu_hat=mu_hat,
-        c4_hat=params.get("c4_hat"),
-        gamma=params.get("gamma", 1.0),
+        law, tuple(params["x"]), params["t"], params["replicas"], seed,
+        mu_hat=mu_hat, c4_hat=params["c4_hat"], gamma=params["gamma"],
     )
     rows = sorted(table.rows, key=lambda r: r.t)
     dump_json(
@@ -246,33 +317,23 @@ def run_truncation(plan: dict, outdir: Path, threads: int = 1) -> str:
         },
         outdir / "report.json",
     )
-    dump_csv(
-        outdir / "agreement.csv",
-        ["t", "replicas", "disagreements", "phat", "ci_lo", "ci_hi", "censored",
-         "long_edge_geodesics", "max_box_count", "max_box_bound"],
-        [[r.t, r.replicas, r.disagreements, r.phat, r.ci_lo, r.ci_hi, r.censored,
-          r.long_edge_geodesics, r.max_box_count, r.max_box_bound] for r in rows],
-    )
+    dump_csv(outdir / "agreement.csv", _columns(AgreementRow), [astuple(r) for r in rows])
     frac = ", ".join(f"t={r.t}: {r.phat:.3g}" for r in rows)
     return f"disagreement fractions {frac}"
 
 
-def run_percolation(plan: dict, outdir: Path, threads: int = 1) -> str:
-    params = plan["params"]
+def run_percolation(plan: dict, outdir: Path, threads: int) -> str:
+    params = _params(plan)
     seed = _seed(params)
-    hole = hole_radius_experiment(
-        params["p"], params["dim"], params["radius"], params["replicas"], seed
-    )
-    targets = [tuple(t) for t in params.get("targets", PERCOLATION_TARGETS)]
-    chem = chemical_ratio_experiment(
-        params["p"], params["dim"], params["radius"], targets, params["replicas"], seed
-    )
+    p, dim, radius, replicas = params["p"], params["dim"], params["radius"], params["replicas"]
+    hole = hole_radius_experiment(p, dim, radius, replicas, seed)
+    chem = chemical_ratio_experiment(p, dim, radius, [tuple(t) for t in params["targets"]], replicas, seed)
     dump_json(
         {
             "plan": plan,
-            "p": params["p"],
-            "radius": params["radius"],
-            "replicas": params["replicas"],
+            "p": p,
+            "radius": radius,
+            "replicas": replicas,
             "hole_tail_slope": hole.fitted_log_slope,
             "hole_tail": [{"t": t, "count": c, "phat": ph} for t, c, ph in hole.tail],
             "chemical_max_ratio": chem.max_ratio,
@@ -294,33 +355,21 @@ def run_percolation(plan: dict, outdir: Path, threads: int = 1) -> str:
         [["|".join(map(str, v)), n, mx, mean] for v, n, mx, mean in chem.rows],
     )
     extra = ""
-    if params.get("white_n"):
+    if params["white_n"]:
         rows = white_marginal_curve(
-            ConfigLaw.parse(params.get("white_law", "poisson:1.0")),
-            params["dim"],
-            params["white_n"],
-            params.get("white_replicas", 20),
-            seed.child("white-marginal"),
-            params.get("white_subbox"),
+            ConfigLaw.parse(params["white_law"]), dim, params["white_n"], params["white_replicas"],
+            seed.child("white-marginal"), params["white_subbox"],
         )
-        dump_csv(
-            outdir / "white_marginal.csv",
-            ["N", "replicas", "hits", "phat", "ci_lo", "ci_hi"],
-            [[r.N, r.replicas, r.hits, r.phat, r.ci_lo, r.ci_hi] for r in rows],
-        )
+        dump_csv(outdir / "white_marginal.csv", _columns(MarginalRow), [astuple(r) for r in rows])
         extra = f"; white marginal over N={params['white_n']}"
     return f"hole slope {hole.fitted_log_slope:.4g}, chem max ratio {chem.max_ratio:.4g}{extra}"
 
 
-def run_audit(plan: dict, outdir: Path, threads: int = 1) -> str:
-    params = plan["params"]
+def run_audit(plan: dict, outdir: Path, threads: int) -> str:
+    params = _params(plan)
     rep = subadditivity_audit(
-        _law(params),
-        params["triples"],
-        _seed(params),
-        dim=params["dim"],
-        window=params.get("window", 5),
-        horizon=params.get("horizon", 60),
+        _law(params), params["triples"], _seed(params),
+        dim=params["dim"], window=params["window"], horizon=params["horizon"],
     )
     dump_json(
         {
@@ -349,12 +398,8 @@ RUNNERS = {
     "audit": run_audit,
 }
 
-TAIL_SIDES = {"upper": ["upper"], "lower": ["lower"], "both": ["upper", "lower"]}
-
-# the chemical-distance targets of a percolation plan that names none
-PERCOLATION_TARGETS = [[20, 0], [0, 20]]
-
-# the params each runner reads without a default
+# the keys a replayed plan must carry: dim, the direction of mu and the side
+# of tails have CLI defaults, but a stored plan must state them
 REQUIRED_PARAMS = {
     "sample-env": ("seed", "law", "dim", "radius"),
     "passage": ("seed", "law", "dim", "radius", "x", "horizon"),
@@ -370,7 +415,7 @@ REQUIRED_PARAMS = {
 # replica leaves nothing to estimate
 SAMPLE_SIZES = {
     "mu": ("replicas",),
-    "tails": ("replicas",),
+    "tails": ("replicas", "calibration_replicas"),
     "concentration": ("replicas",),
     "truncation": ("replicas",),
     "percolation": ("replicas", "white_replicas"),
@@ -378,7 +423,8 @@ SAMPLE_SIZES = {
 }
 
 
-def _check_params(command: str, params: dict) -> None:
+def _check_params(plan: dict) -> None:
+    command, params = plan["command"], plan["params"]
     missing = [key for key in REQUIRED_PARAMS[command] if key not in params]
     if missing:
         raise PlanError(f"{command}: plan params lack {', '.join(missing)}")
@@ -394,9 +440,12 @@ def _check_params(command: str, params: dict) -> None:
             isinstance(ladder, list) and ladder and all(type(v) is int and v >= 1 for v in ladder)
         ):
             raise PlanError(f"{command}: {key} must be a non-empty list of positive integers, got {ladder!r}")
-    side = params.get("side")
-    if command == "tails" and not (isinstance(side, str) and side in TAIL_SIDES):
-        raise PlanError(f"tails: side must be upper or lower (or both), got {side!r}")
+    if command == "tails":
+        eps, side = params["epsilon"], params["side"]
+        if not (type(eps) in (int, float) and eps > 0):
+            raise PlanError(f"tails: epsilon must be a number > 0, got {eps!r}")
+        if not (isinstance(side, str) and side in TAIL_SIDES):
+            raise PlanError(f"tails: side must be upper or lower (or both), got {side!r}")
     if command == "percolation":
         p, radius = params["p"], params["radius"]
         if not (type(p) in (int, float) and 0 <= p <= 1):
@@ -406,16 +455,17 @@ def _check_params(command: str, params: dict) -> None:
     dim = params.get("dim")
     if dim is None:
         return
+    # a percolation plan that names no targets runs the default ones
+    targets = _params(plan).get("targets", [])
     points = [(key, params[key]) for key in ("direction", "x") if key in params]
-    points += [("targets", t) for t in params.get("targets", ())]
+    points += [("targets", t) for t in targets]
     for key, point in points:
         if not (isinstance(point, (list, tuple)) and len(point) == dim):
             raise PlanError(f"{command}: {key} must have dim = {dim} coordinates, got {point!r}")
         if not all(type(c) is int for c in point):
             raise PlanError(f"{command}: {key} must have integer coordinates, got {point!r}")
     if command == "percolation":
-        targets = [list(t) for t in params.get("targets", PERCOLATION_TARGETS)]
-        if [0] * dim in targets:
+        if [0] * dim in [list(t) for t in targets]:
             raise PlanError("percolation: a target must not be the origin, whose chemical ratio is 0/0")
         radius = params["radius"]
         margin = boundary_margin(radius)
@@ -438,7 +488,7 @@ def execute_plan(plan: dict, outdir: Path, threads: int = 1) -> str:
     params = plan.get("params")
     if not isinstance(params, dict):
         raise PlanError(f"{command}: plan params must be a JSON object, got {params!r}")
-    _check_params(command, params)
+    _check_params(plan)
     plan.setdefault("software_version", __version__)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
@@ -450,139 +500,39 @@ def execute_plan(plan: dict, outdir: Path, threads: int = 1) -> str:
     return summary
 
 
-def _build_plan(command: str, params: dict) -> dict:
-    return {"plan_version": PLAN_VERSION, "command": command, "params": params}
-
-
-def _common_args(sp: argparse.ArgumentParser, law: bool = True) -> None:
-    if law:
-        sp.add_argument("--law", required=True, help="poisson:1.0 | bernoulli:0.7 | geometric:0.5 | constant:1 | explicit:p0,p1,...")
-    sp.add_argument("--dim", type=int, default=2)
-    sp.add_argument("--seed", type=int, required=True, help="master seed (required; no environment fallback)")
-    sp.add_argument("--tag", default="", help="experiment tag mixed into every derived key")
-    sp.add_argument("--out", required=True, help="output directory for plan + reports")
-
-
-def _threads_arg(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--threads", type=int, default=1, help="threads over replicas; never changes the bytes")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="frogsim", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("sample-env", help="sample a configuration and serialize it")
-    _common_args(sp)
-    sp.add_argument("--radius", type=int, required=True)
-    sp.add_argument("--condition", action="store_true", help="condition on an occupied origin")
-
-    sp = sub.add_parser("passage", help="one passage time with witness")
-    _common_args(sp)
-    sp.add_argument("--radius", type=int, required=True)
-    sp.add_argument("--x", required=True, help="target site, e.g. 3,0")
-    sp.add_argument("--horizon", type=int, required=True)
-    sp.add_argument("--check-oracle", action="store_true")
-    sp.add_argument("--dump-table", action="store_true", help="write the activation table and genealogy")
-
-    sp = sub.add_parser("mu", help="time-constant estimation ladder")
-    _common_args(sp)
-    _threads_arg(sp)
-    sp.add_argument("--direction", default="1,0")
-    sp.add_argument("--k", required=True, help="comma list, e.g. 4,8,16,32")
-    sp.add_argument("--replicas", type=int, required=True)
-
-    sp = sub.add_parser("tails", help="deviation tail curves")
-    _common_args(sp)
-    _threads_arg(sp)
-    sp.add_argument("--direction", default="1,0")
-    sp.add_argument("--k", required=True)
-    sp.add_argument("--replicas", type=int, required=True)
-    sp.add_argument("--epsilon", type=float, required=True)
-    sp.add_argument("--side", choices=list(TAIL_SIDES), default="both")
-    sp.add_argument("--mu-hat", type=float, default=None, help="calibrated estimate; omitted -> internal calibration on a disjoint seed stream")
-
-    sp = sub.add_parser("concentration", help="std scaling of the modified passage time")
-    _common_args(sp)
-    _threads_arg(sp)
-    sp.add_argument("--direction", default="1,0")
-    sp.add_argument("--k", required=True)
-    sp.add_argument("--replicas", type=int, required=True)
-    sp.add_argument("--mu-hint", type=float, default=None)
-
-    sp = sub.add_parser("truncation", help="truncated-vs-modified agreement experiment")
-    _common_args(sp)
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--t", required=True, help="truncation scales, e.g. 1,2,4,8,16")
-    sp.add_argument("--replicas", type=int, required=True)
-    sp.add_argument("--mu-hat", type=float, default=None)
-    sp.add_argument("--c4-hat", type=float, default=None)
-    sp.add_argument("--gamma", type=float, default=1.0)
-
-    sp = sub.add_parser("percolation", help="hole radius tail and chemical distance ratios")
-    _common_args(sp, law=False)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--radius", type=int, required=True)
-    sp.add_argument("--replicas", type=int, required=True)
-    sp.add_argument("--targets", default="20,0;0,20", help="semicolon-separated sites")
-    sp.add_argument("--white-n", default=None, help="optional block-scale ladder for the white marginal, e.g. 3,5")
-    sp.add_argument("--white-replicas", type=int, default=20)
-    sp.add_argument("--white-subbox", type=int, default=None)
-    sp.add_argument("--white-law", default="poisson:1.0")
-
-    sp = sub.add_parser("audit", help="subadditivity audit")
-    _common_args(sp)
-    sp.add_argument("--triples", type=int, required=True)
-    sp.add_argument("--window", type=int, default=5)
-    sp.add_argument("--horizon", type=int, default=60)
-
+    for command, (text, table) in COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        for key, parse, default, help_ in table:
+            flag = "--" + key.replace("_", "-")
+            if parse is bool:
+                sp.add_argument(flag, action="store_true", help=help_)
+            elif parse is not None:
+                sp.add_argument(
+                    flag, type=parse if parse in (int, float) else None, required=default is REQUIRED,
+                    default=None if default is REQUIRED else default,
+                    choices=list(TAIL_SIDES) if key == "side" else None, help=help_,
+                )
+        sp.add_argument("--out", required=True, help="output directory for plan + reports")
+        if command in THREADED:
+            sp.add_argument("--threads", **THREADS)
     sp = sub.add_parser("replay", help="re-execute a stored plan byte-identically")
     sp.add_argument("plan", help="path to plan.json")
     sp.add_argument("--out", default=None, help="output directory (default: the plan's directory)")
-    _threads_arg(sp)
-
+    sp.add_argument("--threads", **THREADS)
     return ap
 
 
 def _plan_from_args(args: argparse.Namespace) -> dict:
-    c = args.command
-    p: dict = {"seed": args.seed, "tag": args.tag} if c != "replay" else {}
-    if c == "sample-env":
-        p.update(law=args.law, dim=args.dim, radius=args.radius, condition=bool(args.condition))
-    elif c == "passage":
-        p.update(law=args.law, dim=args.dim, radius=args.radius, x=list(_parse_point(args.x)),
-                 horizon=args.horizon, check_oracle=bool(args.check_oracle),
-                 dump_table=bool(args.dump_table))
-    elif c == "mu":
-        p.update(law=args.law, dim=args.dim, direction=list(_parse_point(args.direction)),
-                 k=_parse_ints(args.k), replicas=args.replicas)
-    elif c == "tails":
-        p.update(law=args.law, dim=args.dim, direction=list(_parse_point(args.direction)),
-                 k=_parse_ints(args.k), replicas=args.replicas, epsilon=args.epsilon, side=args.side)
-        if args.mu_hat is not None:
-            p["mu_hat"] = args.mu_hat
-    elif c == "concentration":
-        p.update(law=args.law, dim=args.dim, direction=list(_parse_point(args.direction)),
-                 k=_parse_ints(args.k), replicas=args.replicas)
-        if args.mu_hint is not None:
-            p["mu_hint"] = args.mu_hint
-    elif c == "truncation":
-        p.update(law=args.law, dim=args.dim, x=list(_parse_point(args.x)), t=_parse_ints(args.t),
-                 replicas=args.replicas, gamma=args.gamma)
-        if args.mu_hat is not None:
-            p["mu_hat"] = args.mu_hat
-        if args.c4_hat is not None:
-            p["c4_hat"] = args.c4_hat
-    elif c == "percolation":
-        p.update(dim=args.dim, p=args.p, radius=args.radius, replicas=args.replicas,
-                 targets=[list(t) for t in _parse_points(args.targets)])
-        if args.white_n:
-            p.update(white_n=_parse_ints(args.white_n), white_replicas=args.white_replicas,
-                     white_law=args.white_law)
-            if args.white_subbox is not None:
-                p["white_subbox"] = args.white_subbox
-    elif c == "audit":
-        p.update(law=args.law, dim=args.dim, triples=args.triples, window=args.window, horizon=args.horizon)
-    return _build_plan(c, p)
+    params = {}
+    for key, parse, _, _ in COMMANDS[args.command][1]:
+        value = getattr(args, key, None)  # None: no flag, or an optional flag not given
+        if value is None or (key.startswith("white_") and not args.white_n):
+            continue
+        params[key] = parse(value) if isinstance(value, str) else value
+    return {"plan_version": PLAN_VERSION, "command": args.command, "params": params}
 
 
 def main(argv: list[str] | None = None) -> int:

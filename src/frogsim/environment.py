@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import GeometryError, LawParameterError, SearchCapError
-from .lattice import Coords, CubeIndex, ball_coords, closest_in_set, l1, linf, shell_coords
+from .lattice import Coords, CubeIndex, ball_coords, l1, linf, shell_coords
 from .walks import (
     PURPOSE_CONDITION,
     PURPOSE_OMEGA,
@@ -347,9 +347,10 @@ def star(env: Environment, x: Coords) -> Coords:
     if not env.in_box(x):
         raise GeometryError(f"site {x} outside box of radius {env.box_radius}")
     for r in range(env.box_radius + 1):
-        hits = [s for s in shell_coords(x, r) if env.in_box(s) and env.omega(s) >= 1]
-        if hits:
-            return closest_in_set(x, hits)
+        # shell_coords lists the shell in lex order, so its first occupied site wins the tie-break
+        for s in shell_coords(x, r):
+            if env.in_box(s) and env.omega(s) >= 1:
+                return s
     raise SearchCapError(
         f"no occupied site within l1 distance {env.box_radius} of {x}; box too small for this law/seed"
     )

@@ -54,17 +54,15 @@ class PassageSamples:
 
 
 def _one_replica(args) -> np.ndarray:
-    law, dim, targets, horizon, rep_seed, conditioned, use_star = args
+    law, dim, targets, horizon, rep_seed, modified = args
     # star searches the whole box, so this radius decides when SearchCapError is raised
     env = sample_environment(law, dim, horizon + 8, rep_seed)
-    if conditioned:
-        env = condition_origin(env)
-    origin = (0,) * dim
-    if use_star:
-        source = star(env, origin)
+    if modified:
+        source = star(env, (0,) * dim)
         goals = [star(env, x) for x in targets]
     else:
-        source = origin
+        env = condition_origin(env)
+        source = (0,) * dim
         goals = list(targets)
     need = horizon + l1(source)
     if need > env.box_radius:
@@ -84,21 +82,22 @@ def collect_passage_samples(
     replicas: int,
     seed: SeedSpec,
     horizon: int,
-    conditioned: bool,
-    use_star: bool,
+    modified: bool,
     threads: int = 1,
     stream: str = "samples",
     censor_budget: float = DEFAULT_CENSOR_BUDGET,
 ) -> PassageSamples:
     """Passage times of all targets over independent environments.
 
-    One simulation per replica serves the whole ladder; the per-target
-    statistics stay valid because replicas are independent.
+    ``modified`` samples T*(0, x), between the closest occupied sites 0*
+    and x* of an unconditioned environment; otherwise T(0, x) from an origin
+    conditioned to be occupied.  One simulation per replica serves the
+    whole ladder; the per-target statistics stay valid because replicas are
+    independent.
     """
     targets = [tuple(x) for x in targets]
     jobs = [
-        (law, dim, targets, horizon, seed.child(stream, r), conditioned, use_star)
-        for r in range(replicas)
+        (law, dim, targets, horizon, seed.child(stream, r), modified) for r in range(replicas)
     ]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -132,7 +131,7 @@ def probe_mu_hint(law: ConfigLaw, dim: int, seed: SeedSpec) -> float:
     horizon = 30 * k
     samples = collect_passage_samples(
         law, dim, [target], replicas, seed.child("probe"), horizon,
-        conditioned=False, use_star=True, censor_budget=0.5, stream="probe",
+        modified=True, censor_budget=0.5, stream="probe",
     )
     finite, _ = samples.column(0)
     if finite.size == 0:
@@ -191,7 +190,7 @@ def estimate_time_constant(
     targets = [scale(k, direction) for k in k_ladder]
     samples = collect_passage_samples(
         law, dim, targets, replicas, seed, horizon,
-        conditioned=False, use_star=True, threads=threads, stream="mu",
+        modified=True, threads=threads, stream="mu",
     )
     per_k: dict[int, SummaryStats] = {}
     for i, k in enumerate(k_ladder):
@@ -259,7 +258,7 @@ def collect_tail_samples(
     horizon = max(32, math.ceil(1.25 * (1 + epsilon) * mu_hat * max(norms)))
     return collect_passage_samples(
         law, dim, x_ladder, replicas, seed, horizon,
-        conditioned=True, use_star=False, threads=threads, stream="tails",
+        modified=False, threads=threads, stream="tails",
         censor_budget=1.0,
     )
 
@@ -362,7 +361,7 @@ def concentration_experiment(
     horizon = _auto_horizon(mu_hint, max(norms))
     samples = collect_passage_samples(
         law, dim, x_ladder, replicas, seed, horizon,
-        conditioned=False, use_star=True, threads=threads, stream="concentration",
+        modified=True, threads=threads, stream="concentration",
     )
     rows = []
     boot_key = seed.child("boot").purpose_key(PURPOSE_BOOTSTRAP)

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .errors import EmptySetError
 
 Coords = tuple[int, ...]
 
@@ -51,23 +49,6 @@ def step_vectors(dim: int) -> np.ndarray:
         out[2 * i, i] = 1
         out[2 * i + 1, i] = -1
     return out
-
-
-def closest_in_set(x: Coords, sites: Iterable[Coords]) -> Coords:
-    """The l1-closest element of ``sites``; ties broken lexicographically.
-
-    The tie-break makes the result independent of iteration order.
-    """
-    best: Coords | None = None
-    best_dist = -1
-    for s in sites:
-        dist = l1(sub(s, x))
-        if best is None or dist < best_dist or (dist == best_dist and s < best):
-            best = s
-            best_dist = dist
-    if best is None:
-        raise EmptySetError("closest_in_set over an empty set")
-    return best
 
 
 def cube_coords(radius: int, dim: int) -> np.ndarray:

@@ -1,31 +1,36 @@
-"""The names the benchmark's span tracer wraps must stay in the package.
+"""What the benchmark reads of the package must stay in it.
 
 ``bench/tracer.py`` wraps every ``TARGETS`` entry and calls ``execute_plan``
-and ``simulate_frogs`` with fixed arguments.  The benchmark's own self-tests
-are not part of this suite, so a deletion that breaks a traced run would
-otherwise go unnoticed here.
+and ``simulate_frogs`` with fixed arguments, and ``bench/workloads.py``
+writes its plans by hand in the CLI's key order.  A deletion or a changed
+plan would otherwise show only as a failed or unpinned benchmark run.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
 
-from frogsim.cli import execute_plan
+from frogsim.cli import _plan_from_args, build_parser, execute_plan
 from frogsim.passage import simulate_frogs
 from frogsim.percolation import label_clusters, sample_bernoulli_field
 from frogsim.walks import SeedSpec
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # standard library only
+    return module
 
 
 def _targets():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)  # standard library only
-    return tracer.TARGETS
+    return _load("tracer").TARGETS
 
 
 @pytest.mark.parametrize("module,qualname", _targets())
@@ -45,3 +50,23 @@ def test_label_clusters_labels_every_open_site():
     # the tracer counts len(labels.label) as the sites labelled
     f = sample_bernoulli_field(0.6, 2, 12, SeedSpec(4, "tracer"))
     assert len(label_clusters(f).label) == f.open_coords().shape[0]
+
+
+# the argv of plan 3 of workload seed 7, as a user would type it
+WORKLOAD_ARGV = {
+    "mu_ladder": ["mu", "--law", "poisson:1.0", "--direction", "1,0", "--k", "4,8,16,32", "--replicas", "8"],
+    "truncation_agreement": ["truncation", "--law", "poisson:1.0", "--x", "8,0", "--t", "4,8,16",
+                             "--replicas", "4", "--mu-hat", "2.0"],
+    "percolation_p08": ["percolation", "--p", "0.8", "--radius", "100", "--replicas", "1",
+                        "--targets", "20,0;0,28;18,18;48,0;0,60"],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_ARGV))
+def test_workload_plan_is_the_cli_plan(workload):
+    # bench/workloads.py writes its plans by hand, in the order the CLI writes them
+    workloads = _load("workloads")
+    assert sorted(workloads.WORKLOADS) == sorted(WORKLOAD_ARGV)
+    args = build_parser().parse_args([*WORKLOAD_ARGV[workload], "--seed", "7003", "--out", "o"])
+    # json.dumps keeps key order, which plan.json and report.json bytes follow
+    assert json.dumps(workloads.make_plan(workload, 7, 3)) == json.dumps(_plan_from_args(args))

@@ -92,6 +92,11 @@ def test_star_examples():
     env2 = env_from_counts(2, 4, {(2, 0): 1, (0, 2): 1, (-1, 0): 1})
     assert star(env2, (0, 0)) == (-1, 0)
 
+    # equidistant occupied sites: the lex-smallest wins
+    env3 = env_from_counts(2, 4, {(1, 1): 1, (0, 2): 1, (2, 0): 1, (0, -2): 1, (-2, 0): 1})
+    assert star(env3, (0, 0)) == (-2, 0)
+    assert star(env3, (1, 0)) == (1, 1)
+
 
 def test_star_cap_error():
     env = env_from_counts(2, 3, {})

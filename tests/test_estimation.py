@@ -79,7 +79,7 @@ def test_censoring_budget_error():
     with pytest.raises(CensoringBudgetError) as info:
         collect_passage_samples(
             ConfigLaw.constant(1), 2, [(30, 0)], replicas=10, seed=SeedSpec(11, "cens"),
-            horizon=32, conditioned=False, use_star=True, censor_budget=0.05,
+            horizon=32, modified=True, censor_budget=0.05,
         )
     assert info.value.horizon == 32
 
@@ -183,9 +183,9 @@ def test_probe_mu_hint():
 def test_replica_reproducibility_and_threads():
     law = ConfigLaw.poisson(1.0)
     a = collect_passage_samples(
-        law, 2, [(5, 0)], 16, SeedSpec(20, "rep"), 40, conditioned=True, use_star=False
+        law, 2, [(5, 0)], 16, SeedSpec(20, "rep"), 40, modified=False
     )
     b = collect_passage_samples(
-        law, 2, [(5, 0)], 16, SeedSpec(20, "rep"), 40, conditioned=True, use_star=False, threads=4
+        law, 2, [(5, 0)], 16, SeedSpec(20, "rep"), 40, modified=False, threads=4
     )
     assert np.array_equal(a.values, b.values, equal_nan=True)

@@ -1,13 +1,10 @@
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from frogsim.errors import EmptySetError
 from frogsim.lattice import (
     CubeIndex,
     ball_coords,
-    closest_in_set,
     cube_coords,
     l1,
     linf,
@@ -38,26 +35,6 @@ def test_neighbors_canonical_order():
     assert len(nb3) == 6
     for p in nb3.tolist():
         assert l1(p) == 1
-
-
-def test_closest_in_set_examples():
-    assert closest_in_set((0, 0), {(0, 0)}) == (0, 0)
-    assert closest_in_set((0, 0), {(1, 0), (0, -1)}) == (0, -1)
-    assert closest_in_set((2, 0), {(0, 0), (3, 1)}) == (0, 0)
-
-
-def test_closest_in_set_order_independent():
-    sites = [(1, 1), (-2, 0), (0, 2), (2, 0), (0, -2)]
-    expected = closest_in_set((0, 0), sites)
-    for shift in range(len(sites)):
-        rotated = sites[shift:] + sites[:shift]
-        assert closest_in_set((0, 0), rotated) == expected
-    assert expected == (-2, 0)  # all at distance 2, lexicographic smallest
-
-
-def test_closest_in_set_empty():
-    with pytest.raises(EmptySetError):
-        closest_in_set((0, 0), [])
 
 
 def test_ball_and_shell():

@@ -157,13 +157,17 @@ def test_cli_audit_and_percolation(tmp_path):
         (["percolation", "--p", "0.8", "--radius", "30", "--replicas", "2", "--white-n", "3",
           "--white-replicas", "0"], "white_replicas"),
         (["audit", "--law", "bernoulli:0.8", "--triples", "0"], "triples"),
+        # not a sample size, but checked with them before plan.json is written
+        (["tails", "--law", "bernoulli:0.7", "--k", "4", "--replicas", "2", "--epsilon", "-0.5",
+          "--mu-hat", "2.0"], "epsilon"),
     ],
-    ids=["mu-0", "mu-neg", "tails", "concentration", "truncation", "percolation", "white", "audit"],
+    ids=["mu-0", "mu-neg", "tails", "concentration", "truncation", "percolation", "white", "audit",
+         "tails-epsilon"],
 )
 def test_cli_rejects_empty_sample(argv, size, tmp_path, capsys):
     out = tmp_path / "o"
     assert run_cli(*argv, "--seed", "1", "--out", str(out)) == 2
-    assert not (out / "report.json").exists()
+    assert not (out / "plan.json").exists()
     assert f"{argv[0]}: {size} must be" in capsys.readouterr().err
 
 
@@ -293,9 +297,13 @@ PERCOLATION_PARAMS = {"seed": 1, "tag": "", "dim": 2, "p": 0.8, "radius": 20, "r
          "target (20, 0) lies inside the boundary margin of 2"),
         ("percolation", {**PERCOLATION_PARAMS, "targets": [["5", 0]]}, "targets must have integer coordinates"),
         ("mu", {**MU_PARAMS, "direction": [1.5, 0]}, "direction must have integer coordinates"),
+        # without mu_hat the plan calibrates on calibration_replicas replicas
+        ("tails", {**{k: v for k, v in TAILS_PARAMS.items() if k != "mu_hat"}, "calibration_replicas": 0},
+         "calibration_replicas must be an integer >= 1"),
     ],
     ids=["law-int", "k-int", "k-negative", "t-float", "side", "p-string", "p-bool", "radius-float",
-         "origin-target", "default-target-in-margin", "target-string", "direction-float"],
+         "origin-target", "default-target-in-margin", "target-string", "direction-float",
+         "calibration-replicas"],
 )
 def test_cli_replay_rejects_mistyped_params(command, params, message, tmp_path, capsys):
     # rejected before plan.json is written, not by a traceback or after sampling
@@ -328,6 +336,93 @@ def test_cli_rejects_bad_percolation_plan(argv, message, tmp_path, capsys):
     assert not (out / "plan.json").exists()
     err = capsys.readouterr().err
     assert err.startswith("plan error:") and f"percolation: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "argv,params",
+    [
+        (["tails", "--law", "bernoulli:0.7", "--k", "4,6", "--replicas", "20", "--epsilon", "0.5"],
+         {"seed": 3, "tag": "", "law": "bernoulli:0.7", "dim": 2, "direction": [1, 0], "k": [4, 6],
+          "replicas": 20, "epsilon": 0.5, "side": "both"}),
+        (["concentration", "--law", "constant:1", "--k", "4,8", "--replicas", "10", "--mu-hint", "1.5"],
+         {"seed": 3, "tag": "", "law": "constant:1", "dim": 2, "direction": [1, 0], "k": [4, 8],
+          "replicas": 10, "mu_hint": 1.5}),
+        (["truncation", "--law", "poisson:1.0", "--x", "4,0", "--t", "2,4", "--replicas", "4",
+          "--c4-hat", "3.0", "--gamma", "0.5"],
+         {"seed": 3, "tag": "", "law": "poisson:1.0", "dim": 2, "x": [4, 0], "t": [2, 4], "replicas": 4,
+          "gamma": 0.5, "c4_hat": 3.0}),
+        (["percolation", "--p", "0.8", "--radius", "30", "--replicas", "2"],
+         {"seed": 3, "tag": "", "dim": 2, "p": 0.8, "radius": 30, "replicas": 2,
+          "targets": [[20, 0], [0, 20]]}),
+        (["percolation", "--p", "0.8", "--radius", "30", "--replicas", "2", "--white-n", "3,5"],
+         {"seed": 3, "tag": "", "dim": 2, "p": 0.8, "radius": 30, "replicas": 2,
+          "targets": [[20, 0], [0, 20]], "white_n": [3, 5], "white_replicas": 20, "white_law": "poisson:1.0"}),
+    ],
+    ids=["tails-no-mu-hat", "concentration-mu-hint", "truncation-c4-gamma", "percolation",
+         "percolation-white-n"],
+)
+def test_cli_plan_keys_and_order(argv, params):
+    # plan.json and every report.json carry these params, so their keys and order are bytes
+    args = cli.build_parser().parse_args([*argv, "--seed", "3", "--out", "o"])
+    plan = cli._plan_from_args(args)
+    assert plan == {"plan_version": 1, "command": argv[0], "params": params}
+    assert list(plan["params"]) == list(params)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["passage", "--law", "bernoulli:0.7", "--radius", "8", "--x", "3,a", "--horizon", "20"],
+         "bad integer list '3,a'"),
+        (["mu", "--law", "poisson:1.0", "--k", "4,x", "--replicas", "2"], "bad integer list '4,x'"),
+        (["percolation", "--p", "0.8", "--radius", "30", "--replicas", "2", "--targets", "1,b"],
+         "bad integer list '1,b'"),
+    ],
+    ids=["x", "k", "targets"],
+)
+def test_cli_malformed_list_is_a_plan_error(argv, message, tmp_path, capsys):
+    # these flags are parsed after argparse, which would turn a PlanError into a traceback
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--seed", "1", "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"plan error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tails", "--law", "bernoulli:0.7", "--k", "4,6", "--replicas", "8", "--epsilon", "0.5",
+         "--mu-hat", "2.5", "--seed", "3"],
+        ["truncation", "--law", "poisson:1.0", "--x", "4,0", "--t", "2,4", "--replicas", "2",
+         "--mu-hat", "1.5", "--seed", "7"],
+        ["percolation", "--p", "0.6", "--radius", "25", "--replicas", "4", "--white-n", "3",
+         "--white-subbox", "1", "--seed", "2"],
+        ["audit", "--law", "bernoulli:0.5", "--triples", "4", "--seed", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_replay_defaults_are_cli_defaults(argv, tmp_path):
+    # a stored plan without its defaulted keys must run exactly as the CLI run did
+    out = tmp_path / "cli"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    plan = json.loads((out / "plan.json").read_text())
+    command, params = plan["command"], plan["params"]
+    defaults = cli.DEFAULTS[command]
+    kept = {k: v for k, v in params.items()
+            if k in cli.REQUIRED_PARAMS[command] or k not in defaults or v != defaults[k]}
+    assert len(kept) < len(params)
+    path = tmp_path / "stripped.json"
+    path.write_text(json.dumps({**plan, "params": kept}), encoding="utf-8")
+    assert run_cli("replay", str(path), "--out", str(tmp_path / "replay")) == 0
+    names = sorted(p.name for p in out.iterdir() if p.name not in ("plan.json", "run.log"))
+    assert names == sorted(p.name for p in (tmp_path / "replay").iterdir()
+                           if p.name not in ("plan.json", "run.log"))
+    for name in names:
+        got, want = (tmp_path / "replay" / name).read_bytes(), (out / name).read_bytes()
+        if name == "report.json":
+            got, want = ({k: v for k, v in json.loads(b).items() if k != "plan"} for b in (got, want))
+        assert got == want, name
 
 
 def test_cli_mu_dim3_runs_in_bounded_memory(tmp_path):
