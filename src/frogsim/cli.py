@@ -35,6 +35,7 @@ from .percolation import (
     MarginalRow,
     boundary_margin,
     chemical_ratio_experiment,
+    default_subbox_side,
     hole_radius_experiment,
     white_marginal_curve,
 )
@@ -452,6 +453,17 @@ def _check_params(plan: dict) -> None:
             raise PlanError(f"percolation: p must be a number in [0, 1], got {p!r}")
         if not (type(radius) is int and radius >= 0):
             raise PlanError(f"percolation: radius must be an integer >= 0, got {radius!r}")
+        white = _params(plan)
+        subbox, dim = white["white_subbox"], white["dim"]
+        if white["white_n"] and subbox is None and type(dim) is int:
+            small = [n for n in white["white_n"] if default_subbox_side(n, dim) < 1]
+            if small:
+                raise PlanError(
+                    f"percolation: the default sub-box side floor(N^0.25/(4d)) is 0 at white_n {small}; "
+                    "set white_subbox"
+                )
+        if white["white_n"] and subbox is not None and not (type(subbox) is int and subbox >= 1):
+            raise PlanError(f"percolation: white_subbox must be an integer >= 1, got {subbox!r}")
     dim = params.get("dim")
     if dim is None:
         return

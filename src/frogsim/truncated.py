@@ -9,8 +9,18 @@ value over relay sequences under this edge weight.
 The search is A* with the l1 distance to the goal as heuristic (admissible
 and consistent since every edge weight dominates the l1 step) plus an upper
 bound seeded by a concrete staircase path, which soundly prunes long-range
-relaxations.  Pop order is a total order on (f, flat index), so ties — and
-therefore the reported geodesic — are deterministic.
+relaxations.  Sites are int keys of one ``CubeIndex`` that holds the relay
+region; each settled site relaxes its short row and its long-edge annulus as
+arrays, and only the candidates under the bound reach the dicts and the heap.
+Keys follow the lex order of sites, so the heap pops in the total order of
+(f, d, key), which is that of (f, d, site): ties, and therefore the reported
+geodesic, are deterministic.
+
+Short-edge weights come from ball rows: the first hits of a site's own
+frogs on the l-infinity ball of radius t, stored sparse and cached on the
+environment.  A row is built at the largest (t, cap) asked for and serves
+every smaller one by filtering; ``sigma_t``, ``tau`` and ``first_hits``
+stay the independent reference path.
 """
 
 from __future__ import annotations
@@ -19,16 +29,17 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heappop, heappush
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .environment import Environment, sample_environment, star
-from .errors import GeometryError, SearchCapError
-from .lattice import Coords, cube_coords, l1, linf, sub
-from .passage import first_hits, offset_index, passage_time_star, tau
+from .errors import GeometryError
+from .lattice import Coords, CubeIndex, cube_coords, l1, linf, step_vectors, sub
+from .passage import offset_index, passage_time_star, tau
 from .stats import wilson_ci
-from .walks import SeedSpec
+from .walks import SeedSpec, step_codes_np, walk_key
 
 
 @dataclass(frozen=True)
@@ -81,31 +92,70 @@ class TruncatedResult:
     relaxations: int
 
 
-@lru_cache(maxsize=64)
-def _linf_ball_offsets(t: int, d: int) -> np.ndarray:
-    out = cube_coords(t, d)
-    out.setflags(write=False)
-    return out
+@lru_cache(maxsize=32)
+def _linf_shell(lo: int, hi: int, d: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The offsets with lo <= |off|_inf <= hi in lex order, as d coordinate columns, and their norms."""
+    offs = cube_coords(hi, d)
+    norms = np.abs(offs).max(axis=1)
+    keep = norms >= lo
+    cols, norms = tuple(np.ascontiguousarray(col) for col in offs[keep].T), norms[keep]
+    for a in (*cols, norms):
+        a.setflags(write=False)  # shared by every caller of the cache
+    return cols, norms
 
 
-def _sigma_row(env: Environment, u: Coords, p: TruncationParams) -> tuple[np.ndarray, np.ndarray]:
-    """sigma(u, .) over the l-infinity ball of radius t around u.
+def _ball_row(env: Environment, u: Coords, p: TruncationParams) -> tuple:
+    """Sparse first hits of the frogs of an occupied u on its l-infinity ball.
 
-    Returns the offsets (m, d) and their weights; the capped value stands in
-    wherever u's frogs do not hit within 4Kt steps.  Every offset lies in
-    the cube of ``offset_index(4Kt, d)``, since 4Kt > t, so no key aliases.
+    Returns (t, cap, offsets, norms, times): every offset within the ball of
+    radius t that one of u's walks visits within ``cap`` steps, k = 0
+    included, with its l-infinity norm and its first time.  The row is
+    cached on the environment at the largest (t, cap) asked for: a first hit
+    inside a larger ball and horizon is the first hit inside any smaller
+    pair that holds it.
     """
-    offs = _linf_ball_offsets(p.t, env.dim)
-    weights = np.full(offs.shape[0], p.cap, dtype=np.int64)
+    rows = env.__dict__.setdefault("_ball_rows", {})
+    entry = rows.get(u)
+    if entry is None or entry[0] < p.t or entry[1] < p.cap:
+        t, cap = (p.t, p.cap) if entry is None else (max(p.t, entry[0]), max(p.cap, entry[1]))
+        d, count = env.dim, env.omega(u)
+        keys = np.array([walk_key(env.seed, u, ell) for ell in range(1, count + 1)], dtype=np.uint64)
+        codes = step_codes_np(keys[:, None], np.arange(1, cap + 1, dtype=np.uint64), d)  # (count, cap)
+        ball = offset_index(t, d)
+        flat = np.zeros(count * cap, dtype=np.int64)
+        inside = np.ones(count * cap, dtype=bool)
+        for j in range(d):  # coordinate j of every walk after steps 1..cap, one column at a time
+            pos = np.cumsum(step_vectors(d)[codes, j], axis=1).ravel()
+            inside &= np.abs(pos) <= t
+            flat = flat * ball.side + (pos + t)
+        first = np.full(ball.size, cap + 1, dtype=np.int64)
+        first[ball.size // 2] = 0  # the k = 0 self-hit at the centre
+        np.minimum.at(first, flat[inside], np.tile(np.arange(1, cap + 1), count)[inside])
+        hit = np.nonzero(first <= cap)[0]
+        offs = ball.unflat(hit)
+        entry = (t, cap, offs, np.abs(offs).max(axis=1), first[hit])
+        rows[u] = entry
+    return entry
+
+
+def _ball_weights(env: Environment, u: Coords, p: TruncationParams) -> np.ndarray:
+    """sigma_t(u, u + off) for every offset of ``_linf_shell(0, t, d)``."""
+    weights = np.full((2 * p.t + 1) ** env.dim, p.cap, dtype=np.int64)
     if env.omega(u) >= 1:
-        sites, times = first_hits(env, u, p.cap)
-        keys = offset_index(p.cap, env.dim).flat(offs)
-        pos = np.searchsorted(sites, keys)
-        pos = np.clip(pos, 0, sites.shape[0] - 1) if sites.shape[0] else pos
-        if sites.shape[0]:
-            found = sites[pos] == keys
-            weights[found] = times[pos[found]]
-    return offs, weights
+        t, cap, offs, norms, times = _ball_row(env, u, p)
+        if (t, cap) != (p.t, p.cap):
+            ok = (times <= p.cap) & (norms <= p.t)
+            offs, times = offs[ok], times[ok]
+        weights[offset_index(p.t, env.dim).flat(offs)] = times
+    return weights
+
+
+def _weight(env: Environment, a: Coords, b: Coords, p: TruncationParams) -> int:
+    """sigma_t(a, b) for a != b, a short edge read from a's ball row."""
+    gap = sub(b, a)
+    if linf(gap) > p.t:
+        return 4 * p.K * linf(gap)
+    return int(_ball_weights(env, a, p)[offset_index(p.t, env.dim).flat_one(gap)])
 
 
 def _staircase(x: Coords, y: Coords, t: int) -> list[Coords]:
@@ -126,99 +176,82 @@ def truncated_passage(env: Environment, x: Coords, y: Coords, p: TruncationParam
     Candidate relays live inside {z : |x-z|_1 + |z-y|_1 <= 4K(t v |x-y|_inf)}
     because every edge weight dominates the l1 step and the single edge
     (x, y) already costs at most that bound; the staircase upper bound and
-    the goal's tentative distance prune the region further, soundly.
-    Reads of the configuration outside the box raise GeometryError; a box of
-    radius ``_relay_radius(x, y, p)`` holds the whole region.
+    the goal's tentative distance prune the region further, soundly.  Every
+    candidate under the bound lies in the cube of radius
+    ``_relay_radius(x, y, p)``, which lays out the keys; reads of the
+    configuration outside the box raise GeometryError.
     """
     if x == y:
         return TruncatedResult(0, (x,), 0, 0, 0)
-    d = env.dim
+    d, K4 = env.dim, 4 * p.K
+    index = CubeIndex(_relay_radius(x, y, p), d)
+    kx, ky = index.flat_one(x), index.flat_one(y)
+    ball, _ = _linf_shell(0, p.t, d)
 
-    ub = 0
     stair = _staircase(x, y, p.t)
-    for a, b in zip(stair[:-1], stair[1:]):
-        ub += sigma_t(env, a, b, p)
-    direct = sigma_t(env, x, y, p)
-    ub = min(ub, direct)
+    direct = _weight(env, x, y, p)
+    ub = min(sum(_weight(env, a, b, p) for a, b in zip(stair[:-1], stair[1:])), direct)
 
-    dist: dict[Coords, int] = {x: 0}
-    parent: dict[Coords, Coords] = {}
-    edge_kind: dict[Coords, bool] = {}  # True when reached through a long edge
-    settled: set[Coords] = set()
-    heap: list[tuple[int, int, tuple[int, ...]]] = [(l1(sub(y, x)), 0, x)]
+    dist = {kx: 0, ky: direct}
+    parent = {ky: (kx, linf(sub(y, x)) > p.t)}  # key -> (parent key, reached by a long edge)
+    settled: set[int] = set()
+    heap = [(l1(sub(y, x)), 0, kx), (direct, direct, ky)]
     relaxations = 0
-    if direct <= ub:
-        dist[y] = direct
-        parent[y] = x
-        edge_kind[y] = linf(sub(y, x)) > p.t
-        heappush(heap, (direct, direct, y))
+
+    def relax(ku: int, u: Coords, cols: tuple[np.ndarray, ...], nd: np.ndarray, long: bool) -> None:
+        # edges u -> u + off at tentative distances nd: push those under the bound that improve
+        nonlocal ub
+        f = nd.copy()
+        for col, a, b in zip(cols, u, y):
+            f += np.abs(col + (a - b))
+        ok = np.nonzero(f <= ub)[0]
+        keys = np.full(ok.shape[0], ku, dtype=np.int64)
+        for col, stride in zip(cols, index.strides):
+            keys += col[ok] * stride
+        nd, f = nd[ok], f[ok]
+        better = nd < np.fromiter(map(dist.get, keys.tolist(), repeat(1 << 62)), np.int64, ok.shape[0])
+        keys, nd, f = keys[better].tolist(), nd[better].tolist(), f[better].tolist()
+        dist.update(zip(keys, nd))
+        parent.update(dict.fromkeys(keys, (ku, long)))
+        for item in zip(f, nd, keys):
+            heappush(heap, item)
+        ub = min(ub, dist[ky])
 
     while heap:
-        f, d_u, u = heappop(heap)
-        if u in settled or d_u > dist.get(u, 1 << 62):
+        _, d_u, ku = heappop(heap)
+        if ku in settled or d_u > dist[ku]:
             continue
-        settled.add(u)
-        if u == y:
+        settled.add(ku)
+        if ku == ky:
             break
-        # short edges from the hitting-time row; bound-prune in bulk first
-        offs, weights = _sigma_row(env, u, p)
-        vpts = offs + np.asarray(u, dtype=np.int64)
-        nd_all = d_u + weights
-        h_all = np.abs(vpts - np.asarray(y, dtype=np.int64)).sum(axis=1)
-        keep = (nd_all + h_all <= ub) & np.any(offs, axis=1)
-        relaxations += offs.shape[0]
-        for row, nd in zip(vpts[keep].tolist(), nd_all[keep].tolist()):
-            v = tuple(row)
-            nd = int(nd)
-            if nd >= dist.get(v, 1 << 62):
-                continue
-            dist[v] = nd
-            parent[v] = u
-            edge_kind[v] = False
-            if v == y:
-                ub = min(ub, nd)
-            heappush(heap, (nd + l1(sub(y, v)), nd, v))
-        # direct long edge to the goal keeps the bound tight
+        u = index.unflat_one(ku)
+        # short edges; the zero offset never improves the settled u
+        relax(ku, u, ball, d_u + _ball_weights(env, u, p), False)
+        relaxations += ball[0].shape[0]
+        # the direct long edge to the goal keeps the bound tight
         gap_goal = linf(sub(y, u))
-        if gap_goal > p.t:
-            nd = d_u + 4 * p.K * gap_goal
-            if nd <= ub and nd < dist.get(y, 1 << 62):
-                dist[y] = nd
-                parent[y] = u
-                edge_kind[y] = True
-                ub = min(ub, nd)
-                heappush(heap, (nd, nd, y))
+        nd = d_u + K4 * gap_goal
+        if gap_goal > p.t and nd <= ub and nd < dist[ky]:
+            dist[ky] = ub = nd
+            parent[ky] = (ku, True)
+            heappush(heap, (nd, nd, ky))
         # remaining long edges, admissible only while 4KL fits under the bound
-        max_len = (ub - d_u) // (4 * p.K)
+        max_len = (ub - d_u) // K4
         if max_len > p.t:
-            for v in _linf_annulus(u, p.t + 1, min(max_len, p.cap)):
-                nd = d_u + 4 * p.K * linf(sub(v, u))
-                h = l1(sub(y, v))
-                relaxations += 1
-                if nd + h > ub or nd >= dist.get(v, 1 << 62):
-                    continue
-                dist[v] = nd
-                parent[v] = u
-                edge_kind[v] = True
-                if v == y:
-                    ub = min(ub, nd)
-                heappush(heap, (nd + h, nd, v))
+            cols, norms = _linf_shell(p.t + 1, min(max_len, p.cap), d)
+            relax(ku, u, cols, d_u + K4 * norms, True)
+            relaxations += norms.shape[0]
 
-    value = dist.get(y)
-    if value is None:
-        raise GeometryError("truncated search exhausted without reaching the target")
-    chain = [y]
+    # the goal is always settled: its direct-edge entry stays on the heap until improved
+    chain = [ky]
     long_used = 0
-    cur = y
-    while cur != x:
-        if edge_kind.get(cur, False):
-            long_used += 1
-        cur = parent[cur]
-        chain.append(cur)
-    chain.reverse()
+    while chain[-1] != kx:
+        key, long = parent[chain[-1]]
+        long_used += long
+        chain.append(key)
     return TruncatedResult(
-        value=int(value),
-        witness=tuple(chain),
+        value=dist[ky],
+        witness=tuple(index.unflat_one(k) for k in reversed(chain)),
         long_edges_used=long_used,
         settled=len(settled),
         relaxations=relaxations,
@@ -233,58 +266,6 @@ def _relay_radius(x: Coords, y: Coords, p: TruncationParams) -> int:
     """
     bound = 4 * p.K * max(p.t, linf(sub(y, x)))
     return (l1(x) + l1(y) + bound + 1) // 2
-
-
-def _linf_annulus(center: Coords, lo: int, hi: int) -> list[Coords]:
-    d = len(center)
-    if hi < lo:
-        return []
-    offs = cube_coords(hi, d)
-    norms = np.abs(offs).max(axis=1)
-    offs = offs[(norms >= lo) & (norms <= hi)]
-    base = np.asarray(center, dtype=np.int64)
-    return [tuple(int(c) for c in row) for row in offs + base]
-
-
-def exhaustive_truncated_oracle(
-    env: Environment, x: Coords, y: Coords, p: TruncationParams, node_cap: int = 10
-) -> int:
-    """Brute-force relay enumeration over the sound candidate ellipse.
-
-    The candidate set is every z with |x-z|_1 + |z-y|_1 bounded by the
-    direct-edge value; Bellman-Ford over the complete weight matrix visits
-    every relay order implicitly. Only tiny instances are accepted.
-    """
-    if x == y:
-        return 0
-    ub = sigma_t(env, x, y, p)
-    base = np.asarray(x, dtype=np.int64)
-    pts = cube_coords(ub, env.dim) + base
-    keep = np.abs(pts - base).sum(axis=1) + np.abs(pts - np.asarray(y)).sum(axis=1) <= ub
-    cand = [tuple(int(c) for c in row) for row in pts[keep]]
-    if len(cand) > node_cap:
-        raise SearchCapError(f"oracle instance has {len(cand)} candidate sites, cap {node_cap}")
-    idx = {v: i for i, v in enumerate(cand)}
-    n = len(cand)
-    w = np.empty((n, n), dtype=np.int64)
-    for i, a in enumerate(cand):
-        for j, b in enumerate(cand):
-            w[i, j] = 0 if i == j else sigma_t(env, a, b, p)
-    dist = np.full(n, 1 << 62, dtype=np.int64)
-    dist[idx[x]] = 0
-    for _ in range(n):
-        updated = False
-        for i in range(n):
-            if dist[i] >= (1 << 62):
-                continue
-            relax = dist[i] + w[i]
-            better = relax < dist
-            if better.any():
-                dist = np.where(better, relax, dist)
-                updated = True
-        if not updated:
-            break
-    return int(dist[idx[y]])
 
 
 # ---------------------------------------------------------------------------

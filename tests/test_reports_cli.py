@@ -325,8 +325,13 @@ def test_cli_replay_rejects_mistyped_params(command, params, message, tmp_path, 
         (["--p", "0.8", "--radius", "-3"], "radius must be an integer >= 0"),
         (["--p", "0.8", "--radius", "20", "--targets", "19,0"],
          "target (19, 0) lies inside the boundary margin of 2"),
+        (["--p", "0.8", "--radius", "30", "--white-n", "3"],
+         "the default sub-box side floor(N^0.25/(4d)) is 0 at white_n [3]"),
+        (["--p", "0.8", "--radius", "30", "--white-n", "3", "--white-subbox", "0"],
+         "white_subbox must be an integer >= 1, got 0"),
     ],
-    ids=["origin-target", "p-above-one", "p-nan", "radius-negative", "target-in-margin"],
+    ids=["origin-target", "p-above-one", "p-nan", "radius-negative", "target-in-margin",
+         "white-n-default-subbox", "white-subbox-zero"],
 )
 def test_cli_rejects_bad_percolation_plan(argv, message, tmp_path, capsys):
     # an origin target used to end in a ZeroDivisionError traceback, and a bad
@@ -425,9 +430,21 @@ def test_replay_defaults_are_cli_defaults(argv, tmp_path):
         assert got == want, name
 
 
-def test_cli_mu_dim3_runs_in_bounded_memory(tmp_path):
-    # the eager worst-case box of this plan needed over 1.5 GB; counts are now
-    # computed for the sites the run reaches and the activation table grows with it
+@pytest.mark.parametrize(
+    "argv,max_rss_mb",
+    [
+        # the eager worst-case box of this plan needed over 1.5 GB; counts are now
+        # computed for the sites the run reaches and the activation table grows with it
+        (["mu", "--law", "poisson:1.0", "--dim", "3", "--direction", "1,0,0", "--k", "2,4",
+          "--replicas", "4", "--seed", "1"], 256),
+        # the truncated search caches sparse ball rows; at this seed, caching dense int64
+        # rows took the plan to 192 MB, where the search on tuple keys peaked at 75 MB
+        (["truncation", "--law", "poisson:1.0", "--dim", "3", "--x", "6,0,0", "--t", "4,8,16",
+          "--replicas", "1", "--mu-hat", "2.0", "--seed", "3"], 128),
+    ],
+    ids=["mu", "truncation"],
+)
+def test_cli_mu_dim3_runs_in_bounded_memory(argv, max_rss_mb, tmp_path):
     limit = 1536 * 2**20
     script = (
         "import resource, sys; from frogsim.cli import main; code = main(sys.argv[1:]); "
@@ -435,10 +452,9 @@ def test_cli_mu_dim3_runs_in_bounded_memory(tmp_path):
     )
     src = str(Path(frogsim.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = tmp_path / "mu3"
+    out = tmp_path / "dim3"
     proc = subprocess.run(
-        [sys.executable, "-c", script, "mu", "--law", "poisson:1.0", "--dim", "3",
-         "--direction", "1,0,0", "--k", "2,4", "--replicas", "4", "--seed", "1", "--out", str(out)],
+        [sys.executable, "-c", script, *argv, "--out", str(out)],
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         # one BLAS thread: a pool per core would reserve address space under the cap
         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
@@ -447,4 +463,4 @@ def test_cli_mu_dim3_runs_in_bounded_memory(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (out / "report.json").is_file()
     max_rss_kb = int(proc.stdout.split()[-1])  # ru_maxrss is in KiB on Linux
-    assert max_rss_kb < 256 * 1024
+    assert max_rss_kb < max_rss_mb * 1024

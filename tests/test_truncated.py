@@ -1,3 +1,5 @@
+from heapq import heappop, heappush
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,15 +8,18 @@ from hypothesis import strategies as st
 from conftest import LAWS, env_from_counts
 from frogsim.environment import ConfigLaw, condition_origin, sample_environment, star
 from frogsim.errors import SearchCapError
-from frogsim.lattice import add, ball_coords, l1, linf, sub
-from frogsim.passage import tau
+from frogsim.lattice import Coords, add, ball_coords, cube_coords, l1, linf, sub
+from frogsim.passage import first_hits, offset_index, tau
 from frogsim.truncated import (
     Tiling,
+    TruncatedResult,
     TruncationParams,
-    _sigma_row,
+    _ball_weights,
+    _linf_shell,
+    _relay_radius,
+    _staircase,
     agreement_experiment,
     box_count_bound,
-    exhaustive_truncated_oracle,
     geodesic_box_count,
     sigma_t,
     truncated_passage,
@@ -74,18 +79,31 @@ def test_sigma_sandwich_tiny_environments(dim, radius, law, seed, t, c4_hat, dat
     assert l1(sub(y, x)) <= s <= 4 * p.K * max(p.t, linf(sub(y, x)))
 
 
-def test_sigma_row_matches_tau():
-    # the row is a bulk lookup in first_hits' keys; tau is the one-site lookup
+def _check_ball_row(env, u, p):
+    # every weight of u's ball row is the one-site hitting-time lookup, capped
+    weights = _ball_weights(env, u, p)
+    cols, _ = _linf_shell(0, p.t, env.dim)
+    assert weights.shape[0] == (2 * p.t + 1) ** env.dim
+    for off, w in zip(zip(*(c.tolist() for c in cols)), weights.tolist()):
+        hit = tau(env, u, add(u, off), p.cap)
+        assert w == (hit.time if hit.is_finite else p.cap)
+
+
+BALL_ROW_STARTS = [(0, 0), (1, 0), (0, 1), (-1, -1), (2, 3), (-3, 1)]
+
+
+@pytest.mark.parametrize("order", [[3], [6, 3], [2, 5]], ids=["direct", "from-larger-t", "smaller-t-first"])
+def test_ball_row_matches_tau(order):
+    # a row is built at the largest (t, cap) asked for and filtered for smaller ones;
+    # a larger t after a smaller one must rebuild it
     env = condition_origin(poisson_env(seed=5, radius=40))
-    p = TruncationParams.make(3, 2, c4_hat=1.0)
-    starts = [(0, 0), (1, 0), (0, 1), (-1, -1), (2, 3), (-3, 1)]
-    assert {env.omega(u) >= 1 for u in starts} == {True, False}
-    for u in starts:
-        offs, weights = _sigma_row(env, u, p)
-        assert offs.shape[0] == (2 * p.t + 1) ** 2
-        for off, w in zip(offs.tolist(), weights.tolist()):
-            hit = tau(env, u, add(u, tuple(off)), p.cap)
-            assert w == (hit.time if hit.is_finite else p.cap)
+    assert {env.omega(u) >= 1 for u in BALL_ROW_STARTS} == {True, False}
+    for t in order:
+        p = TruncationParams.make(t, 2, c4_hat=1.0)
+        for u in BALL_ROW_STARTS:
+            _check_ball_row(env, u, p)
+    occupied = [u for u in BALL_ROW_STARTS if env.omega(u) >= 1]
+    assert {env._ball_rows[u][0] for u in occupied} == {max(order)}
 
 
 def test_truncated_identity():
@@ -198,3 +216,157 @@ def test_agreement_experiment_monotone_rows():
     assert by_t[1].phat >= by_t[16].phat
     for r in table.rows:
         assert r.max_box_count <= r.max_box_bound
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the A* on tuple keys and dicts, and brute-force Bellman-Ford
+# ---------------------------------------------------------------------------
+
+
+def _sigma_row(env, u, p):
+    """sigma(u, .) over the l-infinity ball of radius t around u, from first_hits."""
+    offs = cube_coords(p.t, env.dim)
+    weights = np.full(offs.shape[0], p.cap, dtype=np.int64)
+    if env.omega(u) >= 1:
+        sites, times = first_hits(env, u, p.cap)
+        keys = offset_index(p.cap, env.dim).flat(offs)
+        pos = np.searchsorted(sites, keys)
+        if sites.shape[0]:
+            pos = np.clip(pos, 0, sites.shape[0] - 1)
+            found = sites[pos] == keys
+            weights[found] = times[pos[found]]
+    return offs, weights
+
+
+def _linf_annulus(center, lo, hi):
+    if hi < lo:
+        return []
+    offs = cube_coords(hi, len(center))
+    norms = np.abs(offs).max(axis=1)
+    offs = offs[(norms >= lo) & (norms <= hi)]
+    return [tuple(int(c) for c in row) for row in offs + np.asarray(center, dtype=np.int64)]
+
+
+def dict_truncated_passage(env, x: Coords, y: Coords, p) -> TruncatedResult:
+    """The A* on tuple keys: dicts of sites, per-candidate relaxation, first_hits weights."""
+    if x == y:
+        return TruncatedResult(0, (x,), 0, 0, 0)
+    stair = _staircase(x, y, p.t)
+    direct = sigma_t(env, x, y, p)
+    ub = min(sum(sigma_t(env, a, b, p) for a, b in zip(stair[:-1], stair[1:])), direct)
+    dist = {x: 0, y: direct}
+    parent = {y: x}
+    edge_kind = {y: linf(sub(y, x)) > p.t}  # True when reached through a long edge
+    settled = set()
+    heap = [(l1(sub(y, x)), 0, x)]
+    heappush(heap, (direct, direct, y))
+    relaxations = 0
+    while heap:
+        _, d_u, u = heappop(heap)
+        if u in settled or d_u > dist.get(u, 1 << 62):
+            continue
+        settled.add(u)
+        if u == y:
+            break
+        offs, weights = _sigma_row(env, u, p)
+        vpts = offs + np.asarray(u, dtype=np.int64)
+        nd_all = d_u + weights
+        h_all = np.abs(vpts - np.asarray(y, dtype=np.int64)).sum(axis=1)
+        keep = (nd_all + h_all <= ub) & np.any(offs, axis=1)
+        relaxations += offs.shape[0]
+        for row, nd in zip(vpts[keep].tolist(), nd_all[keep].tolist()):
+            v = tuple(row)
+            if nd >= dist.get(v, 1 << 62):
+                continue
+            dist[v], parent[v], edge_kind[v] = nd, u, False
+            if v == y:
+                ub = min(ub, nd)
+            heappush(heap, (nd + l1(sub(y, v)), nd, v))
+        gap_goal = linf(sub(y, u))
+        if gap_goal > p.t:
+            nd = d_u + 4 * p.K * gap_goal
+            if nd <= ub and nd < dist.get(y, 1 << 62):
+                dist[y], parent[y], edge_kind[y] = nd, u, True
+                ub = min(ub, nd)
+                heappush(heap, (nd, nd, y))
+        max_len = (ub - d_u) // (4 * p.K)
+        if max_len > p.t:
+            for v in _linf_annulus(u, p.t + 1, min(max_len, p.cap)):
+                nd = d_u + 4 * p.K * linf(sub(v, u))
+                h = l1(sub(y, v))
+                relaxations += 1
+                if nd + h > ub or nd >= dist.get(v, 1 << 62):
+                    continue
+                dist[v], parent[v], edge_kind[v] = nd, u, True
+                if v == y:
+                    ub = min(ub, nd)
+                heappush(heap, (nd + h, nd, v))
+    chain, long_used = [y], 0
+    while chain[-1] != x:
+        long_used += edge_kind[chain[-1]]
+        chain.append(parent[chain[-1]])
+    return TruncatedResult(int(dist[y]), tuple(reversed(chain)), long_used, len(settled), relaxations)
+
+
+def exhaustive_truncated_oracle(env, x: Coords, y: Coords, p, node_cap: int = 10) -> int:
+    """Brute-force relay enumeration over the sound candidate ellipse.
+
+    The candidate set is every z with |x-z|_1 + |z-y|_1 bounded by the
+    direct-edge value; Bellman-Ford over the complete weight matrix visits
+    every relay order implicitly. Only tiny instances are accepted.
+    """
+    if x == y:
+        return 0
+    ub = sigma_t(env, x, y, p)
+    base = np.asarray(x, dtype=np.int64)
+    pts = cube_coords(ub, env.dim) + base
+    keep = np.abs(pts - base).sum(axis=1) + np.abs(pts - np.asarray(y)).sum(axis=1) <= ub
+    cand = [tuple(int(c) for c in row) for row in pts[keep]]
+    if len(cand) > node_cap:
+        raise SearchCapError(f"oracle instance has {len(cand)} candidate sites, cap {node_cap}")
+    idx = {v: i for i, v in enumerate(cand)}
+    n = len(cand)
+    w = np.empty((n, n), dtype=np.int64)
+    for i, a in enumerate(cand):
+        for j, b in enumerate(cand):
+            w[i, j] = 0 if i == j else sigma_t(env, a, b, p)
+    dist = np.full(n, 1 << 62, dtype=np.int64)
+    dist[idx[x]] = 0
+    for _ in range(n):
+        updated = False
+        for i in range(n):
+            if dist[i] >= (1 << 62):
+                continue
+            relax = dist[i] + w[i]
+            better = relax < dist
+            if better.any():
+                dist = np.where(better, relax, dist)
+                updated = True
+        if not updated:
+            break
+    return int(dist[idx[y]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 2), st.integers(0, 6), st.sampled_from(LAWS), st.integers(0, 2**32),
+    st.integers(1, 4), st.floats(0.0, 3.0), st.data(),
+)
+def test_truncated_matches_dict_oracle(dim, radius, law, seed, t, c4_hat, data):
+    env = sample_environment(law, dim, radius, SeedSpec(seed, "dict-astar"))
+    p = TruncationParams.make(t, dim, c4_hat)
+    x = data.draw(st.sampled_from([tuple(v) for v in ball_coords(radius, dim).tolist()]))
+    y = add(x, data.draw(st.tuples(*[st.integers(-2 * t - 1, 2 * t + 1)] * dim)))
+    env = env.with_radius(_relay_radius(x, y, p))  # the same realization, on a box the search fits
+    assert truncated_passage(env, x, y, p) == dict_truncated_passage(env, x, y, p)
+
+
+def test_truncated_long_edge_witness_pin():
+    # sparse frogs and a small K make the long edge (0, 0) -> (2, 1) part of the geodesic
+    env = sample_environment(ConfigLaw.bernoulli(0.3), 2, 60, SeedSpec(4, "long"))
+    p = TruncationParams.make(1, 2, c4_hat=0.0)
+    res = truncated_passage(env, (0, 0), (5, 0), p)
+    assert res.value == 56
+    assert res.witness == ((0, 0), (2, 1), (3, 0), (4, -1), (5, 0))
+    assert res.long_edges_used == 1
+    assert res == dict_truncated_passage(env, (0, 0), (5, 0), p)
