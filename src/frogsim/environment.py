@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import GeometryError, LawParameterError, SearchCapError
+from .errors import FrogsimError, GeometryError, LawParameterError, SearchCapError
 from .lattice import Coords, CubeIndex, ball_coords, l1, linf, shell_coords
 from .walks import (
     PURPOSE_CONDITION,
@@ -230,11 +230,10 @@ class Environment:
         self._fixed = dict(fixed)
         self._memo = dict(self._fixed)  # omega per site, filled as sites are asked for
         self._occupied: np.ndarray | None = None
-        # the fixed sites as sorted keys of the smallest cube holding them
-        sites = sorted(self._fixed)
-        self._fixed_index = CubeIndex(max((linf(x) for x in sites), default=0), dim)
-        self._fixed_keys = self._fixed_index.flat(np.asarray(sites, dtype=np.int64).reshape(-1, dim))
-        self._fixed_counts = np.asarray([self._fixed[x] for x in sites], dtype=np.int32)
+
+    @cached_property
+    def _group(self) -> "EnvironmentGroup":
+        return EnvironmentGroup([self])
 
     # -- counts ----------------------------------------------------------------
 
@@ -253,15 +252,7 @@ class Environment:
 
     def counts_at(self, coords: np.ndarray) -> np.ndarray:
         """Counts at the rows of an (n, dim) array; sites outside the box report 0."""
-        out = self.law.quantile_counts(uniform01_np(site_keys_np(self.seed, PURPOSE_OMEGA, coords)))
-        if self._fixed:
-            near = np.nonzero(np.abs(coords).max(axis=1) <= self._fixed_index.radius)[0]
-            keys = self._fixed_index.flat(coords[near])
-            pos = np.minimum(np.searchsorted(self._fixed_keys, keys), self._fixed_keys.shape[0] - 1)
-            hit = self._fixed_keys[pos] == keys
-            out[near[hit]] = self._fixed_counts[pos[hit]]
-        out[np.abs(coords).sum(axis=1) > self.box_radius] = 0
-        return out
+        return self._group.counts_at(0, coords)
 
     def occupied_coords(self) -> np.ndarray:
         """All sites of the box with at least one frog, lex order."""
@@ -313,6 +304,50 @@ class Environment:
             raise GeometryError("rle_counts length does not match the box")
         fixed = dict(zip(map(tuple, coords.tolist()), counts.tolist()))
         return Environment(dim, R, law, seed, obj["conditioned_origin"], fixed)
+
+
+class EnvironmentGroup:
+    """The counts of several environments that share a law and a dimension.
+
+    ``counts_at(rep, coords)`` reads row i at site ``coords[i]`` of
+    environment ``rep[i]``, in O(1) numpy calls whatever the group's size:
+    keyed counts from each environment's seed, then each environment's fixed
+    sites, then each box mask.  The fixed sites of all members are one sorted
+    array of keys ``member * size + key`` over one cube that holds them all.
+    """
+
+    def __init__(self, envs: Sequence[Environment]):
+        first = envs[0]
+        if any(e.law != first.law or e.dim != first.dim for e in envs):
+            raise FrogsimError("an environment group needs one law and one dimension")
+        self.law, self.dim = first.law, first.dim
+        self._omega_keys = np.asarray([e.seed.purpose_key(PURPOSE_OMEGA) for e in envs], dtype=np.uint64)
+        self._box_radius = np.asarray([e.box_radius for e in envs], dtype=np.int64)
+        fixed = [(m, x, c) for m, e in enumerate(envs) for x, c in e._fixed.items()]
+        self._fixed_index = CubeIndex(max((linf(x) for _, x, _ in fixed), default=0), self.dim)
+        if fixed:
+            members = np.asarray([m for m, _, _ in fixed], dtype=np.int64)
+            sites = np.asarray([x for _, x, _ in fixed], dtype=np.int64)
+            keys = members * self._fixed_index.size + self._fixed_index.flat(sites)
+            order = np.argsort(keys)
+            self._fixed_keys = keys[order]
+            self._fixed_counts = np.asarray([c for _, _, c in fixed], dtype=np.int32)[order]
+        else:
+            self._fixed_keys = None
+
+    def counts_at(self, rep: int | np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """Counts at the rows of an (n, dim) array, row i read in member ``rep[i]`` (or all in ``rep``)."""
+        out = self.law.quantile_counts(uniform01_np(site_keys_np(self._omega_keys[rep], coords)))
+        if self._fixed_keys is not None:
+            near = np.nonzero(np.abs(coords).max(axis=1) <= self._fixed_index.radius)[0]
+            member = np.asarray(rep, dtype=np.int64)
+            member = member[near] if member.ndim else member
+            keys = member * self._fixed_index.size + self._fixed_index.flat(coords[near])
+            pos = np.minimum(np.searchsorted(self._fixed_keys, keys), self._fixed_keys.shape[0] - 1)
+            hit = self._fixed_keys[pos] == keys
+            out[near[hit]] = self._fixed_counts[pos[hit]]
+        out[np.abs(coords).sum(axis=1) > self._box_radius[rep]] = 0
+        return out
 
 
 def sample_environment(law: ConfigLaw, dim: int, box_radius: int, seed: SeedSpec) -> Environment:

@@ -18,10 +18,11 @@ import numpy as np
 from .environment import ConfigLaw, condition_origin, sample_environment, star
 from .errors import CensoringBudgetError, LawParameterError
 from .lattice import Coords, l1, scale
-from .passage import simulate_frogs
+from .passage import simulate_batch
 from .stats import SummaryStats, bootstrap_std_ci, fit_alpha_grid, fit_line, summarize, wilson_ci
 from .walks import (
     PURPOSE_BOOTSTRAP,
+    PURPOSE_WALK,
     SeedSpec,
     draw,
     draw_np,
@@ -32,6 +33,9 @@ from .walks import (
 
 DEFAULT_CENSOR_BUDGET = 0.05
 _BOOTSTRAP = 200  # resamples per bootstrap interval
+# replicas per engine loop: a wider batch shares each step's fixed cost among more
+# replicas, but holds all their frogs and activation tables at once
+_BATCH = 16
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +57,8 @@ class PassageSamples:
         return finite, int(np.isnan(col).sum())
 
 
-def _one_replica(args) -> np.ndarray:
-    law, dim, targets, horizon, rep_seed, modified = args
+def _replica_setup(law, dim, targets, horizon, rep_seed, modified):
+    """A replica's environment, source and goals."""
     # star searches the whole box, so this radius decides when SearchCapError is raised
     env = sample_environment(law, dim, horizon + 8, rep_seed)
     if modified:
@@ -67,12 +71,20 @@ def _one_replica(args) -> np.ndarray:
     need = horizon + l1(source)
     if need > env.box_radius:
         env = env.with_radius(need)
-    table = simulate_frogs(env, source, horizon, stop_targets=sorted(set(goals)))
-    out = np.empty(len(targets), dtype=float)
-    for i, g in enumerate(goals):
-        ht = table.visit_time(g)
-        out[i] = ht.time if ht.is_finite else np.nan
-    return out
+    return env, source, goals
+
+
+def _run_batch(args) -> list[np.ndarray]:
+    """The passage-time rows of a batch of set-up replicas, from one engine loop."""
+    setups, horizon = args
+    envs, sources, goals = zip(*setups)
+    stops = [sorted(set(g)) for g in goals]
+    tables = simulate_batch(envs, sources, horizon, stops, True, False)
+    rows = []
+    for table, want in zip(tables, goals):
+        times = [table.visit_time(g) for g in want]
+        rows.append(np.asarray([ht.time if ht.is_finite else np.nan for ht in times], dtype=float))
+    return rows
 
 
 def collect_passage_samples(
@@ -93,18 +105,21 @@ def collect_passage_samples(
     and x* of an unconditioned environment; otherwise T(0, x) from an origin
     conditioned to be occupied.  One simulation per replica serves the
     whole ladder; the per-target statistics stay valid because replicas are
-    independent.
+    independent.  The replicas are set up first and then stepped through the
+    engine ``_BATCH`` at a time, one loop per batch; ``threads`` maps over
+    batches.
     """
     targets = [tuple(x) for x in targets]
-    jobs = [
-        (law, dim, targets, horizon, seed.child(stream, r), modified) for r in range(replicas)
+    setups = [
+        _replica_setup(law, dim, targets, horizon, seed.child(stream, r), modified) for r in range(replicas)
     ]
+    jobs = [(setups[i : i + _BATCH], horizon) for i in range(0, replicas, _BATCH)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_one_replica, jobs))
+            batches = list(pool.map(_run_batch, jobs))
     else:
-        rows = [_one_replica(j) for j in jobs]
-    values = np.stack(rows)
+        batches = [_run_batch(j) for j in jobs]
+    values = np.stack([row for rows in batches for row in rows])
     censored = int(np.isnan(values).sum())
     total = values.size
     if censored > censor_budget * total:
@@ -441,7 +456,7 @@ def direct_path_event_check(dim: int, n: int, trials: int, seed: SeedSpec) -> Di
     # the fixed minimal path: n steps along +e1, direction code 0; the trial
     # index enumerates the frog index, valid because the family is i.i.d.
     ells = np.arange(1, trials + 1, dtype=np.int64)
-    keys = walk_keys_np(seed, np.zeros((trials, dim), dtype=np.int64), ells)
+    keys = walk_keys_np(seed.purpose_key(PURPOSE_WALK), np.zeros((trials, dim), dtype=np.int64), ells)
     ok = np.ones(trials, dtype=bool)
     for k in range(1, n + 1):
         codes = step_codes_np(keys, np.full(trials, k, dtype=np.uint64), dim)
@@ -497,24 +512,23 @@ def subadditivity_audit(
         env = sample_environment(law, dim, horizon + dim * window + 6, rep_seed)
         pts = _random_triple(rep_seed, dim, window)
         x, y, z = pts
+        xs, ys, zs = (star(env, p) for p in pts)
+        # the runs from x, y, x* and y* with their targets, as one batch; a run from a
+        # site without frogs does not happen and reads None
+        runs = [(x, [y, z]), (y, [z]), (xs, [ys, zs]), (ys, [zs])]
+        live = [i for i, (a, _) in enumerate(runs) if env.omega(a) >= 1]
+        tables = simulate_batch(
+            [env] * len(live), [runs[i][0] for i in live], horizon, [runs[i][1] for i in live], True, False
+        )
+        by_run = dict(zip(live, tables))
 
-        def passage_pair(a: Coords, b1: Coords, b2: Coords) -> tuple[int | None, int | None]:
-            """T(a, b1) and T(a, b2) from one simulation."""
-            if env.omega(a) < 1:
-                return None, None
-            table = simulate_frogs(env, a, horizon, stop_targets=[b1, b2], strict=True)
-            out = []
-            for b in (b1, b2):
-                ht = table.visit_time(b)
-                out.append(ht.time if ht.is_finite else None)
-            return out[0], out[1]
+        def passage(run: int, b: Coords) -> int | None:
+            if run not in by_run:
+                return None
+            ht = by_run[run].visit_time(b)
+            return ht.time if ht.is_finite else None
 
-        def passage_one(a: Coords, b: Coords) -> int | None:
-            v, _ = passage_pair(a, b, b)
-            return v
-
-        txy, txz = passage_pair(x, y, z)
-        tyz = passage_one(y, z)
+        txy, txz, tyz = passage(0, y), passage(0, z), passage(1, z)
         if None in (txy, tyz, txz):
             skipped += 1
         else:
@@ -522,9 +536,7 @@ def subadditivity_audit(
             if txz > txy + tyz:
                 violations += 1
                 details.append({"kind": "plain", "triple": [x, y, z], "values": [txy, tyz, txz]})
-        xs, ys, zs = (star(env, p) for p in pts)
-        sxy, sxz = passage_pair(xs, ys, zs)
-        syz = passage_one(ys, zs)
+        sxy, sxz, syz = passage(2, ys), passage(2, zs), passage(3, zs)
         if None in (sxy, syz, sxz):
             skipped += 1
         else:

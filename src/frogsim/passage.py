@@ -14,6 +14,13 @@ refuses smaller boxes unless ``strict=False``, in which case it computes
 the well-defined finite-box process (out-of-box sites wake nothing) that
 the oracle replays exactly.  The activation table starts small and grows
 with the frogs' reach, so memory follows the sites a run visits.
+
+``simulate_batch`` runs several replicas (environments of one law, each
+with its own source and stop targets) through one step loop, which is the
+only step loop: ``simulate_frogs`` is a batch of one.  Every draw is a pure
+function of (seed, site, frog, step), so a replica's visits, genealogy and
+stopping step do not depend on the batch it runs in, and the numpy cost of
+a step is paid once per batch rather than once per replica.
 """
 
 from __future__ import annotations
@@ -21,13 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
+from typing import Sequence
 
 import numpy as np
 
-from .environment import Environment, star
+from .environment import Environment, EnvironmentGroup, star
 from .errors import FrogsimError, GeometryError, SearchCapError
 from .lattice import Coords, CubeIndex, l1, linf, step_vectors, sub
-from .walks import step_codes_np, walk_keys_np
+from .walks import PURPOSE_WALK, step_codes_np, walk_keys_np
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,7 @@ class PassageOutcome:
     box_radius: int
 
 
-# radius of a fresh table beyond |source|_inf; the table doubles from there
+# radius of a fresh table beyond the sources' largest |source|_inf; the table doubles from there
 _START_RADIUS = 16
 
 
@@ -71,40 +79,23 @@ class ActivationTable:
     """First-visit times and the activation genealogy of one simulation.
 
     ``visit`` and ``parent`` are dense arrays over ``index``, a cube centred
-    on the origin that ``grow`` enlarges as the frogs spread; the cube of
-    radius |source|_1 + horizon bounds every reachable position, so the
-    table never needs more.  ``parent`` stores, for each visited site, the
-    flat index of the origin of the frog that first stood there
-    (deterministic choice among simultaneous arrivals: smallest origin, then
-    smallest frog index).
+    on the origin that held every frog of the run; the cube of radius
+    |source|_1 + horizon bounds every reachable position.  ``parent`` stores,
+    for each visited site, the flat index of the origin of the frog that
+    first stood there (deterministic choice among simultaneous arrivals:
+    smallest origin, then smallest frog index).
     """
 
-    def __init__(self, dim: int, source: Coords, horizon: int, radius: int):
+    def __init__(self, dim: int, source: Coords, horizon: int, index: CubeIndex,
+                 visit: np.ndarray, parent: np.ndarray):
         self.dim = dim
         self.source = source
         self.horizon = horizon
-        self.index = CubeIndex(radius, dim)
-        self.visit = np.full(self.index.size, -1, dtype=np.int64)
-        self.parent = np.full(self.index.size, -1, dtype=np.int64)
+        self.index = index
+        self.visit = visit
+        self.parent = parent
         self.awake_trace: list[int] = []
         self.stopped_at: int | None = None
-
-    def grow(self, radius: int) -> CubeIndex:
-        """Move the table onto the cube of ``radius``; returns the old layout."""
-        old = self.index
-        self.index = CubeIndex(radius, self.dim)
-        seen = np.nonzero(self.visit >= 0)[0]
-        moved = self.rekey(old, seen)
-        visit = np.full(self.index.size, -1, dtype=np.int64)
-        parent = np.full(self.index.size, -1, dtype=np.int64)
-        visit[moved] = self.visit[seen]
-        parent[moved] = self.rekey(old, self.parent[seen])
-        self.visit, self.parent = visit, parent
-        return old
-
-    def rekey(self, old: CubeIndex, keys: np.ndarray) -> np.ndarray:
-        """Keys laid out by ``old`` as keys of the current layout."""
-        return self.index.flat(old.unflat(keys))
 
     def visit_time(self, x: Coords) -> HittingTime:
         if self.index.contains(x):
@@ -165,102 +156,211 @@ def simulate_frogs(
     step counter k = t - s.  If ``stop_targets`` is given, the loop ends as
     soon as every target has been visited (recorded times are unaffected).
     """
-    d = env.dim
-    if env.omega(source) < 1:
-        raise FrogsimError(f"source {source} has no frogs to activate")
-    src_norm = l1(source)
-    if strict and env.box_radius < horizon + src_norm:
-        raise GeometryError(
-            f"box radius {env.box_radius} < horizon {horizon} + |source|_1 {src_norm}; "
-            "finite-box values would not match the infinite lattice"
-        )
-    # frogs move one step per time unit: at time t every frog lies within
-    # |source|_1 + t of the origin, so this cube bounds the whole run
-    reach_cube = CubeIndex(src_norm + horizon, d)
-    reach = linf(source)  # bounds |position|_inf of every live frog
-    table = ActivationTable(d, tuple(source), horizon, min(reach + _START_RADIUS, reach_cube.radius))
-    index = table.index
-    steps = step_vectors(d)
-    seed = env.seed
+    stops = None if stop_targets is None else [stop_targets]
+    return simulate_batch([env], [source], horizon, stops, strict, record_trace)[0]
 
-    src_flat = index.flat_one(source)
-    table.visit[src_flat] = 0
-    table.parent[src_flat] = src_flat
 
-    count0 = env.omega(source)
-    pos = np.repeat(np.asarray([source], dtype=np.int64), count0, axis=0)
-    ell = np.arange(1, count0 + 1, dtype=np.int64)
-    keys = walk_keys_np(seed, pos, ell)
-    birth = np.zeros(count0, dtype=np.int64)
-    origin_flat = np.full(count0, src_flat, dtype=np.int64)
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """1, ..., c for each count c, concatenated: the frog indices of the sites holding ``counts``."""
+    ends = np.cumsum(counts)
+    return (np.arange(1, ends[-1] + 1) - np.repeat(ends - counts, counts)).astype(np.int32)
 
-    targets: np.ndarray | None = None
-    if stop_targets is not None:
+
+def _rekey(old: CubeIndex, new: CubeIndex, keys: np.ndarray) -> np.ndarray:
+    """Keys ``replica * old.size + local key`` as the same sites under ``new``.
+
+    Digit by digit and in place: the table grows when it holds the most frogs.
+    """
+    out, local = np.divmod(keys, old.size)
+    out *= new.size
+    digit = np.empty_like(local)
+    for old_stride, new_stride in zip(old.strides, new.strides):
+        np.divmod(local, old_stride, out=(digit, local))
+        digit += new.radius - old.radius
+        digit *= new_stride
+        out += digit
+    return out
+
+
+def _recentre(old: CubeIndex, new: CubeIndex, table: np.ndarray) -> np.ndarray:
+    """Each replica's cube of ``table`` laid out by ``old``, at the centre of a cube laid out by ``new``."""
+    shape = (table.shape[0] // old.size,) + (new.side,) * new.dim
+    out = np.full(shape, -1, dtype=table.dtype)
+    lo = new.radius - old.radius
+    out[(slice(None),) + (slice(lo, lo + old.side),) * new.dim] = table.reshape(shape[:1] + (old.side,) * new.dim)
+    return out.reshape(-1)
+
+
+def _first_visits(flat: np.ndarray, new: np.ndarray, origin: np.ndarray, ell: np.ndarray):
+    """The keys first stood on, each with the origin of its first visitor.
+
+    ``new`` masks the frogs standing on unvisited keys; among simultaneous
+    arrivals the smallest origin wins, then the smallest frog index.
+    """
+    keys, origins = flat[new], origin[new]
+    order = np.lexsort((ell[new], origins, keys))
+    keys = keys[order]
+    lead = np.ones(keys.shape[0], dtype=bool)
+    lead[1:] = keys[1:] != keys[:-1]
+    return keys[lead], origins[order][lead]
+
+
+def simulate_batch(
+    envs: Sequence[Environment],
+    sources: Sequence[Coords],
+    horizon: int,
+    stop_targets: Sequence[Sequence[Coords] | None] | None,
+    strict: bool,
+    record_trace: bool,
+) -> list[ActivationTable]:
+    """The runs of ``simulate_frogs(envs[r], sources[r], horizon, stop_targets[r], ...)``, in one loop.
+
+    The environments must share a law and a dimension.  Replica r stops on
+    its own: once every reachable target of ``stop_targets[r]`` is visited
+    it records ``stopped_at`` and its frogs leave the loop.  Every draw is a
+    pure function of (seed, site, frog, step), so a replica's table does not
+    depend on the others in its batch.
+
+    The replicas share one table of ``len(envs)`` cubes: replica r's keys
+    are offset by r times the cube size, and origins and parents are keys
+    local to a replica.  Each returned table views its own slice.  Frogs
+    move by adding a stride to their key, so the table grows before a step
+    that could carry a frog off it: no frog stands beyond the visited sites.
+    """
+    group = EnvironmentGroup(envs)
+    d, n = group.dim, len(envs)
+    sources = [tuple(s) for s in sources]
+    counts0 = []
+    for env, source in zip(envs, sources):
+        count = env.omega(source)
+        if count < 1:
+            raise FrogsimError(f"source {source} has no frogs to activate")
+        src_norm = l1(source)
+        if strict and env.box_radius < horizon + src_norm:
+            raise GeometryError(
+                f"box radius {env.box_radius} < horizon {horizon} + |source|_1 {src_norm}; "
+                "finite-box values would not match the infinite lattice"
+            )
+        counts0.append(count)
+    # frogs move one step per time unit: at time t every frog of replica r lies
+    # within |source_r|_1 + t of the origin, so these cubes bound the whole run
+    reach_radius = [l1(s) + horizon for s in sources]
+    reach = max(linf(s) for s in sources)  # the largest |site|_inf visited so far
+    index = CubeIndex(min(reach + _START_RADIUS, max(reach_radius)), d)
+    # a visit time fits int16 whenever the horizon does
+    visit = np.full(n * index.size, -1, dtype=np.int16 if horizon < 2**15 else np.int32)
+    parent = np.full(n * index.size, -1, dtype=np.int32)
+    walk_keys = np.asarray([e.seed.purpose_key(PURPOSE_WALK) for e in envs], dtype=np.uint64)
+    traces: list[list[int]] = [[] for _ in range(n)]
+    stopped: list[int | None] = [None] * n
+
+    src_local = index.flat(np.asarray(sources, dtype=np.int64)).astype(np.int32)
+    src_flat = np.arange(n) * index.size + src_local
+    visit[src_flat] = 0
+    parent[src_flat] = src_local
+
+    # the replicas still running, and those of them that stop on their targets
+    active = np.ones(n, dtype=bool)
+    waiting = np.zeros(n, dtype=bool)
+    goal_rep: list[int] = []
+    goals: list[Coords] = []
+    for r, want in enumerate(stop_targets or [None] * n):
+        if want is None:
+            continue
         # targets outside the reachable cube stay censored; drop them from the stop set
-        reachable = [t for t in stop_targets if reach_cube.contains(t)]
-        if not reachable:
-            table.stopped_at = 0
-            return table
-        targets = np.asarray(reachable, dtype=np.int64)
-        # a target beyond the table is unvisited, and its key would alias a site inside
-        target_reach = int(np.abs(targets).max())
-        want = index.flat(targets)
-        if target_reach <= index.radius and np.all(table.visit[want] >= 0):
-            table.stopped_at = 0
-            return table
+        reachable = [x for x in want if linf(x) <= reach_radius[r]]
+        if any(x != sources[r] for x in reachable):
+            waiting[r] = True
+            goal_rep += [r] * len(reachable)
+            goals += reachable
+        else:  # every reachable target is the source, visited at step 0
+            active[r] = False
+            stopped[r] = 0
+    goal_rep = np.asarray(goal_rep, dtype=np.int64)
+    goals = np.asarray(goals, dtype=np.int64).reshape(-1, d)
+    goal_reach = np.abs(goals).max(axis=1, initial=0)
+
+    def goal_keys() -> tuple[np.ndarray, np.ndarray]:
+        # a target beyond the table is unvisited, and its key would alias a site inside:
+        # point it at a slot of its replica and mask it
+        inside = goal_reach <= index.radius
+        return goal_rep * index.size + np.where(inside, index.flat(goals), 0), inside
+
+    # the live frogs: key on the table, walk key, frog index, birth step and origin
+    counts0 = np.where(active, counts0, 0)
+    flat = np.repeat(src_flat, counts0)
+    ell = _ranks(counts0)
+    keys = walk_keys_np(np.repeat(walk_keys, counts0), np.repeat(np.asarray(sources), counts0, axis=0), ell)
+    birth = np.zeros(flat.shape[0], dtype=np.int32)
+    origin = np.repeat(src_local, counts0)
+    moves = step_vectors(d) @ np.asarray(index.strides, dtype=np.int64)  # key change per direction code
+    want_keys, goal_inside = goal_keys()
 
     for t in range(1, horizon + 1):
+        if not active.any():
+            break
         if record_trace:
-            table.awake_trace.append(pos.shape[0])
-        k = (t - birth).astype(np.uint64)
-        codes = step_codes_np(keys, k, d)
-        pos += steps[codes]
-        reach += 1
-        if reach > index.radius:
-            reach = int(np.abs(pos).max())
-            if reach > index.radius:
-                old = table.grow(min(max(2 * index.radius, reach), reach_cube.radius))
-                index = table.index
-                origin_flat = table.rekey(old, origin_flat)
-                if targets is not None:
-                    want = index.flat(targets)
-        flat = index.flat(pos)
-        new_mask = table.visit[flat] < 0
-        if new_mask.any():
-            nf = flat[new_mask]
-            norg = origin_flat[new_mask]
-            nell = ell[new_mask]
-            order = np.lexsort((nell, norg, nf))
-            nf = nf[order]
-            norg = norg[order]
-            lead = np.ones(nf.shape[0], dtype=bool)
-            lead[1:] = nf[1:] != nf[:-1]
-            sites = nf[lead]
-            table.visit[sites] = t
-            table.parent[sites] = norg[lead]
-
-            site_coords = index.unflat(sites)
-            counts = env.counts_at(site_coords)
-            wake = counts > 0
-            if wake.any():
-                wake_coords = site_coords[wake]
-                wake_counts = counts[wake].astype(np.int64)
-                wake_flat = sites[wake]
-                total = int(wake_counts.sum())
-                rep_coords = np.repeat(wake_coords, wake_counts, axis=0)
-                rep_flat = np.repeat(wake_flat, wake_counts)
-                starts = np.concatenate([[0], np.cumsum(wake_counts)[:-1]])
-                new_ell = np.arange(total, dtype=np.int64) - np.repeat(starts, wake_counts) + 1
-                new_keys = walk_keys_np(seed, rep_coords, new_ell)
-                pos = np.concatenate([pos, rep_coords])
+            awake = np.bincount(flat // index.size, minlength=n)
+            for r in np.flatnonzero(active).tolist():
+                traces[r].append(int(awake[r]))
+        if reach >= index.radius:
+            # a frog on the cube's surface could step off it: move onto a larger cube,
+            # which the reachable cubes bound since visited sites lie within them
+            old, index = index, CubeIndex(min(max(index.radius * 5 // 4, reach + 1), max(reach_radius)), d)
+            visit = _recentre(old, index, visit)
+            parent = _recentre(old, index, parent)
+            seen = parent >= 0
+            parent[seen] = _rekey(old, index, parent[seen])
+            flat = _rekey(old, index, flat)
+            origin = _rekey(old, index, origin)
+            moves = step_vectors(d) @ np.asarray(index.strides, dtype=np.int64)
+            want_keys, goal_inside = goal_keys()
+        flat += moves[step_codes_np(keys, t - birth, d)]
+        new = visit[flat] < 0
+        if new.any():
+            sites, firsts = _first_visits(flat, new, origin, ell)
+            visit[sites] = t
+            parent[sites] = firsts
+            site_rep, site_local = np.divmod(sites, index.size)
+            coords = index.unflat(site_local)
+            reach = max(reach, int(np.abs(coords).max()))
+            counts = group.counts_at(site_rep, coords)
+            wake = np.flatnonzero(counts)
+            if wake.shape[0]:
+                woken = counts[wake]
+                new_ell = _ranks(woken)
+                new_keys = walk_keys_np(
+                    np.repeat(walk_keys[site_rep[wake]], woken), np.repeat(coords[wake], woken, axis=0), new_ell
+                )
+                flat = np.concatenate([flat, np.repeat(sites[wake], woken)])
                 keys = np.concatenate([keys, new_keys])
                 ell = np.concatenate([ell, new_ell])
-                birth = np.concatenate([birth, np.full(total, t, dtype=np.int64)])
-                origin_flat = np.concatenate([origin_flat, rep_flat])
-        if targets is not None and target_reach <= index.radius and np.all(table.visit[want] >= 0):
-            table.stopped_at = t
-            break
-    return table
+                birth = np.concatenate([birth, np.full(new_ell.shape[0], t, dtype=np.int32)])
+                origin = np.concatenate([origin, np.repeat(site_local[wake].astype(np.int32), woken)])
+        if waiting.any():
+            # the waiting replicas whose targets are all visited stop at t, and their frogs leave
+            done = waiting.copy()
+            done[goal_rep[~(goal_inside & (visit[want_keys] >= 0))]] = False
+            if done.any():
+                for r in np.flatnonzero(done).tolist():
+                    stopped[r] = t
+                waiting &= ~done
+                active &= ~done
+                keep = active[flat // index.size]
+                # one array at a time, so that only one copy is alive at once
+                flat = flat[keep]
+                keys = keys[keep]
+                ell = ell[keep]
+                birth = birth[keep]
+                origin = origin[keep]
+
+    tables = []
+    for r, source in enumerate(sources):
+        cut = slice(r * index.size, (r + 1) * index.size)
+        table = ActivationTable(d, source, horizon, index, visit[cut], parent[cut])
+        table.awake_trace, table.stopped_at = traces[r], stopped[r]
+        tables.append(table)
+    return tables
 
 
 def tau(env: Environment, u: Coords, v: Coords, horizon: int) -> HittingTime:
@@ -323,7 +423,7 @@ def first_hits(env: Environment, u: Coords, horizon: int) -> tuple[np.ndarray, n
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     ells = np.arange(1, count + 1, dtype=np.int64)
-    keys = walk_keys_np(env.seed, np.repeat([list(u)], count, axis=0), ells)
+    keys = walk_keys_np(env.seed.purpose_key(PURPOSE_WALK), np.repeat([list(u)], count, axis=0), ells)
     counters = np.arange(1, horizon + 1, dtype=np.uint64)
     codes = step_codes_np(
         np.repeat(keys, horizon), np.tile(counters, count), env.dim

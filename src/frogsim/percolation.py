@@ -52,7 +52,7 @@ def sample_bernoulli_field(p: float, dim: int, box_radius: int, seed: SeedSpec) 
     if not 0.0 <= p <= 1.0:
         raise LawParameterError(f"percolation parameter p must be in [0,1], got {p}")
     coords = ball_coords(box_radius, dim)
-    u = uniform01_np(site_keys_np(seed, PURPOSE_FIELD, coords))
+    u = uniform01_np(site_keys_np(seed.purpose_key(PURPOSE_FIELD), coords))
     index = CubeIndex(box_radius, dim)
     bits = np.full(index.size, -1, dtype=np.int8)
     bits[index.flat(coords)] = (u < p).astype(np.int8)

@@ -37,7 +37,7 @@ import numpy as np
 from .environment import Environment, sample_environment, star
 from .errors import GeometryError
 from .lattice import Coords, CubeIndex, cube_coords, l1, linf, step_vectors, sub
-from .passage import offset_index, passage_time_star, tau
+from .passage import HittingTime, offset_index, simulate_batch, tau
 from .stats import wilson_ci
 from .walks import SeedSpec, step_codes_np, walk_key
 
@@ -352,24 +352,40 @@ def agreement_experiment(
     long_geo = {t: 0 for t in t_ladder}
     max_boxes = {t: 0 for t in t_ladder}
 
+    # every replica's environment and stars first, then all T*(0, x) from one engine loop
+    envs, stars = [], []
     for r in range(replicas):
-        rep_seed = seed.child("agreement", r)
-        env = sample_environment(law, d, radius0, rep_seed)
-        origin_star = star(env, (0,) * d)
-        x_star = star(env, x)
+        env = sample_environment(law, d, radius0, seed.child("agreement", r))
+        origin_star, x_star = star(env, (0,) * d), star(env, x)
         # one box holds every site either search reads: the engine's reach
         # and, for each t, the relay region of truncated_passage
         need = max(_relay_radius(origin_star, x_star, p) for p in params.values())
-        env = env.with_radius(max(radius0, horizon + l1(origin_star), need))
-        t_star = passage_time_star(env, x, horizon)
+        envs.append(env.with_radius(max(radius0, horizon + l1(origin_star), need)))
+        stars.append((origin_star, x_star))
+    t_star = [HittingTime.finite(0, horizon)] * replicas  # T* = 0 when x* == 0*
+    runs = [r for r in range(replicas) if stars[r][0] != stars[r][1]]
+    if runs:
+        values = [
+            table.visit_time(stars[r][1])
+            for r, table in zip(runs, simulate_batch(
+                [envs[r] for r in runs], [stars[r][0] for r in runs], horizon,
+                [[stars[r][1]] for r in runs], True, False,
+            ))
+        ]
+        for r, value in zip(runs, values):
+            t_star[r] = value
+
+    for r, ((origin_star, x_star), value) in enumerate(zip(stars, t_star)):
+        # the searches cache ball rows on the environment: release each once searched
+        env, envs[r] = envs[r], None
         # descending t reuses the per-site hitting-time cache for smaller caps
         for t in sorted(t_ladder, reverse=True):
-            if not t_star.value.is_finite:
+            if not value.is_finite:
                 censored[t] += 1
                 continue
             trunc = truncated_passage(env, origin_star, x_star, params[t])
             compared[t] += 1
-            if trunc.value != t_star.value.time:
+            if trunc.value != value.time:
                 disagree[t] += 1
             if trunc.long_edges_used:
                 long_geo[t] += 1

@@ -27,6 +27,7 @@ draw(key, k) mod 2d, indexing lattice.step_vectors(d).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,22 +72,40 @@ def draw(key: int, counter: int) -> int:
 # numpy mirrors; uint64 arithmetic wraps mod 2^64, matching the scalar path
 
 
-def mix64_np(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_M1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_M2)
-    z ^= z >> np.uint64(31)
+# numpy scalars made once: building one costs about as much as an operation on a small array
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
+_GAMMA_NP, _WEYL_NP, _M1_NP, _M2_NP = (np.uint64(c) for c in (GAMMA, WEYL, _M1, _M2))
+
+
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """mix64 of a uint64 array the caller owns, overwriting it."""
+    z ^= z >> _S30
+    z *= _M1_NP
+    z ^= z >> _S27
+    z *= _M2_NP
+    z ^= z >> _S31
     return z
 
 
-def absorb_np(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return mix64_np((h + np.uint64(GAMMA)) ^ v.astype(np.uint64))
+def mix64_np(z: np.ndarray) -> np.ndarray:
+    return _mix64_inplace(np.array(z, dtype=np.uint64))
+
+
+def absorb_np(h: np.ndarray, v: np.ndarray | int) -> np.ndarray:
+    """absorb per row; ``v`` is a uint64 array or a nonnegative int."""
+    z = h + _GAMMA_NP
+    z ^= v
+    return _mix64_inplace(z)
 
 
 def draw_np(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    return mix64_np(keys ^ (counters.astype(np.uint64) * np.uint64(WEYL)))
+    z = np.asarray(counters).astype(np.uint64)
+    z *= _WEYL_NP
+    if z.shape == np.shape(keys):
+        z ^= keys
+    else:
+        z = z ^ keys  # broadcast, as for one key per row against a row of counters
+    return _mix64_inplace(z)
 
 
 def uniform01(word: int) -> float:
@@ -94,7 +113,7 @@ def uniform01(word: int) -> float:
 
 
 def uniform01_np(words: np.ndarray) -> np.ndarray:
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return (words >> _S11).astype(np.float64) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -104,11 +123,14 @@ class SeedSpec:
     master_seed: int
     experiment_tag: str = ""
 
+    @cached_property
     def base(self) -> int:
+        # cached_property writes the instance dict directly, so it works on the
+        # frozen dataclass and stays out of its fields, equality and hash
         return absorb(mix64(self.master_seed & MASK64), tag_fold(self.experiment_tag))
 
     def purpose_key(self, purpose: int) -> int:
-        return absorb(self.base(), purpose)
+        return absorb(self.base, purpose)
 
     def child(self, stream: str, index: int = 0) -> "SeedSpec":
         """A derived seed for a named sub-experiment; disjoint by construction."""
@@ -124,11 +146,14 @@ def site_key(seed: SeedSpec, purpose: int, x: Coords) -> int:
     return h
 
 
-def site_keys_np(seed: SeedSpec, purpose: int, coords: np.ndarray) -> np.ndarray:
+def site_keys_np(purpose_keys: int | np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Site keys of the rows of ``coords``; ``purpose_keys`` is one ``purpose_key`` or one per row."""
     n, d = coords.shape
-    h = np.full(n, absorb(seed.purpose_key(purpose), d), dtype=np.uint64)
+    keys = np.asarray(purpose_keys, dtype=np.uint64)
+    h = np.full(n, absorb(int(keys), d), dtype=np.uint64) if keys.ndim == 0 else absorb_np(keys, d)
+    cols = coords.astype(np.int64, copy=False).view(np.uint64)
     for j in range(d):
-        h = absorb_np(h, coords[:, j].astype(np.int64).view(np.uint64))
+        h = absorb_np(h, cols[:, j])
     return h
 
 
@@ -138,8 +163,9 @@ def walk_key(seed: SeedSpec, x: Coords, ell: int) -> int:
     return absorb(site_key(seed, PURPOSE_WALK, x), ell)
 
 
-def walk_keys_np(seed: SeedSpec, coords: np.ndarray, ells: np.ndarray) -> np.ndarray:
-    h = site_keys_np(seed, PURPOSE_WALK, coords)
+def walk_keys_np(purpose_keys: int | np.ndarray, coords: np.ndarray, ells: np.ndarray) -> np.ndarray:
+    """Keys of frogs (coords, ell); ``purpose_keys`` is ``purpose_key(PURPOSE_WALK)``, once or per row."""
+    h = site_keys_np(purpose_keys, coords)
     return absorb_np(h, ells.astype(np.int64).view(np.uint64))
 
 
@@ -149,4 +175,6 @@ def step_code(key: int, k: int, dim: int) -> int:
 
 
 def step_codes_np(keys: np.ndarray, counters: np.ndarray, dim: int) -> np.ndarray:
-    return (draw_np(keys, counters) % np.uint64(2 * dim)).astype(np.int64)
+    z = draw_np(keys, counters)
+    z %= np.uint64(2 * dim)
+    return z.view(np.int64)  # codes < 2d read the same as int64

@@ -177,7 +177,7 @@ def test_lazy_counts_match_keyed_reference(dim, radius, law, master, conditioned
     env = sample_environment(law, dim, radius, seed)
     coords = ball_coords(radius, dim)
     # the eager keyed sampler these environments replace
-    ref = law.quantile_counts(uniform01_np(site_keys_np(seed, PURPOSE_OMEGA, coords)))
+    ref = law.quantile_counts(uniform01_np(site_keys_np(seed.purpose_key(PURPOSE_OMEGA), coords)))
     if conditioned:
         env = condition_origin(env)
         origin = (0,) * dim

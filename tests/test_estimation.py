@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from frogsim import estimation
 from frogsim.environment import ConfigLaw
 from frogsim.errors import CensoringBudgetError, LawParameterError
 from frogsim.estimation import (
@@ -189,3 +190,20 @@ def test_replica_reproducibility_and_threads():
         law, 2, [(5, 0)], 16, SeedSpec(20, "rep"), 40, modified=False, threads=4
     )
     assert np.array_equal(a.values, b.values, equal_nan=True)
+
+
+@pytest.mark.parametrize("modified", [False, True])
+def test_batch_width_and_threads_leave_values_unchanged(modified, monkeypatch):
+    law, targets, replicas = ConfigLaw.poisson(1.0), [(3, 0), (0, -5), (7, 2)], 7
+
+    def values(width, threads):
+        monkeypatch.setattr(estimation, "_BATCH", width)
+        return collect_passage_samples(
+            law, 2, targets, replicas, SeedSpec(23, "width"), 40, modified=modified, threads=threads,
+        ).values
+
+    want = values(1, 1)
+    assert np.isfinite(want).any()
+    for width in (1, 3, replicas):
+        for threads in (1, 3):
+            assert np.array_equal(values(width, threads), want, equal_nan=True), (width, threads)

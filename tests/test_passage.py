@@ -7,20 +7,22 @@ from hypothesis import strategies as st
 
 from conftest import LAWS, env_from_counts
 from frogsim import passage
-from frogsim.environment import ConfigLaw, condition_origin, sample_environment, star
+from frogsim.environment import ConfigLaw, Environment, condition_origin, sample_environment, star
 from frogsim.errors import FrogsimError, GeometryError
-from frogsim.lattice import ball_coords, l1
+from frogsim.lattice import CubeIndex, ball_coords, l1, linf, step_vectors
 from frogsim.passage import (
+    ActivationTable,
     HittingTime,
     oracle_all_targets,
     oracle_passage_time,
     passage_between,
     passage_time,
     passage_time_star,
+    simulate_batch,
     simulate_frogs,
     tau,
 )
-from frogsim.walks import SeedSpec
+from frogsim.walks import PURPOSE_WALK, SeedSpec, step_codes_np, walk_keys_np
 
 
 def make_env(law=None, radius=50, seed=7, tag="dev", conditioned=True):
@@ -288,3 +290,152 @@ def test_triangle_inequality_tiny_environments(dim, radius, law, seed, data):
     if txy.is_finite and tyz.is_finite and txy.time + tyz.time <= horizon:
         assert txz.is_finite
         assert txz.time <= txy.time + tyz.time
+
+
+# ---------------------------------------------------------------------------
+# The single-replica engine that simulate_batch replaced, kept as an oracle
+# ---------------------------------------------------------------------------
+
+
+def single_replica_engine(env, source, horizon, stop_targets=None, strict=True, record_trace=False):
+    """One replica through its own step loop and its own doubling int64 table."""
+    d = env.dim
+    if env.omega(source) < 1:
+        raise FrogsimError(f"source {source} has no frogs to activate")
+    src_norm = l1(source)
+    if strict and env.box_radius < horizon + src_norm:
+        raise GeometryError("finite-box values would not match the infinite lattice")
+    reach_cube = CubeIndex(src_norm + horizon, d)
+    reach = linf(source)
+    index = CubeIndex(min(reach + passage._START_RADIUS, reach_cube.radius), d)
+    visit = np.full(index.size, -1, dtype=np.int64)
+    parent = np.full(index.size, -1, dtype=np.int64)
+    trace = []
+    steps = step_vectors(d)
+    walk_key = env.seed.purpose_key(PURPOSE_WALK)
+
+    def table(stopped_at):
+        out = ActivationTable(d, tuple(source), horizon, index, visit, parent)
+        out.awake_trace, out.stopped_at = trace, stopped_at
+        return out
+
+    src_flat = index.flat_one(source)
+    visit[src_flat] = 0
+    parent[src_flat] = src_flat
+    count0 = env.omega(source)
+    pos = np.repeat(np.asarray([source], dtype=np.int64), count0, axis=0)
+    ell = np.arange(1, count0 + 1, dtype=np.int64)
+    keys = walk_keys_np(walk_key, pos, ell)
+    birth = np.zeros(count0, dtype=np.int64)
+    origin_flat = np.full(count0, src_flat, dtype=np.int64)
+
+    targets = None
+    if stop_targets is not None:
+        reachable = [t for t in stop_targets if reach_cube.contains(t)]
+        if not reachable:
+            return table(0)
+        targets = np.asarray(reachable, dtype=np.int64)
+        target_reach = int(np.abs(targets).max())
+        if target_reach <= index.radius and np.all(visit[index.flat(targets)] >= 0):
+            return table(0)
+
+    for t in range(1, horizon + 1):
+        if record_trace:
+            trace.append(pos.shape[0])
+        codes = step_codes_np(keys, (t - birth).astype(np.uint64), d)
+        pos += steps[codes]
+        reach += 1
+        if reach > index.radius:
+            reach = int(np.abs(pos).max())
+            if reach > index.radius:
+                old, index = index, CubeIndex(min(max(2 * index.radius, reach), reach_cube.radius), d)
+                seen = np.nonzero(visit >= 0)[0]
+                moved = index.flat(old.unflat(seen))
+                grown = np.full((2, index.size), -1, dtype=np.int64)
+                grown[0, moved] = visit[seen]
+                grown[1, moved] = index.flat(old.unflat(parent[seen]))
+                visit, parent = grown
+                origin_flat = index.flat(old.unflat(origin_flat))
+        flat = index.flat(pos)
+        new_mask = visit[flat] < 0
+        if new_mask.any():
+            nf, norg, nell = flat[new_mask], origin_flat[new_mask], ell[new_mask]
+            order = np.lexsort((nell, norg, nf))
+            nf, norg = nf[order], norg[order]
+            lead = np.ones(nf.shape[0], dtype=bool)
+            lead[1:] = nf[1:] != nf[:-1]
+            sites = nf[lead]
+            visit[sites] = t
+            parent[sites] = norg[lead]
+            site_coords = index.unflat(sites)
+            counts = env.counts_at(site_coords)
+            wake = counts > 0
+            if wake.any():
+                wake_counts = counts[wake].astype(np.int64)
+                rep_coords = np.repeat(site_coords[wake], wake_counts, axis=0)
+                starts = np.concatenate([[0], np.cumsum(wake_counts)[:-1]])
+                new_ell = np.arange(int(wake_counts.sum())) - np.repeat(starts, wake_counts) + 1
+                pos = np.concatenate([pos, rep_coords])
+                keys = np.concatenate([keys, walk_keys_np(walk_key, rep_coords, new_ell)])
+                ell = np.concatenate([ell, new_ell])
+                birth = np.concatenate([birth, np.full(new_ell.shape[0], t, dtype=np.int64)])
+                origin_flat = np.concatenate([origin_flat, np.repeat(sites[wake], wake_counts)])
+        if targets is not None and target_reach <= index.radius and np.all(visit[index.flat(targets)] >= 0):
+            return table(t)
+    return table(None)
+
+
+@st.composite
+def batch_cases(draw):
+    """1-5 replicas of one law and dimension: plain, conditioned and stored environments
+    (a few drawn twice), each with a source, stop targets or none, and one horizon."""
+    dim = draw(st.integers(1, 2))
+    law = draw(st.sampled_from(LAWS))
+    horizon = draw(st.integers(0, 14))
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        env = sample_environment(law, dim, draw(st.integers(0, 6)), SeedSpec(draw(st.integers(0, 2**32)), "batch"))
+        kind = draw(st.sampled_from(["plain", "conditioned", "stored"]))
+        if kind != "plain":
+            env = condition_origin(env)
+        if kind == "stored":
+            env = Environment.from_json(env.to_json())
+        pool.append(env)
+    envs, sources, stops = [], [], []
+    for env in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5)):
+        occupied = [tuple(x) for x in env.occupied_coords().tolist()]
+        if not occupied:
+            env = condition_origin(env)
+            occupied = [(0,) * dim]
+        source = draw(st.sampled_from(occupied))
+        # targets around and beyond the reachable cube, the source itself among them at times
+        span = l1(source) + horizon + 2
+        point = st.tuples(*[st.integers(-span, span)] * dim) | st.just(source)
+        envs.append(env)
+        sources.append(source)
+        stops.append(draw(st.none() | st.lists(point, max_size=3)))
+    if draw(st.booleans()):
+        stops = None
+    return envs, sources, horizon, stops
+
+
+@settings(max_examples=80, deadline=None)
+@given(batch_cases(), st.sampled_from([passage._START_RADIUS, 0]))
+def test_batch_matches_single_replica_oracle(case, start):
+    envs, sources, horizon, stops = case
+    with start_radius(start):
+        tables = simulate_batch(envs, sources, horizon, stops, False, True)
+    assert len(tables) == len(envs)
+    for r, (env, source, table) in enumerate(zip(envs, sources, tables)):
+        want = single_replica_engine(env, source, horizon, None if stops is None else stops[r],
+                                     strict=False, record_trace=True)
+        assert table.to_json() == want.to_json()  # every visit, parent and stopped_at
+        assert table.awake_trace == want.awake_trace
+        assert table.stopped_at == want.stopped_at
+
+
+def test_batch_needs_one_law():
+    a = make_env(ConfigLaw.bernoulli(0.7), radius=8)
+    b = make_env(ConfigLaw.poisson(1.0), radius=8)
+    with pytest.raises(FrogsimError):
+        simulate_batch([a, b], [(0, 0), (0, 0)], 5, None, False, False)

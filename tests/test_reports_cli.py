@@ -441,14 +441,20 @@ def test_replay_defaults_are_cli_defaults(argv, tmp_path):
         # rows took the plan to 192 MB, where the search on tuple keys peaked at 75 MB
         (["truncation", "--law", "poisson:1.0", "--dim", "3", "--x", "6,0,0", "--t", "4,8,16",
           "--replicas", "1", "--mu-hat", "2.0", "--seed", "3"], 128),
+        # replicas run through the engine a fixed number at a time: this plan peaked at 35 MB
+        # in batches of 16 (33 MB one replica at a time) and at 45 MB as one batch of 64
+        (["mu", "--law", "poisson:1.0", "--k", "4,8,16,32", "--replicas", "64", "--seed", "7"], 40),
     ],
-    ids=["mu", "truncation"],
+    ids=["mu", "truncation", "mu-wide"],
 )
 def test_cli_mu_dim3_runs_in_bounded_memory(argv, max_rss_mb, tmp_path):
     limit = 1536 * 2**20
+    # VmHWM is the peak RSS of the child's own image; ru_maxrss would also count the
+    # RSS of this test process, from which the child was forked before its exec
     script = (
-        "import resource, sys; from frogsim.cli import main; code = main(sys.argv[1:]); "
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)"
+        "import sys; from frogsim.cli import main; code = main(sys.argv[1:]); "
+        "print(next(ln.split()[1] for ln in open('/proc/self/status') if ln.startswith('VmHWM:'))); "
+        "sys.exit(code)"
     )
     src = str(Path(frogsim.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -462,5 +468,5 @@ def test_cli_mu_dim3_runs_in_bounded_memory(argv, max_rss_mb, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "report.json").is_file()
-    max_rss_kb = int(proc.stdout.split()[-1])  # ru_maxrss is in KiB on Linux
+    max_rss_kb = int(proc.stdout.split()[-1])  # VmHWM is in kB
     assert max_rss_kb < max_rss_mb * 1024

@@ -4,6 +4,7 @@ from scipy import stats as sps
 
 from frogsim.lattice import step_vectors
 from frogsim.walks import (
+    PURPOSE_WALK,
     SeedSpec,
     draw,
     draw_np,
@@ -98,9 +99,14 @@ def test_walk_keys_np_matches_scalar():
     seed = SeedSpec(31, "batch")
     coords = np.array([[0, 0], [5, -2], [-7, 7]], dtype=np.int64)
     ells = np.array([1, 2, 3], dtype=np.int64)
-    batch = walk_keys_np(seed, coords, ells)
+    batch = walk_keys_np(seed.purpose_key(PURPOSE_WALK), coords, ells)
     for row, ell, expect in zip(coords.tolist(), ells.tolist(), batch.tolist()):
         assert walk_key(seed, tuple(row), ell) == expect
+    # one purpose key per row, as the batched engine passes them
+    seeds = [SeedSpec(31, "batch"), SeedSpec(32, "batch"), SeedSpec(31, "other")]
+    per_row = walk_keys_np(np.asarray([s.purpose_key(PURPOSE_WALK) for s in seeds], dtype=np.uint64), coords, ells)
+    for s, row, ell, expect in zip(seeds, coords.tolist(), ells.tolist(), per_row.tolist()):
+        assert walk_key(s, tuple(row), ell) == expect
 
 
 def test_direction_frequencies():
