@@ -35,7 +35,7 @@ import numpy as np
 from .environment import Environment, EnvironmentGroup, star
 from .errors import FrogsimError, GeometryError, SearchCapError
 from .lattice import Coords, CubeIndex, l1, linf, step_vectors, sub
-from .walks import PURPOSE_WALK, step_codes_np, walk_keys_np
+from .walks import PURPOSE_WALK, step_codes_np, walk_key, walk_keys_np
 
 
 @dataclass(frozen=True)
@@ -454,6 +454,62 @@ def _hits_cache(env: Environment) -> dict:
         cache = {}
         setattr(env, "_first_hits_cache", cache)
     return cache
+
+
+_PASS_STEPS = 1 << 12  # walk steps per numpy pass of ball_first_hits: bounds its temporaries
+
+
+def ball_first_hits(env: Environment, todo: Sequence[tuple[Coords, int, int]]) -> list[tuple[np.ndarray, ...]]:
+    """First hits of the frogs of many occupied sites, each on its own l-infinity ball.
+
+    For each (u, t, horizon) of ``todo``, returns (offsets, norms, times):
+    every offset within the ball of radius t that one of u's walks visits
+    within ``horizon`` steps, k = 0 included, in lex order, with its
+    l-infinity norm and its first time.  The walks of all the frogs run as
+    one ragged array, in passes of about ``_PASS_STEPS`` steps, and one sort
+    of (site, offset, time) keys gives each first hit, with no dense ball
+    per site.
+    """
+    out, start, steps = [], 0, 0
+    for i, (u, _, horizon) in enumerate(todo):
+        steps += horizon * env.omega(u)
+        if steps >= _PASS_STEPS or i == len(todo) - 1:
+            out += _ball_pass(env, todo[start : i + 1])
+            start, steps = i + 1, 0
+    return out
+
+
+def _ball_pass(env: Environment, todo: Sequence[tuple[Coords, int, int]]) -> list[tuple[np.ndarray, ...]]:
+    d, n = env.dim, len(todo)
+    sites, ts, hs = zip(*todo)
+    ts, hs, counts = np.array(ts), np.array(hs), np.array([env.omega(u) for u in sites])
+    keys = [walk_key(env.seed, u, ell) for u, c in zip(sites, counts.tolist()) for ell in range(1, c + 1)]
+    keys = np.array(keys, dtype=np.uint64)
+    # walk w is a frog of site frog[w]; its steps 1..h are one run of the ragged arrays
+    frog = np.repeat(np.arange(n), counts)
+    h = hs[frog]
+    start = np.cumsum(h) - h
+    walk = np.repeat(np.arange(h.shape[0]), h)
+    step = np.arange(1, walk.shape[0] + 1) - start[walk]
+    moves = step_vectors(d)[step_codes_np(keys[walk], step, d)]
+    pos = np.cumsum(moves, axis=0)
+    pos -= (pos[start] - moves[start])[walk]  # restart the sum at each walk
+    site = frog[walk]
+    inside = np.abs(pos).max(axis=1) <= ts[site]
+    # (site, offset, time) as one key, offsets laid out in the ball of the largest t;
+    # the k = 0 self-hit at each centre has time 0
+    ball, H = offset_index(int(ts.max()), d), int(hs.max()) + 1
+    cell = site[inside] * ball.size + ball.flat(pos[inside])
+    cell = np.concatenate([cell, np.arange(n) * ball.size + ball.size // 2])
+    combo = np.sort(cell * H + np.concatenate([step[inside], np.zeros(n, dtype=np.int64)]))
+    cell = combo // H
+    first = np.ones(cell.shape[0], dtype=bool)
+    first[1:] = cell[1:] != cell[:-1]
+    cell, times = cell[first], combo[first] % H
+    offs = ball.unflat(cell % ball.size)
+    norms = np.abs(offs).max(axis=1)
+    bounds = np.searchsorted(cell // ball.size, np.arange(n + 1)).tolist()
+    return [(offs[a:b], norms[a:b], times[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def passage_time(env: Environment, x: Coords, horizon: int, strict: bool = True) -> PassageOutcome:

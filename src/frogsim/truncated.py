@@ -17,10 +17,14 @@ Keys follow the lex order of sites, so the heap pops in the total order of
 geodesic, are deterministic.
 
 Short-edge weights come from ball rows: the first hits of a site's own
-frogs on the l-infinity ball of radius t, stored sparse and cached on the
-environment.  A row is built at the largest (t, cap) asked for and serves
-every smaller one by filtering; ``sigma_t``, ``tau`` and ``first_hits``
-stay the independent reference path.
+frogs on the l-infinity ball of radius t up to a horizon, stored sparse and
+cached on the environment.  An edge heavier than ub - d_u fails the prune,
+so a settled u needs its row only to min(cap, ub - d_u), and below the cap
+only those hits are relaxed.  A row is cached at the largest (t, horizon)
+asked for and serves every smaller pair by filtering.  The live heap
+entries tied with a popped site at its f are settled before the goal, so
+their rows are built in the same ``ball_first_hits`` pass.  ``sigma_t``,
+``tau`` and ``first_hits`` stay the independent reference path.
 """
 
 from __future__ import annotations
@@ -36,10 +40,10 @@ import numpy as np
 
 from .environment import Environment, sample_environment, star
 from .errors import GeometryError
-from .lattice import Coords, CubeIndex, cube_coords, l1, linf, step_vectors, sub
-from .passage import HittingTime, offset_index, simulate_batch, tau
+from .lattice import Coords, CubeIndex, cube_coords, l1, linf, sub
+from .passage import HittingTime, _row_time, ball_first_hits, offset_index, simulate_batch, tau
 from .stats import wilson_ci
-from .walks import SeedSpec, step_codes_np, walk_key
+from .walks import SeedSpec
 
 
 @dataclass(frozen=True)
@@ -104,37 +108,46 @@ def _linf_shell(lo: int, hi: int, d: int) -> tuple[tuple[np.ndarray, ...], np.nd
     return cols, norms
 
 
-def _ball_row(env: Environment, u: Coords, p: TruncationParams) -> tuple:
+def _row_cache(env: Environment) -> dict:
+    """The ball rows cached on ``env``: site -> (t, horizon, offsets, norms, times), see ``_ball_row``."""
+    return env.__dict__.setdefault("_ball_rows", {})
+
+
+def _covers(entry: tuple | None, t: int, horizon: int) -> bool:
+    return entry is not None and entry[0] >= t and entry[1] >= horizon
+
+
+def _build_rows(env: Environment, needs: dict[Coords, tuple[int, int]]) -> None:
+    """Cache the ball rows of the occupied sites of ``needs`` that the cache does not cover.
+
+    ``needs`` maps a site to the (t, horizon) it asks for.  A row is built at
+    that pair grown to the cached one, so it still serves every pair it
+    served; all of them come from one ``ball_first_hits`` call.
+    """
+    rows = _row_cache(env)
+    todo = []
+    for u, (t, horizon) in needs.items():
+        old = rows.get(u)
+        if horizon >= 1 and not _covers(old, t, horizon) and env.omega(u) >= 1:
+            todo.append((u, t, horizon) if old is None else (u, max(t, old[0]), max(horizon, old[1])))
+    for (u, t, horizon), row in zip(todo, ball_first_hits(env, todo)):
+        rows[u] = (t, horizon, *row)
+
+
+def _ball_row(env: Environment, u: Coords, t: int, horizon: int) -> tuple:
     """Sparse first hits of the frogs of an occupied u on its l-infinity ball.
 
-    Returns (t, cap, offsets, norms, times): every offset within the ball of
-    radius t that one of u's walks visits within ``cap`` steps, k = 0
-    included, with its l-infinity norm and its first time.  The row is
-    cached on the environment at the largest (t, cap) asked for: a first hit
-    inside a larger ball and horizon is the first hit inside any smaller
-    pair that holds it.
+    Returns (t', h', offsets, norms, times) with t' >= t and h' >= horizon:
+    every offset within the ball of radius t' that one of u's walks visits
+    within h' steps, k = 0 included, in lex order, with its l-infinity norm
+    and its first time.  A first hit inside a larger ball and horizon is the
+    first hit inside any smaller pair that holds it, so one cached row
+    serves every pair it covers.
     """
-    rows = env.__dict__.setdefault("_ball_rows", {})
-    entry = rows.get(u)
-    if entry is None or entry[0] < p.t or entry[1] < p.cap:
-        t, cap = (p.t, p.cap) if entry is None else (max(p.t, entry[0]), max(p.cap, entry[1]))
-        d, count = env.dim, env.omega(u)
-        keys = np.array([walk_key(env.seed, u, ell) for ell in range(1, count + 1)], dtype=np.uint64)
-        codes = step_codes_np(keys[:, None], np.arange(1, cap + 1, dtype=np.uint64), d)  # (count, cap)
-        ball = offset_index(t, d)
-        flat = np.zeros(count * cap, dtype=np.int64)
-        inside = np.ones(count * cap, dtype=bool)
-        for j in range(d):  # coordinate j of every walk after steps 1..cap, one column at a time
-            pos = np.cumsum(step_vectors(d)[codes, j], axis=1).ravel()
-            inside &= np.abs(pos) <= t
-            flat = flat * ball.side + (pos + t)
-        first = np.full(ball.size, cap + 1, dtype=np.int64)
-        first[ball.size // 2] = 0  # the k = 0 self-hit at the centre
-        np.minimum.at(first, flat[inside], np.tile(np.arange(1, cap + 1), count)[inside])
-        hit = np.nonzero(first <= cap)[0]
-        offs = ball.unflat(hit)
-        entry = (t, cap, offs, np.abs(offs).max(axis=1), first[hit])
-        rows[u] = entry
+    entry = _row_cache(env).get(u)
+    if not _covers(entry, t, horizon):
+        _build_rows(env, {u: (t, horizon)})
+        entry = _row_cache(env)[u]
     return entry
 
 
@@ -142,11 +155,9 @@ def _ball_weights(env: Environment, u: Coords, p: TruncationParams) -> np.ndarra
     """sigma_t(u, u + off) for every offset of ``_linf_shell(0, t, d)``."""
     weights = np.full((2 * p.t + 1) ** env.dim, p.cap, dtype=np.int64)
     if env.omega(u) >= 1:
-        t, cap, offs, norms, times = _ball_row(env, u, p)
-        if (t, cap) != (p.t, p.cap):
-            ok = (times <= p.cap) & (norms <= p.t)
-            offs, times = offs[ok], times[ok]
-        weights[offset_index(p.t, env.dim).flat(offs)] = times
+        _, _, offs, norms, times = _ball_row(env, u, p.t, p.cap)
+        ok = (times <= p.cap) & (norms <= p.t)
+        weights[offset_index(p.t, env.dim).flat(offs[ok])] = times[ok]
     return weights
 
 
@@ -155,7 +166,12 @@ def _weight(env: Environment, a: Coords, b: Coords, p: TruncationParams) -> int:
     gap = sub(b, a)
     if linf(gap) > p.t:
         return 4 * p.K * linf(gap)
-    return int(_ball_weights(env, a, p)[offset_index(p.t, env.dim).flat_one(gap)])
+    if env.omega(a) == 0:
+        return p.cap
+    t, _, offs, _, times = _ball_row(env, a, p.t, p.cap)
+    index = offset_index(t, env.dim)
+    hit = _row_time(index, index.flat(offs), times, gap)  # the row is in lex order, so its keys ascend
+    return p.cap if hit is None or hit > p.cap else hit
 
 
 def _staircase(x: Coords, y: Coords, t: int) -> list[Coords]:
@@ -189,6 +205,7 @@ def truncated_passage(env: Environment, x: Coords, y: Coords, p: TruncationParam
     ball, _ = _linf_shell(0, p.t, d)
 
     stair = _staircase(x, y, p.t)
+    _build_rows(env, dict.fromkeys(stair[:-1], (p.t, p.cap)))  # the bound's short edges, in one pass
     direct = _weight(env, x, y, p)
     ub = min(sum(_weight(env, a, b, p) for a, b in zip(stair[:-1], stair[1:])), direct)
 
@@ -197,6 +214,20 @@ def truncated_passage(env: Environment, x: Coords, y: Coords, p: TruncationParam
     settled: set[int] = set()
     heap = [(l1(sub(y, x)), 0, kx), (direct, direct, ky)]
     relaxations = 0
+
+    def tied_needs(f: int) -> dict[Coords, tuple[int, int]]:
+        # the live entries at the popped f: the heap's root subtree of f.  Their d is
+        # final (the heuristic is consistent) and each is settled before the goal,
+        # under a bound no larger than ub, so this prefetches rows the search will read
+        needs, stack = {}, [0]
+        while stack:
+            i = stack.pop()
+            if i < len(heap) and heap[i][0] == f:
+                _, d_v, kv = heap[i]
+                if kv != ky and kv not in settled and d_v == dist[kv]:
+                    needs[index.unflat_one(kv)] = (p.t, min(p.cap, ub - d_v))
+                stack += (2 * i + 1, 2 * i + 2)
+        return needs
 
     def relax(ku: int, u: Coords, cols: tuple[np.ndarray, ...], nd: np.ndarray, long: bool) -> None:
         # edges u -> u + off at tentative distances nd: push those under the bound that improve
@@ -217,16 +248,27 @@ def truncated_passage(env: Environment, x: Coords, y: Coords, p: TruncationParam
             heappush(heap, item)
         ub = min(ub, dist[ky])
 
+    rows = _row_cache(env)
     while heap:
-        _, d_u, ku = heappop(heap)
+        f_u, d_u, ku = heappop(heap)
         if ku in settled or d_u > dist[ku]:
             continue
         settled.add(ku)
         if ku == ky:
             break
         u = index.unflat_one(ku)
-        # short edges; the zero offset never improves the settled u
-        relax(ku, u, ball, d_u + _ball_weights(env, u, p), False)
+        # short edges; one of weight above ub - d_u fails the prune, so u's row is
+        # needed only that far, and the zero offset never improves the settled u
+        horizon = min(p.cap, ub - d_u)
+        if horizon >= 1 and not _covers(rows.get(u), p.t, horizon) and env.omega(u) >= 1:
+            _build_rows(env, {u: (p.t, horizon), **tied_needs(f_u)})
+        if horizon == p.cap:
+            relax(ku, u, ball, d_u + _ball_weights(env, u, p), False)
+        elif horizon >= 1 and u in rows:  # u is occupied, and its row now covers the horizon
+            # capped edges all fail the prune: relax only the hits within the horizon
+            _, _, offs, norms, times = rows[u]
+            ok = np.nonzero((times <= horizon) & (norms <= p.t))[0]
+            relax(ku, u, tuple(offs[ok].T), d_u + times[ok], False)
         relaxations += ball[0].shape[0]
         # the direct long edge to the goal keeps the bound tight
         gap_goal = linf(sub(y, u))
@@ -378,7 +420,7 @@ def agreement_experiment(
     for r, ((origin_star, x_star), value) in enumerate(zip(stars, t_star)):
         # the searches cache ball rows on the environment: release each once searched
         env, envs[r] = envs[r], None
-        # descending t reuses the per-site hitting-time cache for smaller caps
+        # descending t lets the ball rows cached for a larger t serve the smaller ones
         for t in sorted(t_ladder, reverse=True):
             if not value.is_finite:
                 censored[t] += 1

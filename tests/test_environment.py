@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as sps
 
 from conftest import LAWS, env_from_counts
 from frogsim.environment import ConfigLaw, Environment, condition_origin, sample_environment, star
 from frogsim.errors import GeometryError, LawParameterError, SearchCapError
 from frogsim.lattice import ball_coords, shell_coords
 from frogsim.walks import (
+    MASK64,
     PURPOSE_CONDITION,
     PURPOSE_OMEGA,
     SeedSpec,
+    absorb,
     site_key,
     site_keys_np,
     uniform01,
@@ -192,3 +195,17 @@ def test_lazy_counts_match_keyed_reference(dim, radius, law, master, conditioned
     grown = env.with_radius(radius + 3)
     assert np.array_equal(grown.counts_at(coords), ref)
     assert grown.counts_at(beyond).tolist() == [grown.omega(tuple(x)) for x in beyond.tolist()]
+
+
+def test_counts_follow_documented_formula():
+    # docs/key-derivation.md: u = (site_key >> 11) * 2^-53 with site_key = absorb*(purpose_key(2), d, x_1, ..., x_d),
+    # and the count is #{k >= 0 : F(k) <= u}; F here is scipy's, not the law's own table
+    seed = SeedSpec(7, "dev")
+    env = sample_environment(ConfigLaw.poisson(1.0), 2, 8, seed)
+    cdf = sps.poisson.cdf(np.arange(40), 1.0)
+    for x in [tuple(row) for row in ball_coords(8, 2).tolist()]:
+        key = absorb(seed.purpose_key(PURPOSE_OMEGA), len(x))
+        for c in x:
+            key = absorb(key, c & MASK64)
+        assert env.omega(x) == int((cdf <= (key >> 11) * 2.0**-53).sum()), x
+    assert env.omega((3, 4)) == 1  # the documented example

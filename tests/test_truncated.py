@@ -14,10 +14,12 @@ from frogsim.truncated import (
     Tiling,
     TruncatedResult,
     TruncationParams,
+    _ball_row,
     _ball_weights,
     _linf_shell,
     _relay_radius,
     _staircase,
+    _weight,
     agreement_experiment,
     box_count_bound,
     geodesic_box_count,
@@ -80,30 +82,62 @@ def test_sigma_sandwich_tiny_environments(dim, radius, law, seed, t, c4_hat, dat
 
 
 def _check_ball_row(env, u, p):
-    # every weight of u's ball row is the one-site hitting-time lookup, capped
+    # every weight of u's ball row is the one-site hitting-time lookup, capped,
+    # and so is the single weight that the staircase bound reads
     weights = _ball_weights(env, u, p)
     cols, _ = _linf_shell(0, p.t, env.dim)
     assert weights.shape[0] == (2 * p.t + 1) ** env.dim
     for off, w in zip(zip(*(c.tolist() for c in cols)), weights.tolist()):
         hit = tau(env, u, add(u, off), p.cap)
         assert w == (hit.time if hit.is_finite else p.cap)
+        if any(off):
+            assert _weight(env, u, add(u, off), p) == w
 
 
 BALL_ROW_STARTS = [(0, 0), (1, 0), (0, 1), (-1, -1), (2, 3), (-3, 1)]
 
 
-@pytest.mark.parametrize("order", [[3], [6, 3], [2, 5]], ids=["direct", "from-larger-t", "smaller-t-first"])
+@pytest.mark.parametrize(
+    "order",
+    [[(3, None)], [(6, None), (3, None)], [(2, None), (5, None)], [(3, 4), (3, None)]],
+    ids=["direct", "from-larger-t", "smaller-t-first", "horizon-growth"],
+)
 def test_ball_row_matches_tau(order):
-    # a row is built at the largest (t, cap) asked for and filtered for smaller ones;
-    # a larger t after a smaller one must rebuild it
+    # a row is built at the largest (t, horizon) asked for and filtered for smaller ones;
+    # a larger t, or a longer horizon, after a smaller one must rebuild it.  A horizon of
+    # None asks for the full cap; a short one is what a search under a tight bound builds
     env = condition_origin(poisson_env(seed=5, radius=40))
-    assert {env.omega(u) >= 1 for u in BALL_ROW_STARTS} == {True, False}
-    for t in order:
-        p = TruncationParams.make(t, 2, c4_hat=1.0)
-        for u in BALL_ROW_STARTS:
-            _check_ball_row(env, u, p)
     occupied = [u for u in BALL_ROW_STARTS if env.omega(u) >= 1]
-    assert {env._ball_rows[u][0] for u in occupied} == {max(order)}
+    assert 0 < len(occupied) < len(BALL_ROW_STARTS)
+    for t, horizon in order:
+        p = TruncationParams.make(t, 2, c4_hat=1.0)
+        if horizon is None:
+            for u in BALL_ROW_STARTS:
+                _check_ball_row(env, u, p)
+        else:
+            for u in occupied:
+                _ball_row(env, u, t, horizon)
+            assert {env._ball_rows[u][:2] for u in occupied} == {(t, horizon)}
+    top = TruncationParams.make(max(t for t, _ in order), 2, c4_hat=1.0)
+    assert {env._ball_rows[u][:2] for u in occupied} == {(top.t, top.cap)}
+
+
+@pytest.mark.parametrize("law", [ConfigLaw.poisson(1.0), ConfigLaw.bernoulli(0.5)], ids=["poisson", "bernoulli"])
+def test_row_cache_across_t_ladder(law):
+    # the agreement order, then the largest t again, on one shared environment: rows that a
+    # search at a large t built to a short horizon must grow when a smaller t needs them longer
+    ladder = [TruncationParams.make(t, 2, c4_hat=1.0) for t in (16, 8, 4, 2, 1, 16)]
+
+    def realization(r):
+        env = condition_origin(sample_environment(law, 2, 30, SeedSpec(r, "ladder")))
+        x, y = star(env, (0, 0)), star(env, (5, 0))
+        return env.with_radius(max(_relay_radius(x, y, p) for p in ladder)), x, y
+
+    for r in range(15):
+        shared, x, y = realization(r)
+        for p in ladder:
+            fresh = realization(r)[0]
+            assert truncated_passage(shared, x, y, p) == dict_truncated_passage(fresh, x, y, p), (r, p.t)
 
 
 def test_truncated_identity():
