@@ -21,6 +21,13 @@ only step loop: ``simulate_frogs`` is a batch of one.  Every draw is a pure
 function of (seed, site, frog, step), so a replica's visits, genealogy and
 stopping step do not depend on the batch it runs in, and the numpy cost of
 a step is paid once per batch rather than once per replica.
+
+Hitting times come from one routine and one cache.  A ball row holds the
+first hits of a site's own frogs within an l-infinity ball and a horizon;
+``ball_first_hits`` builds many rows in one pass, and the rows are cached
+on the environment at the largest (t, horizon) asked for.  ``first_hits``
+and ``tau`` read a row at t = horizon, the relay oracle reads the same rows,
+and the truncated search reads them at its scale t.
 """
 
 from __future__ import annotations
@@ -366,20 +373,12 @@ def simulate_batch(
 def tau(env: Environment, u: Coords, v: Coords, horizon: int) -> HittingTime:
     """First time any frog initially at u stands on v; censored if none.
 
-    Covers the unoccupied-start convention: no frogs at u means no hit.
+    Covers the unoccupied-start convention: no frogs at u means no hit; a
+    start outside the box raises GeometryError.
     """
-    if not env.in_box(u):
-        raise GeometryError(f"start site {u} outside box of radius {env.box_radius}")
-    count = env.omega(u)
-    if count < 1:
-        return HittingTime.censored(horizon)
-    if v == u:
-        return HittingTime.finite(0, horizon)
     sites, times = first_hits(env, u, horizon)
     hit = _row_time(offset_index(horizon, env.dim), sites, times, sub(v, u))
-    if hit is None:
-        return HittingTime.censored(horizon)
-    return HittingTime.finite(hit, horizon)
+    return HittingTime.censored(horizon) if hit is None else HittingTime.finite(hit, horizon)
 
 
 @lru_cache(maxsize=64)
@@ -404,56 +403,67 @@ def first_hits(env: Environment, u: Coords, horizon: int) -> tuple[np.ndarray, n
 
     Returns sorted offset keys (laid out by ``offset_index(horizon, dim)``)
     and the matching times; min over the site's omega(u) walks, k = 0
-    included.  Cached per (site, horizon prefix) on the environment.
+    included.  A read of u's ball row at t = horizon, so it shares the rows
+    that the truncated search builds; the cache lives and dies with ``env``.
     """
-    count = env.omega(u)
     index = offset_index(horizon, env.dim)
-    cache = _hits_cache(env)
-    entry = cache.get(u)
-    if entry is not None and entry[0] >= horizon:
-        h0, sites, times, offs = entry
-        if h0 == horizon:
-            return sites, times
-        # a first hit within h0 steps is a first hit within any horizon >= it
-        keep = times <= horizon
-        keys = index.flat(offs[keep])
-        order = np.argsort(keys)
-        return keys[order], times[keep][order]
-    if count < 1:
+    if env.omega(u) < 1:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    ells = np.arange(1, count + 1, dtype=np.int64)
-    keys = walk_keys_np(env.seed.purpose_key(PURPOSE_WALK), np.repeat([list(u)], count, axis=0), ells)
-    counters = np.arange(1, horizon + 1, dtype=np.uint64)
-    codes = step_codes_np(
-        np.repeat(keys, horizon), np.tile(counters, count), env.dim
-    ).reshape(count, horizon)
-    steps = step_vectors(env.dim)
-    offsets = np.cumsum(steps[codes], axis=1).reshape(count * horizon, env.dim)
-    times = np.tile(np.arange(1, horizon + 1, dtype=np.int64), count)
-    # prepend the k = 0 self-hit
-    offsets = np.concatenate([np.zeros((1, env.dim), dtype=np.int64), offsets])
-    times = np.concatenate([[0], times])
-    flat = index.flat(offsets)
-    order = np.lexsort((times, flat))
-    flat = flat[order]
-    times = times[order]
-    offsets = offsets[order]
-    lead = np.ones(flat.shape[0], dtype=bool)
-    lead[1:] = flat[1:] != flat[:-1]
-    sites, hit_times, offs = flat[lead], times[lead], offsets[lead]
-    cache[u] = (horizon, sites, hit_times, offs)
-    if len(cache) > 200_000:
-        cache.clear()
-    return sites, hit_times
+    if horizon < 1:  # no row holds fewer than one step: only the k = 0 self-hit
+        return np.array([index.size // 2]), np.zeros(1, dtype=np.int64)
+    _, _, offs, _, times = _ball_row(env, u, horizon, horizon)
+    keep = times <= horizon
+    # a hit within the horizon lies in its cube, and the row is in lex order: the keys ascend
+    return index.flat(offs[keep]), times[keep]
 
 
-def _hits_cache(env: Environment) -> dict:
-    cache = getattr(env, "_first_hits_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(env, "_first_hits_cache", cache)
-    return cache
+# ---------------------------------------------------------------------------
+# Ball rows: the first hits of a site's frogs, cached on the environment
+# ---------------------------------------------------------------------------
+
+
+def _row_cache(env: Environment) -> dict:
+    """The ball rows cached on ``env``: site -> (t, horizon, offsets, norms, times), see ``_ball_row``."""
+    return env.__dict__.setdefault("_ball_rows", {})
+
+
+def _covers(entry: tuple | None, t: int, horizon: int) -> bool:
+    return entry is not None and entry[0] >= t and entry[1] >= horizon
+
+
+def _build_rows(env: Environment, needs: dict[Coords, tuple[int, int]]) -> None:
+    """Cache the ball rows of the occupied sites of ``needs`` that the cache does not cover.
+
+    ``needs`` maps a site to the (t, horizon) it asks for.  A row is built at
+    that pair grown to the cached one, so it still serves every pair it
+    served; all of them come from one ``ball_first_hits`` call.
+    """
+    rows = _row_cache(env)
+    todo = []
+    for u, (t, horizon) in needs.items():
+        old = rows.get(u)
+        if horizon >= 1 and not _covers(old, t, horizon) and env.omega(u) >= 1:
+            todo.append((u, t, horizon) if old is None else (u, max(t, old[0]), max(horizon, old[1])))
+    for (u, t, horizon), row in zip(todo, ball_first_hits(env, todo)):
+        rows[u] = (t, horizon, *row)
+
+
+def _ball_row(env: Environment, u: Coords, t: int, horizon: int) -> tuple:
+    """Sparse first hits of the frogs of an occupied u on its l-infinity ball.
+
+    Returns (t', h', offsets, norms, times) with t' >= t and h' >= horizon >= 1:
+    every offset within the ball of radius t' that one of u's walks visits
+    within h' steps, k = 0 included, in lex order, with its l-infinity norm
+    and its first time.  A first hit inside a larger ball and horizon is the
+    first hit inside any smaller pair that holds it, so one cached row
+    serves every pair it covers.
+    """
+    entry = _row_cache(env).get(u)
+    if not _covers(entry, t, horizon):
+        _build_rows(env, {u: (t, horizon)})
+        entry = _row_cache(env)[u]
+    return entry
 
 
 _PASS_STEPS = 1 << 12  # walk steps per numpy pass of ball_first_hits: bounds its temporaries
@@ -496,19 +506,27 @@ def _ball_pass(env: Environment, todo: Sequence[tuple[Coords, int, int]]) -> lis
     pos -= (pos[start] - moves[start])[walk]  # restart the sum at each walk
     site = frog[walk]
     inside = np.abs(pos).max(axis=1) <= ts[site]
-    # (site, offset, time) as one key, offsets laid out in the ball of the largest t;
-    # the k = 0 self-hit at each centre has time 0
-    ball, H = offset_index(int(ts.max()), d), int(hs.max()) + 1
-    cell = site[inside] * ball.size + ball.flat(pos[inside])
-    cell = np.concatenate([cell, np.arange(n) * ball.size + ball.size // 2])
-    combo = np.sort(cell * H + np.concatenate([step[inside], np.zeros(n, dtype=np.int64)]))
-    cell = combo // H
-    first = np.ones(cell.shape[0], dtype=bool)
-    first[1:] = cell[1:] != cell[:-1]
-    cell, times = cell[first], combo[first] % H
-    offs = ball.unflat(cell % ball.size)
+    # offsets laid out in the cube of the largest ball a walk reaches (h steps stay within
+    # l-infinity distance h); the k = 0 self-hit at each centre has time 0
+    ball, H = offset_index(int(np.minimum(ts, hs).max()), d), int(hs.max()) + 1
+    site = np.concatenate([site[inside], np.arange(n)])
+    off = np.concatenate([ball.flat(pos[inside]), np.full(n, ball.size // 2)])
+    step = np.concatenate([step[inside], np.zeros(n, dtype=np.int64)])
+    if n * ball.size * H < 2**63:  # (site, offset, time) fits one int64 key, which sorts fastest
+        combo = np.sort((site * ball.size + off) * H + step)
+        cell = combo // H
+        first = np.ones(cell.shape[0], dtype=bool)
+        first[1:] = cell[1:] != cell[:-1]
+        (site, off), times = np.divmod(cell[first], ball.size), combo[first] % H
+    else:
+        order = np.lexsort((step, off, site))
+        site, off, step = site[order], off[order], step[order]
+        first = np.ones(site.shape[0], dtype=bool)
+        first[1:] = (site[1:] != site[:-1]) | (off[1:] != off[:-1])
+        site, off, times = site[first], off[first], step[first]
+    offs = ball.unflat(off)
     norms = np.abs(offs).max(axis=1)
-    bounds = np.searchsorted(cell // ball.size, np.arange(n + 1)).tolist()
+    bounds = np.searchsorted(site, np.arange(n + 1)).tolist()
     return [(offs[a:b], norms[a:b], times[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
@@ -559,6 +577,7 @@ def oracle_relay_distances(
     index = offset_index(horizon, env.dim)
     nodes = {tuple(int(c) for c in row) for row in occ}
     nodes.add(tuple(source))
+    _build_rows(env, dict.fromkeys(nodes, (horizon, horizon)))  # every node's row, in one pass
     dist: dict[Coords, int] = {tuple(source): 0}
     parent: dict[Coords, Coords] = {}
     settled: set[Coords] = set()
@@ -616,15 +635,17 @@ def oracle_all_targets(
 ) -> dict[Coords, int]:
     """Oracle values for every box site reachable within the horizon."""
     dist, _ = oracle_relay_distances(env, source, horizon, node_cap)
+    if not dist:
+        return {}
+    # min over relays u of d_u + tau(u, v), for every first hit v of every u at once
     index = offset_index(horizon, env.dim)
-    best: dict[Coords, int] = {}
-    for u, d_u in dist.items():
-        sites, times = first_hits(env, u, horizon)
-        ok = d_u + times <= horizon
-        for key, t_hit in zip(sites[ok].tolist(), times[ok].tolist()):
-            v = index.unflat_one(key)
-            v_abs = tuple(a + b for a, b in zip(v, u))
-            cand = d_u + t_hit
-            if env.in_box(v_abs) and cand < best.get(v_abs, 1 << 62):
-                best[v_abs] = cand
-    return best
+    hits = [(u, d_u, *first_hits(env, u, horizon)) for u, d_u in dist.items()]
+    sites = np.concatenate([index.unflat(keys) + np.asarray(u) for u, _, keys, _ in hits])
+    times = np.concatenate([d_u + t_hit for _, d_u, _, t_hit in hits])
+    ok = (np.abs(sites).sum(axis=1) <= env.box_radius) & (times <= horizon)
+    sites, times = sites[ok], times[ok]
+    box = CubeIndex(int(np.abs(sites).max()), env.dim)  # the source's self-hit is among them
+    best = np.full(box.size, horizon + 1, dtype=np.int64)
+    np.minimum.at(best, box.flat(sites), times)
+    keys = np.flatnonzero(best <= horizon)
+    return dict(zip(map(tuple, box.unflat(keys).tolist()), best[keys].tolist()))

@@ -23,8 +23,10 @@ so a settled u needs its row only to min(cap, ub - d_u), and below the cap
 only those hits are relaxed.  A row is cached at the largest (t, horizon)
 asked for and serves every smaller pair by filtering.  The live heap
 entries tied with a popped site at its f are settled before the goal, so
-their rows are built in the same ``ball_first_hits`` pass.  ``sigma_t``,
-``tau`` and ``first_hits`` stay the independent reference path.
+their rows are built in the same ``ball_first_hits`` pass.  The rows and
+their cache live in ``passage``, where ``tau`` and ``first_hits`` read them
+too, so ``sigma_t`` prices an edge from the same rows as the search; the
+tests check both against a dense walker of their own.
 """
 
 from __future__ import annotations
@@ -41,7 +43,17 @@ import numpy as np
 from .environment import Environment, sample_environment, star
 from .errors import GeometryError
 from .lattice import Coords, CubeIndex, cube_coords, l1, linf, sub
-from .passage import HittingTime, _row_time, ball_first_hits, offset_index, simulate_batch, tau
+from .passage import (
+    HittingTime,
+    _ball_row,
+    _build_rows,
+    _covers,
+    _row_cache,
+    _row_time,
+    offset_index,
+    simulate_batch,
+    tau,
+)
 from .stats import wilson_ci
 from .walks import SeedSpec
 
@@ -106,49 +118,6 @@ def _linf_shell(lo: int, hi: int, d: int) -> tuple[tuple[np.ndarray, ...], np.nd
     for a in (*cols, norms):
         a.setflags(write=False)  # shared by every caller of the cache
     return cols, norms
-
-
-def _row_cache(env: Environment) -> dict:
-    """The ball rows cached on ``env``: site -> (t, horizon, offsets, norms, times), see ``_ball_row``."""
-    return env.__dict__.setdefault("_ball_rows", {})
-
-
-def _covers(entry: tuple | None, t: int, horizon: int) -> bool:
-    return entry is not None and entry[0] >= t and entry[1] >= horizon
-
-
-def _build_rows(env: Environment, needs: dict[Coords, tuple[int, int]]) -> None:
-    """Cache the ball rows of the occupied sites of ``needs`` that the cache does not cover.
-
-    ``needs`` maps a site to the (t, horizon) it asks for.  A row is built at
-    that pair grown to the cached one, so it still serves every pair it
-    served; all of them come from one ``ball_first_hits`` call.
-    """
-    rows = _row_cache(env)
-    todo = []
-    for u, (t, horizon) in needs.items():
-        old = rows.get(u)
-        if horizon >= 1 and not _covers(old, t, horizon) and env.omega(u) >= 1:
-            todo.append((u, t, horizon) if old is None else (u, max(t, old[0]), max(horizon, old[1])))
-    for (u, t, horizon), row in zip(todo, ball_first_hits(env, todo)):
-        rows[u] = (t, horizon, *row)
-
-
-def _ball_row(env: Environment, u: Coords, t: int, horizon: int) -> tuple:
-    """Sparse first hits of the frogs of an occupied u on its l-infinity ball.
-
-    Returns (t', h', offsets, norms, times) with t' >= t and h' >= horizon:
-    every offset within the ball of radius t' that one of u's walks visits
-    within h' steps, k = 0 included, in lex order, with its l-infinity norm
-    and its first time.  A first hit inside a larger ball and horizon is the
-    first hit inside any smaller pair that holds it, so one cached row
-    serves every pair it covers.
-    """
-    entry = _row_cache(env).get(u)
-    if not _covers(entry, t, horizon):
-        _build_rows(env, {u: (t, horizon)})
-        entry = _row_cache(env)[u]
-    return entry
 
 
 def _ball_weights(env: Environment, u: Coords, p: TruncationParams) -> np.ndarray:

@@ -8,8 +8,10 @@ calibration and measurement always use disjoint derived seed streams.
 import math
 import time
 
+import numpy as np
 import pytest
 
+from conftest import dense_first_hits
 from frogsim.environment import ConfigLaw, condition_origin, sample_environment
 from frogsim.estimation import (
     analytic_lower_bounds,
@@ -51,6 +53,7 @@ def oracle_sweep():
     t_bound_violations = 0
     tau_bound_violations = 0
     tau_checks = 0
+    tau_mismatches = 0
     for r in range(replicas):
         env = condition_origin(
             sample_environment(ConfigLaw.bernoulli(0.7), 2, 6, seed.child("rep", r))
@@ -68,10 +71,13 @@ def oracle_sweep():
                     mismatches += 1
                 if ev is not None and ev < l1(x):
                     t_bound_violations += 1
-        # hitting-time path bound on every first hit of a few sources
+        # hitting-time path bound on every first hit of a few sources, from the dense
+        # walker, which the cached rows of first_hits must reproduce
         for u in [(0, 0), (1, -1), (3, 2)]:
             if env.omega(u) >= 1:
-                sites, times = first_hits(env, u, horizon)
+                sites, times = dense_first_hits(env, u, horizon)
+                got = first_hits(env, u, horizon)
+                tau_mismatches += not (np.array_equal(got[0], sites) and np.array_equal(got[1], times))
                 index = offset_index(horizon, 2)
                 for key, t_hit in zip(sites.tolist(), times.tolist()):
                     tau_checks += 1
@@ -85,6 +91,7 @@ def oracle_sweep():
         "t_bound_violations": t_bound_violations,
         "tau_bound_violations": tau_bound_violations,
         "tau_checks": tau_checks,
+        "tau_mismatches": tau_mismatches,
         "elapsed": elapsed,
     }
 
@@ -157,6 +164,7 @@ def test_criterion_01_oracle_equivalence(oracle_sweep):
 def test_criterion_02_pathwise_bounds(oracle_sweep, tail_ensemble):
     assert oracle_sweep["t_bound_violations"] == 0
     assert oracle_sweep["tau_bound_violations"] == 0
+    assert oracle_sweep["tau_mismatches"] == 0
     samples = tail_ensemble["samples"]
     violations = 0
     for i, x in enumerate(samples.targets):

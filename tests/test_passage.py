@@ -5,16 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LAWS, env_from_counts
+from conftest import LAWS, dense_first_hits, dense_tau, env_from_counts
 from frogsim import passage
 from frogsim.environment import ConfigLaw, Environment, condition_origin, sample_environment, star
 from frogsim.errors import FrogsimError, GeometryError
-from frogsim.lattice import CubeIndex, ball_coords, l1, linf, step_vectors
+from frogsim.lattice import CubeIndex, add, ball_coords, l1, linf, step_vectors
 from frogsim.passage import (
     ActivationTable,
     HittingTime,
+    _ball_row,
+    _build_rows,
+    _row_cache,
+    first_hits,
     oracle_all_targets,
     oracle_passage_time,
+    offset_index,
     passage_between,
     passage_time,
     passage_time_star,
@@ -208,6 +213,92 @@ def test_unoccupied_source_raises():
         simulate_frogs(env, empty, 5)
 
 
+def same_hits(got, want):
+    return np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_first_hits_horizon_zero_is_the_self_hit():
+    # rows hold at least one step, so horizon 0 is answered without one
+    env = make_env(ConfigLaw.bernoulli(0.5), radius=8, seed=3, conditioned=False)
+    empty = next(tuple(r) for r in ball_coords(8, 2).tolist() if env.omega(tuple(r)) == 0)
+    occupied = tuple(env.occupied_coords()[0].tolist())
+    keys, times = first_hits(env, occupied, 0)
+    assert keys.tolist() == [offset_index(0, 2).flat_one((0, 0))] and times.tolist() == [0]
+    assert same_hits((keys, times), dense_first_hits(env, occupied, 0))
+    assert first_hits(env, empty, 0)[0].shape == (0,)
+    assert occupied not in _row_cache(env)
+
+
+@pytest.mark.parametrize("pass_steps", [1, 37])
+def test_rows_do_not_depend_on_pass_size(pass_steps, monkeypatch):
+    # first_hits reads rows that many-site passes build: cutting the passes must change no row
+    def rows(env):
+        sites = [tuple(x) for x in env.occupied_coords().tolist()]
+        _build_rows(env, {u: (3 if i % 2 else 12, 12) for i, u in enumerate(sites)})
+        return {u: first_hits(env, u, h) for u in sites for h in (12, 7)}, dict(_row_cache(env))
+
+    want_hits, want_rows = rows(make_env(ConfigLaw.poisson(1.7), radius=5, seed=8))
+    monkeypatch.setattr(passage, "_PASS_STEPS", pass_steps)
+    got_hits, got_rows = rows(make_env(ConfigLaw.poisson(1.7), radius=5, seed=8))
+    assert got_rows.keys() == want_rows.keys()
+    for u, row in want_rows.items():
+        assert got_rows[u][:2] == row[:2]
+        assert all(np.array_equal(a, b) for a, b in zip(got_rows[u][2:], row[2:]))
+    assert all(same_hits(got_hits[k], want_hits[k]) for k in want_hits)
+
+
+def test_first_hits_in_dim_8_matches_dense_walker():
+    # (site, offset, time) keys of a dim-8 ball of radius 100 overflow int64: the rows
+    # must come from the unpacked sort, for one site and for a many-site pass alike
+    env = sample_environment(ConfigLaw.constant(2), 8, 100, SeedSpec(0, "dim8"))
+    origin = (0,) * 8
+    assert same_hits(first_hits(env, origin, 100), dense_first_hits(env, origin, 100))
+    near = [tuple(int(i == j) - int(i == j + 8) for j in range(8)) for i in range(16)]
+    _build_rows(env, dict.fromkeys(near, (100, 100)))
+    for u in near:
+        assert same_hits(first_hits(env, u, 100), dense_first_hits(env, u, 100))
+    # a ball wider than the horizon is laid out at the horizon: at radius 150 one key would overflow
+    far = (2,) + (0,) * 7
+    _, _, offs, _, times = _ball_row(env, far, 150, 20)
+    assert same_hits((offset_index(20, 8).flat(offs), times), dense_first_hits(env, far, 20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3), st.integers(0, 4), st.sampled_from(LAWS), st.integers(0, 2**32),
+    st.lists(st.tuples(st.sampled_from(["row", "first_hits", "tau"]), st.integers(0, 30), st.integers(1, 3)),
+             min_size=1, max_size=12),
+    st.data(),
+)
+def test_row_cache_requests_in_any_order(dim, radius, law, seed, requests, data):
+    # A* rows, first_hits and tau share one cache on one environment: whatever order they
+    # come in and however the rows grow, every answer is the dense walker's, and each row
+    # ends at the largest t and the largest horizon asked of it
+    env = sample_environment(law, dim, radius, SeedSpec(seed, "rows"))
+    sites = [tuple(x) for x in ball_coords(radius, dim).tolist()]
+    asked = {}
+    for kind, horizon, t in requests:
+        u = data.draw(st.sampled_from(sites))
+        if env.omega(u) >= 1 and horizon >= 1:
+            t_max, h_max = asked.get(u, (0, 0))
+            asked[u] = (max(t_max, horizon if kind != "row" else t), max(h_max, horizon))
+        if kind == "first_hits":
+            assert same_hits(first_hits(env, u, horizon), dense_first_hits(env, u, horizon))
+        elif kind == "tau":
+            v = add(u, data.draw(st.tuples(*[st.integers(-horizon - 1, horizon + 1)] * dim)))
+            assert tau(env, u, v, horizon).time == dense_tau(env, u, v, horizon)
+        elif env.omega(u) >= 1 and horizon >= 1:
+            # the weights of a search at scale t under horizon: hits within both, the rest capped
+            t_row, h_row, offs, norms, times = _ball_row(env, u, t, horizon)
+            assert t_row >= t and h_row >= horizon
+            ok = (norms <= t) & (times <= horizon)
+            keys, want = dense_first_hits(env, u, horizon)
+            near = np.abs(offset_index(horizon, dim).unflat(keys)).max(axis=1) <= t
+            assert np.array_equal(offset_index(horizon, dim).flat(offs[ok]), keys[near])
+            assert np.array_equal(times[ok], want[near])
+    assert {u: row[:2] for u, row in _row_cache(env).items()} == asked
+
+
 @contextmanager
 def start_radius(radius):
     """Run the engine with activation tables that start at this radius beyond |source|_inf."""
@@ -262,6 +353,7 @@ def test_growing_table_matches_full_layout(case, data):
 def test_growing_engine_matches_oracle(case):
     env, source, horizon = case
     oracle = oracle_all_targets(env, source, horizon)
+    assert all(env.in_box(x) for x in oracle)
     for start in (passage._START_RADIUS, 0):  # the default table, then doubling from |source|_inf
         with start_radius(start):
             table = simulate_frogs(env, source, horizon, strict=False)

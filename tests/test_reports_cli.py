@@ -95,6 +95,19 @@ def test_cli_sample_env_and_passage(tmp_path):
     assert rep["value"] >= 3
 
 
+@pytest.mark.parametrize("x", ["0,0", "1,0"])
+def test_cli_passage_horizon_zero_matches_oracle(x, tmp_path):
+    # no walk takes a step: only the origin is reached, at time 0, by engine and oracle alike
+    out = tmp_path / "passage"
+    assert run_cli(
+        "passage", "--law", "bernoulli:0.7", "--radius", "3", "--x", x, "--horizon", "0",
+        "--seed", "9", "--check-oracle", "--out", str(out),
+    ) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["oracle_matches"] is True
+    assert rep["oracle_value"] == rep["value"] == (0 if x == "0,0" else None)
+
+
 def test_cli_replay_byte_identical(tmp_path):
     out1 = tmp_path / "run1"
     assert run_cli(

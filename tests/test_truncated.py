@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LAWS, env_from_counts
+from conftest import LAWS, dense_first_hits, dense_tau, env_from_counts
 from frogsim.environment import ConfigLaw, condition_origin, sample_environment, star
 from frogsim.errors import SearchCapError
 from frogsim.lattice import Coords, add, ball_coords, cube_coords, l1, linf, sub
-from frogsim.passage import first_hits, offset_index, tau
+from frogsim.passage import _ball_row, offset_index
 from frogsim.truncated import (
     Tiling,
     TruncatedResult,
     TruncationParams,
-    _ball_row,
     _ball_weights,
     _linf_shell,
     _relay_radius,
@@ -82,14 +81,14 @@ def test_sigma_sandwich_tiny_environments(dim, radius, law, seed, t, c4_hat, dat
 
 
 def _check_ball_row(env, u, p):
-    # every weight of u's ball row is the one-site hitting-time lookup, capped,
+    # every weight of u's ball row is the dense walker's hitting time, capped,
     # and so is the single weight that the staircase bound reads
     weights = _ball_weights(env, u, p)
     cols, _ = _linf_shell(0, p.t, env.dim)
     assert weights.shape[0] == (2 * p.t + 1) ** env.dim
     for off, w in zip(zip(*(c.tolist() for c in cols)), weights.tolist()):
-        hit = tau(env, u, add(u, off), p.cap)
-        assert w == (hit.time if hit.is_finite else p.cap)
+        hit = dense_tau(env, u, add(u, off), p.cap)
+        assert w == (p.cap if hit is None else hit)
         if any(off):
             assert _weight(env, u, add(u, off), p) == w
 
@@ -258,11 +257,11 @@ def test_agreement_experiment_monotone_rows():
 
 
 def _sigma_row(env, u, p):
-    """sigma(u, .) over the l-infinity ball of radius t around u, from first_hits."""
+    """sigma(u, .) over the l-infinity ball of radius t around u, from the dense walker."""
     offs = cube_coords(p.t, env.dim)
     weights = np.full(offs.shape[0], p.cap, dtype=np.int64)
     if env.omega(u) >= 1:
-        sites, times = first_hits(env, u, p.cap)
+        sites, times = dense_first_hits(env, u, p.cap)
         keys = offset_index(p.cap, env.dim).flat(offs)
         pos = np.searchsorted(sites, keys)
         if sites.shape[0]:
@@ -282,7 +281,7 @@ def _linf_annulus(center, lo, hi):
 
 
 def dict_truncated_passage(env, x: Coords, y: Coords, p) -> TruncatedResult:
-    """The A* on tuple keys: dicts of sites, per-candidate relaxation, first_hits weights."""
+    """The A* on tuple keys: dicts of sites, per-candidate relaxation, dense-walker weights."""
     if x == y:
         return TruncatedResult(0, (x,), 0, 0, 0)
     stair = _staircase(x, y, p.t)
