@@ -144,9 +144,9 @@ DEFAULTS = {
     for command, (_, table) in COMMANDS.items()
 }
 
-# the commands whose replicas a thread pool can share; replay takes the flag too
+# the replicated commands and replay still accept --threads
 THREADED = ("mu", "tails", "concentration")
-THREADS = {"type": int, "default": 1, "help": "threads over replicas; never changes the bytes"}
+THREADS = {"type": int, "default": 1, "help": "ignored; kept so that older command lines still run"}
 
 TAIL_SIDES = {"upper": ["upper"], "lower": ["lower"], "both": ["upper", "lower"]}
 
@@ -174,7 +174,7 @@ def _columns(row_type: type) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def run_sample_env(plan: dict, outdir: Path, threads: int) -> str:
+def run_sample_env(plan: dict, outdir: Path) -> str:
     params = _params(plan)
     env = sample_environment(_law(params), params["dim"], params["radius"], _seed(params))
     if params["condition"]:
@@ -184,7 +184,7 @@ def run_sample_env(plan: dict, outdir: Path, threads: int) -> str:
     return f"sampled {params['law']} box radius {params['radius']}: {occ} occupied sites"
 
 
-def run_passage(plan: dict, outdir: Path, threads: int) -> str:
+def run_passage(plan: dict, outdir: Path) -> str:
     params = _params(plan)
     env = sample_environment(_law(params), params["dim"], params["radius"], _seed(params))
     env = condition_origin(env)
@@ -220,10 +220,10 @@ def run_passage(plan: dict, outdir: Path, threads: int) -> str:
     return f"T(0,{x}) = {val}"
 
 
-def run_mu(plan: dict, outdir: Path, threads: int) -> str:
+def run_mu(plan: dict, outdir: Path) -> str:
     params = _params(plan)
     est = estimate_time_constant(
-        _law(params), tuple(params["direction"]), params["k"], params["replicas"], _seed(params), threads=threads
+        _law(params), tuple(params["direction"]), params["k"], params["replicas"], _seed(params)
     )
     dump_json(
         {
@@ -242,7 +242,7 @@ def run_mu(plan: dict, outdir: Path, threads: int) -> str:
     return f"mu_hat({est.direction}) = {est.mu_hat:.6g} from {est.replicas} replicas"
 
 
-def run_tails(plan: dict, outdir: Path, threads: int) -> str:
+def run_tails(plan: dict, outdir: Path) -> str:
     params = _params(plan)
     law = _law(params)
     seed = _seed(params)
@@ -252,12 +252,11 @@ def run_tails(plan: dict, outdir: Path, threads: int) -> str:
     mu_hat = params["mu_hat"]
     if mu_hat is None:
         est = estimate_time_constant(
-            law, direction, params["calibration_k"], params["calibration_replicas"], seed.child("calibration"),
-            threads=threads,
+            law, direction, params["calibration_k"], params["calibration_replicas"], seed.child("calibration")
         )
         mu_hat = est.mu_hat
     sides = TAIL_SIDES[params["side"]]
-    samples = collect_tail_samples(law, eps, ladder, params["replicas"], mu_hat, seed, threads=threads)
+    samples = collect_tail_samples(law, eps, ladder, params["replicas"], mu_hat, seed)
     curves = {side: tail_curve_from_samples(samples, eps, side, mu_hat, law.label()) for side in sides}
     report = {"plan": plan, "epsilon": eps, "mu_hat": mu_hat, "law": law.label(), "sides": {}}
     for side, curve in curves.items():
@@ -273,12 +272,12 @@ def run_tails(plan: dict, outdir: Path, threads: int) -> str:
     return f"tail slopes ({slopes}) at eps={eps}, mu_hat={mu_hat:.4g}"
 
 
-def run_concentration(plan: dict, outdir: Path, threads: int) -> str:
+def run_concentration(plan: dict, outdir: Path) -> str:
     params = _params(plan)
     ladder = [tuple(k * c for c in params["direction"]) for k in params["k"]]
     rep = concentration_experiment(
         _law(params), ladder, params["replicas"], _seed(params),
-        mu_hint=params["mu_hint"], threads=threads,
+        mu_hint=params["mu_hint"],
     )
     dump_json(
         {
@@ -295,7 +294,7 @@ def run_concentration(plan: dict, outdir: Path, threads: int) -> str:
     return f"std slope = {rep.fitted_std_slope:.4g} over {len(rep.rows)} ladder points"
 
 
-def run_truncation(plan: dict, outdir: Path, threads: int) -> str:
+def run_truncation(plan: dict, outdir: Path) -> str:
     params = _params(plan)
     law = _law(params)
     seed = _seed(params)
@@ -323,7 +322,7 @@ def run_truncation(plan: dict, outdir: Path, threads: int) -> str:
     return f"disagreement fractions {frac}"
 
 
-def run_percolation(plan: dict, outdir: Path, threads: int) -> str:
+def run_percolation(plan: dict, outdir: Path) -> str:
     params = _params(plan)
     seed = _seed(params)
     p, dim, radius, replicas = params["p"], params["dim"], params["radius"], params["replicas"]
@@ -366,7 +365,7 @@ def run_percolation(plan: dict, outdir: Path, threads: int) -> str:
     return f"hole slope {hole.fitted_log_slope:.4g}, chem max ratio {chem.max_ratio:.4g}{extra}"
 
 
-def run_audit(plan: dict, outdir: Path, threads: int) -> str:
+def run_audit(plan: dict, outdir: Path) -> str:
     params = _params(plan)
     rep = subadditivity_audit(
         _law(params), params["triples"], _seed(params),
@@ -490,6 +489,7 @@ def _check_params(plan: dict) -> None:
 
 
 def execute_plan(plan: dict, outdir: Path, threads: int = 1) -> str:
+    """Run ``plan`` into ``outdir``; ``threads`` is accepted for its callers and changes nothing."""
     if not isinstance(plan, dict):
         raise PlanError(f"a plan must be a JSON object, got {type(plan).__name__}")
     command = plan.get("command")
@@ -505,7 +505,7 @@ def execute_plan(plan: dict, outdir: Path, threads: int = 1) -> str:
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     dump_json(plan, outdir / "plan.json")
-    summary = RUNNERS[command](plan, outdir, threads)
+    summary = RUNNERS[command](plan, outdir)
     elapsed = time.monotonic() - t0
     # timing is intentionally outside the byte-stable outputs
     (outdir / "run.log").write_text(f"{command}: {summary} [wall_clock_s={elapsed:.3f}]\n", encoding="utf-8")
@@ -563,8 +563,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             plan = _plan_from_args(args)
             outdir = Path(args.out)
-        # only the replicated commands offer --threads
-        summary = execute_plan(plan, outdir, threads=getattr(args, "threads", 1))
+        summary = execute_plan(plan, outdir)
         print(summary)
         return 0
     except CensoringBudgetError as exc:

@@ -1,7 +1,7 @@
 """Monte Carlo estimation layer: time constants, deviation tails, concentration.
 
 Every experiment is a pure function of (law, parameters, seed): replicas are
-assigned derived seeds by index, so reruns and thread counts cannot change
+assigned derived seeds by index, so reruns and batch widths cannot change
 any number.  Censored replicas are counted and reported, never silently
 folded into means; exceeding the censoring budget raises.
 """
@@ -9,7 +9,6 @@ folded into means; exceeding the censoring budget raises.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -74,9 +73,8 @@ def _replica_setup(law, dim, targets, horizon, rep_seed, modified):
     return env, source, goals
 
 
-def _run_batch(args) -> list[np.ndarray]:
+def _run_batch(setups, horizon: int) -> list[np.ndarray]:
     """The passage-time rows of a batch of set-up replicas, from one engine loop."""
-    setups, horizon = args
     envs, sources, goals = zip(*setups)
     stops = [sorted(set(g)) for g in goals]
     tables = simulate_batch(envs, sources, horizon, stops, True, False)
@@ -95,7 +93,6 @@ def collect_passage_samples(
     seed: SeedSpec,
     horizon: int,
     modified: bool,
-    threads: int = 1,
     stream: str = "samples",
     censor_budget: float = DEFAULT_CENSOR_BUDGET,
 ) -> PassageSamples:
@@ -106,20 +103,15 @@ def collect_passage_samples(
     conditioned to be occupied.  One simulation per replica serves the
     whole ladder; the per-target statistics stay valid because replicas are
     independent.  The replicas are set up first and then stepped through the
-    engine ``_BATCH`` at a time, one loop per batch; ``threads`` maps over
-    batches.
+    engine ``_BATCH`` at a time, one loop per batch, in order.
     """
     targets = [tuple(x) for x in targets]
     setups = [
         _replica_setup(law, dim, targets, horizon, seed.child(stream, r), modified) for r in range(replicas)
     ]
-    jobs = [(setups[i : i + _BATCH], horizon) for i in range(0, replicas, _BATCH)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(_run_batch, jobs))
-    else:
-        batches = [_run_batch(j) for j in jobs]
-    values = np.stack([row for rows in batches for row in rows])
+    values = np.stack(
+        [row for i in range(0, replicas, _BATCH) for row in _run_batch(setups[i : i + _BATCH], horizon)]
+    )
     censored = int(np.isnan(values).sum())
     total = values.size
     if censored > censor_budget * total:
@@ -185,7 +177,6 @@ def estimate_time_constant(
     replicas: int,
     seed: SeedSpec,
     mu_hint: float | None = None,
-    threads: int = 1,
 ) -> TimeConstantEstimate:
     """Per-k statistics of T*(0, k dir)/k and the conservative estimate mu_hat.
 
@@ -205,7 +196,7 @@ def estimate_time_constant(
     targets = [scale(k, direction) for k in k_ladder]
     samples = collect_passage_samples(
         law, dim, targets, replicas, seed, horizon,
-        modified=True, threads=threads, stream="mu",
+        modified=True, stream="mu",
     )
     per_k: dict[int, SummaryStats] = {}
     for i, k in enumerate(k_ladder):
@@ -262,7 +253,6 @@ def collect_tail_samples(
     replicas: int,
     mu_hat: float,
     seed: SeedSpec,
-    threads: int = 1,
 ) -> PassageSamples:
     if epsilon <= 0:
         raise LawParameterError(f"epsilon must be > 0, got {epsilon}")
@@ -273,7 +263,7 @@ def collect_tail_samples(
     horizon = max(32, math.ceil(1.25 * (1 + epsilon) * mu_hat * max(norms)))
     return collect_passage_samples(
         law, dim, x_ladder, replicas, seed, horizon,
-        modified=False, threads=threads, stream="tails",
+        modified=False, stream="tails",
         censor_budget=1.0,
     )
 
@@ -359,7 +349,6 @@ def concentration_experiment(
     replicas: int,
     seed: SeedSpec,
     mu_hint: float | None = None,
-    threads: int = 1,
 ) -> ConcentrationReport:
     """Sample std of T*(0, x) per ladder point and its scaling exponent.
 
@@ -376,7 +365,7 @@ def concentration_experiment(
     horizon = _auto_horizon(mu_hint, max(norms))
     samples = collect_passage_samples(
         law, dim, x_ladder, replicas, seed, horizon,
-        modified=True, threads=threads, stream="concentration",
+        modified=True, stream="concentration",
     )
     rows = []
     boot_key = seed.child("boot").purpose_key(PURPOSE_BOOTSTRAP)

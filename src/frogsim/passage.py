@@ -78,7 +78,7 @@ class PassageOutcome:
     box_radius: int
 
 
-# radius of a fresh table beyond the sources' largest |source|_inf; the table doubles from there
+# radius of a fresh table beyond the sources' largest |source|_inf; the radius grows by 5/4 from there
 _START_RADIUS = 16
 
 
@@ -198,18 +198,30 @@ def _recentre(old: CubeIndex, new: CubeIndex, table: np.ndarray) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _first_visits(flat: np.ndarray, new: np.ndarray, origin: np.ndarray, ell: np.ndarray):
+def _first_visits(flat: np.ndarray, new: np.ndarray, origin: np.ndarray, size: int, n_keys: int):
     """The keys first stood on, each with the origin of its first visitor.
 
-    ``new`` masks the frogs standing on unvisited keys; among simultaneous
-    arrivals the smallest origin wins, then the smallest frog index.
+    ``new`` masks the frogs standing on unvisited keys, which lie below
+    ``n_keys``; origins are local keys, below ``size``.  Among simultaneous
+    arrivals the smallest origin wins (then the smallest frog index, but
+    frogs of one origin leave the same parent).  Origins lie below their
+    radix, so one in-place sort of the int64 ``key * size + origin`` orders
+    by (key, origin) as a lexsort would; the lexsort runs when that packed
+    key could reach 2**63, i.e. when ``n_keys * size > 2**63``.
     """
-    keys, origins = flat[new], origin[new]
-    order = np.lexsort((ell[new], origins, keys))
-    keys = keys[order]
+    idx = np.flatnonzero(new)
+    keys, origins = flat[idx], origin[idx]
+    if n_keys * size > 2**63:  # the largest key, n_keys * size - 1, would not fit
+        order = np.lexsort((origins, keys))
+        keys, origins = keys[order], origins[order]
+    else:
+        keys *= size  # packed in place: the gather made a copy
+        keys += origins
+        keys.sort()
+        keys, origins = np.divmod(keys, size)
     lead = np.ones(keys.shape[0], dtype=bool)
-    lead[1:] = keys[1:] != keys[:-1]
-    return keys[lead], origins[order][lead]
+    np.not_equal(keys[1:], keys[:-1], out=lead[1:])
+    return keys[lead], origins[lead]
 
 
 def simulate_batch(
@@ -325,7 +337,7 @@ def simulate_batch(
         flat += moves[step_codes_np(keys, t - birth, d)]
         new = visit[flat] < 0
         if new.any():
-            sites, firsts = _first_visits(flat, new, origin, ell)
+            sites, firsts = _first_visits(flat, new, origin, index.size, n * index.size)
             visit[sites] = t
             parent[sites] = firsts
             site_rep, site_local = np.divmod(sites, index.size)
@@ -575,30 +587,37 @@ def oracle_relay_distances(
     if env.omega(source) < 1:
         return {}, {}
     index = offset_index(horizon, env.dim)
-    nodes = {tuple(int(c) for c in row) for row in occ}
-    nodes.add(tuple(source))
+    # nodes in lex order, so a heap tie on the slot breaks as a tie on the site would
+    nodes = sorted({tuple(int(c) for c in row) for row in occ} | {tuple(source)})
+    coords = np.asarray(nodes, dtype=np.int64)
     _build_rows(env, dict.fromkeys(nodes, (horizon, horizon)))  # every node's row, in one pass
-    dist: dict[Coords, int] = {tuple(source): 0}
-    parent: dict[Coords, Coords] = {}
-    settled: set[Coords] = set()
-    heap: list[tuple[int, Coords]] = [(0, tuple(source))]
+    src = nodes.index(tuple(source))
+    best = np.full(len(nodes), horizon + 1, dtype=np.int64)  # beyond the horizon: not reached
+    best[src] = 0
+    via = np.full(len(nodes), -1, dtype=np.int64)
+    todo = np.ones(len(nodes), dtype=bool)
+    heap: list[tuple[int, int]] = [(0, src)]
     while heap:
-        d_u, u = heappop(heap)
-        if u in settled or d_u > dist.get(u, 1 << 62):
+        d_u, i = heappop(heap)
+        if not todo[i]:  # a stale entry: i was settled at a smaller distance
             continue
-        settled.add(u)
-        sites, times = first_hits(env, u, horizon)
-        for v in nodes:
-            if v in settled:
-                continue
-            hit = _row_time(index, sites, times, sub(v, u))
-            if hit is None:
-                continue
-            cand = d_u + hit
-            if cand <= horizon and cand < dist.get(v, 1 << 62):
-                dist[v] = cand
-                parent[v] = u
-                heappush(heap, (cand, v))
+        todo[i] = False
+        # every node is occupied, so its row holds at least the self-hit
+        sites, times = first_hits(env, nodes[i], horizon)
+        v = np.flatnonzero(todo)
+        delta = coords[v] - coords[i]
+        near = np.abs(delta).max(axis=1) <= horizon  # the offsets that the row's cube holds
+        v, keys = v[near], index.flat(delta[near])
+        pos = np.minimum(np.searchsorted(sites, keys), sites.shape[0] - 1)
+        cand = d_u + times[pos]
+        better = (sites[pos] == keys) & (cand < best[v])
+        v, cand = v[better], cand[better]
+        best[v], via[v] = cand, i
+        for item in zip(cand.tolist(), v.tolist()):
+            heappush(heap, item)
+    reached = np.flatnonzero(best <= horizon).tolist()
+    dist = {nodes[j]: int(best[j]) for j in reached}
+    parent = {nodes[j]: nodes[via[j]] for j in reached if via[j] >= 0}
     return dist, parent
 
 

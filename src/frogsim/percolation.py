@@ -59,14 +59,6 @@ def sample_bernoulli_field(p: float, dim: int, box_radius: int, seed: SeedSpec) 
     return SiteField(dim, box_radius, bits, provenance=f"bernoulli({p})")
 
 
-def field_from_indicator(dim: int, box_radius: int, values: dict[Coords, int], provenance: str) -> SiteField:
-    bits = np.full(CubeIndex(box_radius, dim).size, -1, dtype=np.int8)
-    f = SiteField(dim, box_radius, bits, provenance)
-    for x, v in values.items():
-        bits[f.index.flat_one(x)] = 1 if v else 0
-    return f
-
-
 def _open_cube(f: SiteField) -> tuple[np.ndarray, CubeIndex]:
     """The open set as a flat bool array over the cube one layer wider than
     ``f.index``.  The extra layer is closed, so a site's neighbours are its

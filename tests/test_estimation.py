@@ -187,7 +187,7 @@ def test_replica_reproducibility_and_threads():
         law, 2, [(5, 0)], 16, SeedSpec(20, "rep"), 40, modified=False
     )
     b = collect_passage_samples(
-        law, 2, [(5, 0)], 16, SeedSpec(20, "rep"), 40, modified=False, threads=4
+        law, 2, [(5, 0)], 16, SeedSpec(20, "rep"), 40, modified=False
     )
     assert np.array_equal(a.values, b.values, equal_nan=True)
 
@@ -196,14 +196,13 @@ def test_replica_reproducibility_and_threads():
 def test_batch_width_and_threads_leave_values_unchanged(modified, monkeypatch):
     law, targets, replicas = ConfigLaw.poisson(1.0), [(3, 0), (0, -5), (7, 2)], 7
 
-    def values(width, threads):
+    def values(width):
         monkeypatch.setattr(estimation, "_BATCH", width)
         return collect_passage_samples(
-            law, 2, targets, replicas, SeedSpec(23, "width"), 40, modified=modified, threads=threads,
+            law, 2, targets, replicas, SeedSpec(23, "width"), 40, modified=modified,
         ).values
 
-    want = values(1, 1)
+    want = values(1)
     assert np.isfinite(want).any()
     for width in (1, 3, replicas):
-        for threads in (1, 3):
-            assert np.array_equal(values(width, threads), want, equal_nan=True), (width, threads)
+        assert np.array_equal(values(width), want, equal_nan=True), width

@@ -336,7 +336,7 @@ def test_growing_table_matches_full_layout(case, data):
     point = st.tuples(*[st.integers(-span, span)] * env.dim)
     stop = data.draw(st.none() | st.lists(point, max_size=3))
     runs = []
-    for start in (10**6, 0):  # the full cube up front, then doubling from |source|_inf
+    for start in (10**6, 0):  # the full cube up front, then growing from |source|_inf
         with start_radius(start):
             runs.append(simulate_frogs(env, source, horizon, stop_targets=stop, strict=False,
                                        record_trace=True))
@@ -354,7 +354,7 @@ def test_growing_engine_matches_oracle(case):
     env, source, horizon = case
     oracle = oracle_all_targets(env, source, horizon)
     assert all(env.in_box(x) for x in oracle)
-    for start in (passage._START_RADIUS, 0):  # the default table, then doubling from |source|_inf
+    for start in (passage._START_RADIUS, 0):  # the default table, then growing from |source|_inf
         with start_radius(start):
             table = simulate_frogs(env, source, horizon, strict=False)
         for x in map(tuple, ball_coords(env.box_radius, env.dim).tolist()):
@@ -531,3 +531,75 @@ def test_batch_needs_one_law():
     b = make_env(ConfigLaw.poisson(1.0), radius=8)
     with pytest.raises(FrogsimError):
         simulate_batch([a, b], [(0, 0), (0, 0)], 5, None, False, False)
+
+
+def test_batch_in_dim_3_matches_single_replica_oracle():
+    law = ConfigLaw.poisson(1.3)
+    envs = [sample_environment(law, 3, 9, SeedSpec(s, "batch3")) for s in (3, 4)]
+    envs = [condition_origin(envs[0]), envs[1], condition_origin(envs[0])]
+    sources = [(0, 0, 0), star(envs[1], (0, 0, 0)), (0, 0, 0)]
+    stops = [[(2, -1, 0), (0, 3, 1)], None, [(1, 1, 1)]]
+    with start_radius(0):  # the table grows many times in the run
+        tables = simulate_batch(envs, sources, 8, stops, False, True)
+    for env, source, stop, table in zip(envs, sources, stops, tables):
+        want = single_replica_engine(env, source, 8, stop, strict=False, record_trace=True)
+        assert len(want.to_json()["visits"]) > 1
+        assert table.to_json() == want.to_json()
+        assert table.awake_trace == want.awake_trace
+
+
+# ---------------------------------------------------------------------------
+# _first_visits: the packed sort against the three-key lexsort it replaced
+# ---------------------------------------------------------------------------
+
+
+def lexsort_first_visits(flat, new, origin, ell):
+    keys, origins = flat[new], origin[new]
+    order = np.lexsort((ell[new], origins, keys))
+    keys = keys[order]
+    lead = np.ones(keys.shape[0], dtype=bool)
+    lead[1:] = keys[1:] != keys[:-1]
+    return keys[lead], origins[order][lead]
+
+
+def same_first_visits(flat, new, origin, ell, size, n_keys):
+    got = passage._first_visits(flat, new, origin, size, n_keys)
+    want = lexsort_first_visits(flat, new, origin, ell)
+    assert [a.tolist() for a in got] == [b.tolist() for b in want]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 40), st.integers(1, 80))
+def test_first_visits_match_lexsort(data, replicas, size, frogs):
+    # few keys and origins per draw, so that keys repeat and origins tie
+    keys = st.integers(0, replicas * size - 1)
+    flat = np.asarray(data.draw(st.lists(keys, min_size=frogs, max_size=frogs)), dtype=np.int64)
+    origin = np.asarray(data.draw(st.lists(st.integers(0, min(size - 1, 3)), min_size=frogs, max_size=frogs)),
+                        dtype=np.int32)
+    ell = np.asarray(data.draw(st.lists(st.integers(1, 6), min_size=frogs, max_size=frogs)), dtype=np.int32)
+    new = np.asarray(data.draw(st.lists(st.booleans(), min_size=frogs, max_size=frogs)))
+    new[data.draw(st.integers(0, frogs - 1))] = True
+    same_first_visits(flat, new, origin, ell, size, replicas * size)
+
+
+@pytest.mark.parametrize("n_keys", [2**43, 2**43 + 1])
+def test_first_visits_at_the_packed_key_limit(n_keys):
+    # size 2**20: at n_keys = 2**43 the largest packed key is 2**63 - 1 and the packed
+    # sort runs; one key more and it would reach 2**63, so the lexsort runs
+    size = 2**20
+    rng = np.random.default_rng(n_keys)
+    flat = np.concatenate([[n_keys - 1], rng.integers(n_keys - 5, n_keys, 60), rng.integers(0, 4, 20)])
+    origin = np.concatenate([[size - 1], rng.integers(size - 3, size, 60), rng.integers(0, 3, 20)])
+    origin = origin.astype(np.int32)
+    ell = rng.integers(1, 8, flat.shape[0]).astype(np.int32)
+    assert (int(flat.max()) * size + int(origin.max()) >= 2**63) == (n_keys > 2**43)
+    same_first_visits(flat, np.ones(flat.shape[0], dtype=bool), origin, ell, size, n_keys)
+
+
+def test_first_visits_fall_back_past_the_int64_range():
+    # n_keys * size = 2**64: these frogs' packed keys would overflow
+    size, n_keys = 2**30, 2**34
+    flat = np.array([n_keys - 1, n_keys - 1, n_keys - 2, 3, n_keys - 1], dtype=np.int64)
+    origin = np.array([size - 1, size - 2, 5, 0, size - 2], dtype=np.int32)
+    ell = np.array([1, 7, 2, 4, 3], dtype=np.int32)
+    same_first_visits(flat, np.ones(5, dtype=bool), origin, ell, size, n_keys)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from conftest import env_from_counts
 from frogsim.environment import ConfigLaw, sample_environment
 from frogsim.errors import EmptySetError, GeometryError
-from frogsim.lattice import add, ball_coords, l1, step_vectors
+from frogsim.lattice import CubeIndex, add, ball_coords, l1, step_vectors
 from frogsim.percolation import (
+    SiteField,
     chemical_ratio_experiment,
-    field_from_indicator,
     hole_radius,
     hole_radius_experiment,
     label_clusters,
@@ -21,6 +21,15 @@ from frogsim.percolation import (
     white_site_indicator,
 )
 from frogsim.walks import SeedSpec
+
+
+def field_from_indicator(dim, box_radius, values, provenance):
+    """A hand-built field: the given sites open (value 1) or closed (0), no other site open."""
+    bits = np.full(CubeIndex(box_radius, dim).size, -1, dtype=np.int8)
+    f = SiteField(dim, box_radius, bits, provenance)
+    for x, v in values.items():
+        bits[f.index.flat_one(x)] = 1 if v else 0
+    return f
 
 
 def ones_field(radius=6):
