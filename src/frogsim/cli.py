@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import astuple, fields
@@ -423,6 +424,19 @@ SAMPLE_SIZES = {
 }
 
 
+def _real(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+# the numeric params, checked wherever a plan carries them: (keys, test, what
+# the test asks for).  A key whose default is None may also be null
+NUMBERS = (
+    (("mu_hat", "mu_hint", "epsilon"), lambda v: _real(v) and v > 0, "a finite number > 0"),
+    (("c4_hat", "gamma"), lambda v: _real(v) and v >= 0, "a finite number >= 0"),
+    (("horizon", "window", "radius"), lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+)
+
+
 def _check_params(plan: dict) -> None:
     command, params = plan["command"], plan["params"]
     missing = [key for key in REQUIRED_PARAMS[command] if key not in params]
@@ -440,18 +454,17 @@ def _check_params(plan: dict) -> None:
             isinstance(ladder, list) and ladder and all(type(v) is int and v >= 1 for v in ladder)
         ):
             raise PlanError(f"{command}: {key} must be a non-empty list of positive integers, got {ladder!r}")
-    if command == "tails":
-        eps, side = params["epsilon"], params["side"]
-        if not (type(eps) in (int, float) and eps > 0):
-            raise PlanError(f"tails: epsilon must be a number > 0, got {eps!r}")
-        if not (isinstance(side, str) and side in TAIL_SIDES):
-            raise PlanError(f"tails: side must be upper or lower (or both), got {side!r}")
+    for keys, ok, what in NUMBERS:
+        for key in keys:
+            nullable = DEFAULTS[command].get(key, REQUIRED) is None  # null runs the default
+            if key in params and not (ok(params[key]) or nullable and params[key] is None):
+                raise PlanError(f"{command}: {key} must be {what}, got {params[key]!r}")
+    if command == "tails" and not (isinstance(params["side"], str) and params["side"] in TAIL_SIDES):
+        raise PlanError(f"tails: side must be upper or lower (or both), got {params['side']!r}")
     if command == "percolation":
-        p, radius = params["p"], params["radius"]
+        p = params["p"]
         if not (type(p) in (int, float) and 0 <= p <= 1):
             raise PlanError(f"percolation: p must be a number in [0, 1], got {p!r}")
-        if not (type(radius) is int and radius >= 0):
-            raise PlanError(f"percolation: radius must be an integer >= 0, got {radius!r}")
         white = _params(plan)
         subbox, dim = white["white_subbox"], white["dim"]
         if white["white_n"] and subbox is None and type(dim) is int:

@@ -10,23 +10,32 @@ The search is A* with the l1 distance to the goal as heuristic (admissible
 and consistent since every edge weight dominates the l1 step) plus an upper
 bound seeded by a concrete staircase path, which soundly prunes long-range
 relaxations.  Sites are int keys of one ``CubeIndex`` that holds the relay
-region; each settled site relaxes its short row and its long-edge annulus as
-arrays, and only the candidates under the bound reach the dicts and the heap.
-Keys follow the lex order of sites, so the heap pops in the total order of
-(f, d, key), which is that of (f, d, site): ties, and therefore the reported
-geodesic, are deterministic.
+region.  Each settled site u relaxes two sets of edges as arrays, and only
+the candidates under the bound reach the dicts and the heap: the hits of
+u's ball row, then one cube of offsets priced 4K(t v |off|_inf), which
+holds the capped short edges and the long ones.  Keys follow the lex order
+of sites, so the heap pops in the total order of (f, d, key), which is that
+of (f, d, site): ties, and therefore the reported geodesic, are
+deterministic.
 
 Short-edge weights come from ball rows: the first hits of a site's own
 frogs on the l-infinity ball of radius t up to a horizon, stored sparse and
 cached on the environment.  An edge heavier than ub - d_u fails the prune,
-so a settled u needs its row only to min(cap, ub - d_u), and below the cap
-only those hits are relaxed.  A row is cached at the largest (t, horizon)
-asked for and serves every smaller pair by filtering.  The live heap
-entries tied with a popped site at its f are settled before the goal, so
-their rows are built in the same ``ball_first_hits`` pass.  The rows and
-their cache live in ``passage``, where ``tau`` and ``first_hits`` read them
-too, so ``sigma_t`` prices an edge from the same rows as the search; the
-tests check both against a dense walker of their own.
+so a settled u needs its row only to min(cap, ub - d_u), and only those
+hits are relaxed.  The cube costs 4K max(t, L) for an offset of l-infinity
+length L, so it runs only while 4Kt fits under ub - d_u, out to the longest
+L that fits; a capped price never improves on a hit that the row relaxed.
+The cube meets the bound after the direct edge to the goal has lowered it:
+an edge this drops has f above the final bound, so it would never have been
+settled before the goal, nor blocked a push that passes the prune.
+A row is cached at the largest (t, horizon) asked for and serves every
+smaller pair by filtering.  The live heap entries tied with a popped site
+at its f are settled before the goal, so their rows are built in the same
+``ball_first_hits`` pass.  The rows and their cache live in ``passage``,
+where ``tau`` and ``first_hits`` read them too.  ``sigma_t`` is the one
+edge price: the staircase bound and the direct edge read it from the same
+(t, 4Kt) rows as the search, and the tests check it against a dense walker
+of their own.
 """
 
 from __future__ import annotations
@@ -52,7 +61,6 @@ from .passage import (
     _row_time,
     offset_index,
     simulate_batch,
-    tau,
 )
 from .stats import wilson_ci
 from .walks import SeedSpec
@@ -87,16 +95,20 @@ class TruncationParams:
 def sigma_t(env: Environment, x: Coords, y: Coords, p: TruncationParams) -> int:
     """Two-point edge weight; always within the l1 / 4K(t v gap) sandwich.
 
-    A short edge costs the hitting time tau(x, y) when it is at most 4Kt,
-    and 4Kt otherwise.
+    A long edge (l-infinity gap above t) costs 4K times its gap.  A short
+    edge costs the hitting time tau(x, y) when it is at most 4Kt, and 4Kt
+    otherwise; the time is read from x's ball row at (t, 4Kt), the row that
+    the search relaxes, so the bound and the search price alike.
     """
-    gap = linf(sub(y, x))
-    if gap > p.t:
-        return 4 * p.K * gap
-    if x == y and env.omega(x) >= 1:
-        return 0
-    hit = tau(env, x, y, p.cap)
-    return int(hit.time) if hit.is_finite else p.cap
+    gap = sub(y, x)
+    if linf(gap) > p.t:
+        return 4 * p.K * linf(gap)
+    if env.omega(x) == 0:
+        return p.cap
+    t, _, offs, _, times = _ball_row(env, x, p.t, p.cap)
+    index = offset_index(t, env.dim)
+    hit = _row_time(index, index.flat(offs), times, gap)  # the row is in lex order, so its keys ascend
+    return p.cap if hit is None or hit > p.cap else hit
 
 
 @dataclass
@@ -109,38 +121,18 @@ class TruncatedResult:
 
 
 @lru_cache(maxsize=32)
-def _linf_shell(lo: int, hi: int, d: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The offsets with lo <= |off|_inf <= hi in lex order, as d coordinate columns, and their norms."""
-    offs = cube_coords(hi, d)
-    norms = np.abs(offs).max(axis=1)
-    keep = norms >= lo
-    cols, norms = tuple(np.ascontiguousarray(col) for col in offs[keep].T), norms[keep]
-    for a in (*cols, norms):
+def _linf_cube(radius: int, t: int, d: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The offsets with |off|_inf <= radius in lex order, as d columns, and max(t, |off|_inf).
+
+    An edge to u + off costs 4K times the second column when it is long or
+    capped, so one cube prices every edge that does not come from u's row.
+    """
+    offs = cube_coords(radius, d)
+    cols = tuple(np.ascontiguousarray(col) for col in offs.T)
+    lengths = np.maximum(np.abs(offs).max(axis=1), t)
+    for a in (*cols, lengths):
         a.setflags(write=False)  # shared by every caller of the cache
-    return cols, norms
-
-
-def _ball_weights(env: Environment, u: Coords, p: TruncationParams) -> np.ndarray:
-    """sigma_t(u, u + off) for every offset of ``_linf_shell(0, t, d)``."""
-    weights = np.full((2 * p.t + 1) ** env.dim, p.cap, dtype=np.int64)
-    if env.omega(u) >= 1:
-        _, _, offs, norms, times = _ball_row(env, u, p.t, p.cap)
-        ok = (times <= p.cap) & (norms <= p.t)
-        weights[offset_index(p.t, env.dim).flat(offs[ok])] = times[ok]
-    return weights
-
-
-def _weight(env: Environment, a: Coords, b: Coords, p: TruncationParams) -> int:
-    """sigma_t(a, b) for a != b, a short edge read from a's ball row."""
-    gap = sub(b, a)
-    if linf(gap) > p.t:
-        return 4 * p.K * linf(gap)
-    if env.omega(a) == 0:
-        return p.cap
-    t, _, offs, _, times = _ball_row(env, a, p.t, p.cap)
-    index = offset_index(t, env.dim)
-    hit = _row_time(index, index.flat(offs), times, gap)  # the row is in lex order, so its keys ascend
-    return p.cap if hit is None or hit > p.cap else hit
+    return cols, lengths
 
 
 def _staircase(x: Coords, y: Coords, t: int) -> list[Coords]:
@@ -171,15 +163,14 @@ def truncated_passage(env: Environment, x: Coords, y: Coords, p: TruncationParam
     d, K4 = env.dim, 4 * p.K
     index = CubeIndex(_relay_radius(x, y, p), d)
     kx, ky = index.flat_one(x), index.flat_one(y)
-    ball, _ = _linf_shell(0, p.t, d)
 
     stair = _staircase(x, y, p.t)
     _build_rows(env, dict.fromkeys(stair[:-1], (p.t, p.cap)))  # the bound's short edges, in one pass
-    direct = _weight(env, x, y, p)
-    ub = min(sum(_weight(env, a, b, p) for a, b in zip(stair[:-1], stair[1:])), direct)
+    direct = sigma_t(env, x, y, p)
+    ub = min(sum(sigma_t(env, a, b, p) for a, b in zip(stair[:-1], stair[1:])), direct)
 
     dist = {kx: 0, ky: direct}
-    parent = {ky: (kx, linf(sub(y, x)) > p.t)}  # key -> (parent key, reached by a long edge)
+    parent = {ky: kx}
     settled: set[int] = set()
     heap = [(l1(sub(y, x)), 0, kx), (direct, direct, ky)]
     relaxations = 0
@@ -198,7 +189,7 @@ def truncated_passage(env: Environment, x: Coords, y: Coords, p: TruncationParam
                 stack += (2 * i + 1, 2 * i + 2)
         return needs
 
-    def relax(ku: int, u: Coords, cols: tuple[np.ndarray, ...], nd: np.ndarray, long: bool) -> None:
+    def relax(ku: int, u: Coords, cols: tuple[np.ndarray, ...], nd: np.ndarray) -> None:
         # edges u -> u + off at tentative distances nd: push those under the bound that improve
         nonlocal ub
         f = nd.copy()
@@ -212,7 +203,7 @@ def truncated_passage(env: Environment, x: Coords, y: Coords, p: TruncationParam
         better = nd < np.fromiter(map(dist.get, keys.tolist(), repeat(1 << 62)), np.int64, ok.shape[0])
         keys, nd, f = keys[better].tolist(), nd[better].tolist(), f[better].tolist()
         dist.update(zip(keys, nd))
-        parent.update(dict.fromkeys(keys, (ku, long)))
+        parent.update(dict.fromkeys(keys, ku))
         for item in zip(f, nd, keys):
             heappush(heap, item)
         ub = min(ub, dist[ky])
@@ -226,44 +217,39 @@ def truncated_passage(env: Environment, x: Coords, y: Coords, p: TruncationParam
         if ku == ky:
             break
         u = index.unflat_one(ku)
-        # short edges; one of weight above ub - d_u fails the prune, so u's row is
-        # needed only that far, and the zero offset never improves the settled u
+        # short edges from u's row; one of weight above ub - d_u fails the prune, so the
+        # row is needed only that far, and the zero offset never improves the settled u
         horizon = min(p.cap, ub - d_u)
         if horizon >= 1 and not _covers(rows.get(u), p.t, horizon) and env.omega(u) >= 1:
             _build_rows(env, {u: (p.t, horizon), **tied_needs(f_u)})
-        if horizon == p.cap:
-            relax(ku, u, ball, d_u + _ball_weights(env, u, p), False)
-        elif horizon >= 1 and u in rows:  # u is occupied, and its row now covers the horizon
-            # capped edges all fail the prune: relax only the hits within the horizon
+        if horizon >= 1 and u in rows:  # u is occupied, and its row now covers the horizon
             _, _, offs, norms, times = rows[u]
             ok = np.nonzero((times <= horizon) & (norms <= p.t))[0]
-            relax(ku, u, tuple(offs[ok].T), d_u + times[ok], False)
-        relaxations += ball[0].shape[0]
+            relax(ku, u, tuple(offs[ok].T), d_u + times[ok])
         # the direct long edge to the goal keeps the bound tight
         gap_goal = linf(sub(y, u))
         nd = d_u + K4 * gap_goal
         if gap_goal > p.t and nd <= ub and nd < dist[ky]:
             dist[ky] = ub = nd
-            parent[ky] = (ku, True)
+            parent[ky] = ku
             heappush(heap, (nd, nd, ky))
-        # remaining long edges, admissible only while 4KL fits under the bound
+        # capped short edges and long ones cost 4K max(t, L), admissible only while that
+        # fits under the bound; where u's row has a hit, the capped price never improves on it
         max_len = (ub - d_u) // K4
-        if max_len > p.t:
-            cols, norms = _linf_shell(p.t + 1, min(max_len, p.cap), d)
-            relax(ku, u, cols, d_u + K4 * norms, True)
-            relaxations += norms.shape[0]
+        if max_len >= p.t:
+            cols, lengths = _linf_cube(min(max_len, p.cap), p.t, d)
+            relax(ku, u, cols, d_u + K4 * lengths)
+        relaxations += (2 * min(max(max_len, p.t), p.cap) + 1) ** d
 
     # the goal is always settled: its direct-edge entry stays on the heap until improved
     chain = [ky]
-    long_used = 0
     while chain[-1] != kx:
-        key, long = parent[chain[-1]]
-        long_used += long
-        chain.append(key)
+        chain.append(parent[chain[-1]])
+    witness = tuple(index.unflat_one(k) for k in reversed(chain))
     return TruncatedResult(
         value=dist[ky],
-        witness=tuple(index.unflat_one(k) for k in reversed(chain)),
-        long_edges_used=long_used,
+        witness=witness,
+        long_edges_used=sum(linf(sub(b, a)) > p.t for a, b in zip(witness, witness[1:])),
         settled=len(settled),
         relaxations=relaxations,
     )
@@ -284,20 +270,13 @@ def _relay_radius(x: Coords, y: Coords, p: TruncationParams) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Tiling:
-    """Partition of Z^d into translates of (-t/2, t/2]^d centered on t Z^d."""
-
-    t: int
-    dim: int
-
-    def box_of(self, z: Coords) -> Coords:
-        t = self.t
-        return tuple(-((t - 2 * c) // (2 * t)) for c in z)
+def box_of(z: Coords, t: int) -> Coords:
+    """The tile of z in the partition of Z^d into translates of (-t/2, t/2]^d centred on t Z^d."""
+    return tuple(-((t - 2 * c) // (2 * t)) for c in z)
 
 
-def geodesic_box_count(witness: Sequence[Coords], tiling: Tiling) -> int:
-    return len({tiling.box_of(z) for z in witness})
+def geodesic_box_count(witness: Sequence[Coords], t: int) -> int:
+    return len({box_of(z, t) for z in witness})
 
 
 def box_count_bound(p: TruncationParams, x: Coords) -> float:
@@ -400,8 +379,7 @@ def agreement_experiment(
                 disagree[t] += 1
             if trunc.long_edges_used:
                 long_geo[t] += 1
-            tiling = Tiling(t=t, dim=d)
-            max_boxes[t] = max(max_boxes[t], geodesic_box_count(trunc.witness, tiling))
+            max_boxes[t] = max(max_boxes[t], geodesic_box_count(trunc.witness, t))
 
     for t in t_ladder:
         n = compared[t]

@@ -291,6 +291,11 @@ TRUNCATION_PARAMS = {"seed": 1, "tag": "", "law": "poisson:1.0", "dim": 2, "x": 
                      "replicas": 1, "gamma": 1.0, "mu_hat": 1.5}
 PERCOLATION_PARAMS = {"seed": 1, "tag": "", "dim": 2, "p": 0.8, "radius": 20, "replicas": 2,
                       "targets": [[5, 0], [0, 5]]}
+CONCENTRATION_PARAMS = {**MU_PARAMS, "mu_hint": 1.5}
+SAMPLE_ENV_PARAMS = {"seed": 1, "law": "poisson:1.0", "dim": 2, "radius": 3}
+PASSAGE_PARAMS = {**SAMPLE_ENV_PARAMS, "radius": 8, "x": [3, 0], "horizon": 20}
+AUDIT_PARAMS = {"seed": 1, "law": "bernoulli:0.8", "dim": 2, "triples": 1, "window": 5, "horizon": 60}
+INF, NAN = float("inf"), float("nan")
 
 
 @pytest.mark.parametrize(
@@ -313,10 +318,26 @@ PERCOLATION_PARAMS = {"seed": 1, "tag": "", "dim": 2, "p": 0.8, "radius": 20, "r
         # without mu_hat the plan calibrates on calibration_replicas replicas
         ("tails", {**{k: v for k, v in TAILS_PARAMS.items() if k != "mu_hat"}, "calibration_replicas": 0},
          "calibration_replicas must be an integer >= 1"),
+        # a non-finite number used to end in an OverflowError traceback, or fail after plan.json
+        ("truncation", {**TRUNCATION_PARAMS, "mu_hat": INF}, "mu_hat must be a finite number > 0"),
+        ("tails", {**TAILS_PARAMS, "mu_hat": NAN}, "mu_hat must be a finite number > 0"),
+        ("truncation", {**TRUNCATION_PARAMS, "mu_hat": 0}, "mu_hat must be a finite number > 0"),
+        ("concentration", {**CONCENTRATION_PARAMS, "mu_hint": INF}, "mu_hint must be a finite number > 0"),
+        ("tails", {**TAILS_PARAMS, "epsilon": INF}, "epsilon must be a finite number > 0"),
+        ("truncation", {**TRUNCATION_PARAMS, "c4_hat": INF}, "c4_hat must be a finite number >= 0"),
+        ("truncation", {**TRUNCATION_PARAMS, "gamma": NAN}, "gamma must be a finite number >= 0"),
+        ("truncation", {**TRUNCATION_PARAMS, "gamma": -0.5}, "gamma must be a finite number >= 0"),
+        ("audit", {**AUDIT_PARAMS, "horizon": -1}, "horizon must be an integer >= 0"),
+        ("audit", {**AUDIT_PARAMS, "window": -1}, "window must be an integer >= 0"),
+        ("passage", {**PASSAGE_PARAMS, "horizon": -1}, "horizon must be an integer >= 0"),
+        ("passage", {**PASSAGE_PARAMS, "horizon": 2.5}, "horizon must be an integer >= 0"),
+        ("sample-env", {**SAMPLE_ENV_PARAMS, "radius": -1}, "radius must be an integer >= 0"),
     ],
     ids=["law-int", "k-int", "k-negative", "t-float", "side", "p-string", "p-bool", "radius-float",
          "origin-target", "default-target-in-margin", "target-string", "direction-float",
-         "calibration-replicas"],
+         "calibration-replicas", "mu-hat-inf", "mu-hat-nan", "mu-hat-zero", "mu-hint-inf", "epsilon-inf",
+         "c4-hat-inf", "gamma-nan", "gamma-negative", "audit-horizon-negative", "audit-window-negative",
+         "passage-horizon-negative", "passage-horizon-float", "sample-env-radius-negative"],
 )
 def test_cli_replay_rejects_mistyped_params(command, params, message, tmp_path, capsys):
     # rejected before plan.json is written, not by a traceback or after sampling
@@ -327,6 +348,22 @@ def test_cli_replay_rejects_mistyped_params(command, params, message, tmp_path, 
     assert not (out / "plan.json").exists()
     err = capsys.readouterr().err
     assert err.startswith("plan error:") and message in err
+
+
+def test_cli_rejects_infinite_mu_hat(tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["truncation", "--law", "poisson:1.0", "--x", "4,0", "--t", "2", "--replicas", "1", "--mu-hat", "inf"]
+    assert run_cli(*argv, "--seed", "1", "--out", str(out)) == 2
+    assert not (out / "plan.json").exists()
+    assert "plan error: truncation: mu_hat must be a finite number > 0, got inf" in capsys.readouterr().err
+
+
+def test_cli_replay_accepts_null_defaults(tmp_path):
+    # a null c4_hat is its default, derived from mu_hat; only such keys may be null
+    path = tmp_path / "plan.json"
+    params = {**TRUNCATION_PARAMS, "c4_hat": None}
+    path.write_text(json.dumps({"plan_version": 1, "command": "truncation", "params": params}), encoding="utf-8")
+    assert run_cli("replay", str(path), "--out", str(tmp_path / "r")) == 0
 
 
 @pytest.mark.parametrize(

@@ -11,16 +11,13 @@ from frogsim.errors import SearchCapError
 from frogsim.lattice import Coords, add, ball_coords, cube_coords, l1, linf, sub
 from frogsim.passage import _ball_row, offset_index
 from frogsim.truncated import (
-    Tiling,
     TruncatedResult,
     TruncationParams,
-    _ball_weights,
-    _linf_shell,
     _relay_radius,
     _staircase,
-    _weight,
     agreement_experiment,
     box_count_bound,
+    box_of,
     geodesic_box_count,
     sigma_t,
     truncated_passage,
@@ -81,16 +78,19 @@ def test_sigma_sandwich_tiny_environments(dim, radius, law, seed, t, c4_hat, dat
 
 
 def _check_ball_row(env, u, p):
-    # every weight of u's ball row is the dense walker's hitting time, capped,
-    # and so is the single weight that the staircase bound reads
-    weights = _ball_weights(env, u, p)
-    cols, _ = _linf_shell(0, p.t, env.dim)
-    assert weights.shape[0] == (2 * p.t + 1) ** env.dim
-    for off, w in zip(zip(*(c.tolist() for c in cols)), weights.tolist()):
+    # the price of every short edge from u is the dense walker's hitting time, capped
+    for off in cube_coords(p.t, env.dim).tolist():
         hit = dense_tau(env, u, add(u, off), p.cap)
-        assert w == (p.cap if hit is None else hit)
-        if any(off):
-            assert _weight(env, u, add(u, off), p) == w
+        assert sigma_t(env, u, add(u, off), p) == (p.cap if hit is None else hit)
+
+
+def test_sigma_reads_the_row_at_t():
+    # a short edge is priced from u's row at (t, 4Kt), the row the search relaxes, not
+    # from a row laid out on the whole (4Kt, 4Kt) cube
+    env = condition_origin(poisson_env(seed=5, radius=40))
+    p = TruncationParams.make(2, 2, c4_hat=1.0)
+    sigma_t(env, (0, 0), (1, 0), p)
+    assert env._ball_rows[(0, 0)][:2] == (p.t, p.cap)
 
 
 BALL_ROW_STARTS = [(0, 0), (1, 0), (0, 1), (-1, -1), (2, 3), (-3, 1)]
@@ -190,31 +190,28 @@ def test_truncated_deterministic_witness():
 
 
 def test_tiling_examples():
-    tl = Tiling(t=4, dim=2)
-    assert tl.box_of((0, 0)) == (0, 0)
-    assert tl.box_of((4, 0)) == (1, 0)
+    assert box_of((0, 0), 4) == (0, 0)
+    assert box_of((4, 0), 4) == (1, 0)
     # half-open convention: coordinate t/2 belongs to the box below
-    assert tl.box_of((2, 2)) == (0, 0)
-    assert tl.box_of((3, 0)) == (1, 0)
-    assert tl.box_of((-2, 0)) == (-1, 0)
+    assert box_of((2, 2), 4) == (0, 0)
+    assert box_of((3, 0), 4) == (1, 0)
+    assert box_of((-2, 0), 4) == (-1, 0)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
 def test_tiling_partition(t):
-    tl = Tiling(t=t, dim=2)
     for row in ball_coords(3 * t, 2).tolist():
         z = tuple(row)
-        q = tl.box_of(z)
+        q = box_of(z, t)
         for zi, qi in zip(z, q):
             off = zi - t * qi
             assert -t / 2 < off <= t / 2
 
 
 def test_geodesic_box_count():
-    tl = Tiling(t=4, dim=2)
-    assert geodesic_box_count([(0, 0)], tl) == 1
-    assert geodesic_box_count([(0, 0), (1, 1), (2, 0)], tl) == 1
-    assert geodesic_box_count([(0, 0), (4, 0)], tl) == 2
+    assert geodesic_box_count([(0, 0)], 4) == 1
+    assert geodesic_box_count([(0, 0), (1, 1), (2, 0)], 4) == 1
+    assert geodesic_box_count([(0, 0), (4, 0)], 4) == 2
 
 
 def test_box_count_bound_on_sampled_geodesics():
@@ -225,7 +222,7 @@ def test_box_count_bound_on_sampled_geodesics():
         s0 = star(env, (0, 0))
         sx = star(env, x)
         res = truncated_passage(env, s0, sx, p)
-        count = geodesic_box_count(res.witness, Tiling(t=p.t, dim=2))
+        count = geodesic_box_count(res.witness, p.t)
         assert count <= box_count_bound(p, x)
 
 
