@@ -13,7 +13,6 @@ from .errors import (
 from .lattice import l1, linf
 from .passage import (
     ActivationTable,
-    HittingTime,
     PassageOutcome,
     oracle_passage_time,
     passage_between,
@@ -34,7 +33,6 @@ __all__ = [
     "Environment",
     "FrogsimError",
     "GeometryError",
-    "HittingTime",
     "LawParameterError",
     "PassageOutcome",
     "PlanError",

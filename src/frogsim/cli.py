@@ -200,24 +200,24 @@ def run_passage(plan: dict, outdir: Path) -> str:
         "x": list(x),
         "horizon": horizon,
         "finite_box": finite_box,
-        "value": out.value.time,
-        "censored": not out.value.is_finite,
+        "value": out.value,
+        "censored": out.value is None,
         "witness": [list(p) for p in out.witness] if out.witness else None,
     }
     star_out = passage_time_star(env, x, horizon, strict=not finite_box)
-    report["star_value"] = star_out.value.time
-    report["star_censored"] = not star_out.value.is_finite
+    report["star_value"] = star_out.value
+    report["star_censored"] = star_out.value is None
     if params["check_oracle"]:
         oracle = oracle_passage_time(env, (0,) * env.dim, x, horizon)
-        report["oracle_value"] = oracle.value.time
-        report["oracle_matches"] = oracle.value.time == out.value.time
+        report["oracle_value"] = oracle.value
+        report["oracle_matches"] = oracle.value == out.value
     if params["dump_table"]:
         table = simulate_frogs(env, (0,) * env.dim, horizon, strict=not finite_box)
         env_ref = {"law": env.law.label(), "seed": env.seed.master_seed, "tag": env.seed.experiment_tag,
                    "box_radius": env.box_radius}
         dump_json(table.to_json(env_ref), outdir / "activation_table.json")
     dump_json(report, outdir / "report.json")
-    val = out.value.time if out.value.is_finite else f">{horizon}"
+    val = f">{horizon}" if out.value is None else out.value
     return f"T(0,{x}) = {val}"
 
 
@@ -446,8 +446,14 @@ def _check_params(plan: dict) -> None:
         if size in params and not (isinstance(params[size], int) and params[size] >= 1):
             raise PlanError(f"{command}: {size} must be an integer >= 1, got {params[size]!r}")
     for key in ("law", "white_law"):
-        if key in params and not isinstance(params[key], str):
+        if key not in params:
+            continue
+        if not isinstance(params[key], str):
             raise PlanError(f"{command}: {key} must be a string such as poisson:1.0, got {params[key]!r}")
+        try:
+            ConfigLaw.parse(params[key])
+        except (FrogsimError, ValueError) as exc:
+            raise PlanError(f"{command}: {key} {params[key]!r} is not a law: {exc}") from None
     for key in ("k", "t", "calibration_k", "white_n"):
         ladder = params.get(key)
         if key in params and not (

@@ -11,6 +11,7 @@ agree on their overlap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -56,8 +57,8 @@ class ConfigLaw:
 
     @staticmethod
     def poisson(lam: float) -> "ConfigLaw":
-        if lam <= 0.0:
-            raise LawParameterError(f"poisson parameter lambda must be > 0, got {lam}")
+        if not (math.isfinite(lam) and lam > 0.0):
+            raise LawParameterError(f"poisson parameter lambda must be finite and > 0, got {lam}")
         return ConfigLaw("poisson", (float(lam),))
 
     @staticmethod
@@ -75,8 +76,8 @@ class ConfigLaw:
     @staticmethod
     def explicit(pmf: Iterable[float]) -> "ConfigLaw":
         table = tuple(float(v) for v in pmf)
-        if not table or any(v < 0 for v in table):
-            raise LawParameterError("explicit pmf must be nonempty and nonnegative")
+        if not table or not all(math.isfinite(v) and v >= 0 for v in table):
+            raise LawParameterError("explicit pmf must be nonempty, finite and nonnegative")
         total = sum(table)
         if abs(total - 1.0) > 1e-12:
             raise LawParameterError(f"explicit pmf must sum to 1 within 1e-12, got {total!r}")

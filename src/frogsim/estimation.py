@@ -17,7 +17,7 @@ import numpy as np
 from .environment import ConfigLaw, condition_origin, sample_environment, star
 from .errors import CensoringBudgetError, LawParameterError
 from .lattice import Coords, l1, scale
-from .passage import simulate_batch
+from .passage import passage_times
 from .stats import SummaryStats, bootstrap_std_ci, fit_alpha_grid, fit_line, summarize, wilson_ci
 from .walks import (
     PURPOSE_BOOTSTRAP,
@@ -32,9 +32,6 @@ from .walks import (
 
 DEFAULT_CENSOR_BUDGET = 0.05
 _BOOTSTRAP = 200  # resamples per bootstrap interval
-# replicas per engine loop: a wider batch shares each step's fixed cost among more
-# replicas, but holds all their frogs and activation tables at once
-_BATCH = 16
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +53,8 @@ class PassageSamples:
         return finite, int(np.isnan(col).sum())
 
 
-def _replica_setup(law, dim, targets, horizon, rep_seed, modified):
-    """A replica's environment, source and goals."""
+def replica_setup(law, dim, targets, horizon, rep_seed, modified):
+    """A replica's run (environment, source, goals) for ``passage_times``."""
     # star searches the whole box, so this radius decides when SearchCapError is raised
     env = sample_environment(law, dim, horizon + 8, rep_seed)
     if modified:
@@ -71,18 +68,6 @@ def _replica_setup(law, dim, targets, horizon, rep_seed, modified):
     if need > env.box_radius:
         env = env.with_radius(need)
     return env, source, goals
-
-
-def _run_batch(setups, horizon: int) -> list[np.ndarray]:
-    """The passage-time rows of a batch of set-up replicas, from one engine loop."""
-    envs, sources, goals = zip(*setups)
-    stops = [sorted(set(g)) for g in goals]
-    tables = simulate_batch(envs, sources, horizon, stops, True, False)
-    rows = []
-    for table, want in zip(tables, goals):
-        times = [table.visit_time(g) for g in want]
-        rows.append(np.asarray([ht.time if ht.is_finite else np.nan for ht in times], dtype=float))
-    return rows
 
 
 def collect_passage_samples(
@@ -102,16 +87,16 @@ def collect_passage_samples(
     and x* of an unconditioned environment; otherwise T(0, x) from an origin
     conditioned to be occupied.  One simulation per replica serves the
     whole ladder; the per-target statistics stay valid because replicas are
-    independent.  The replicas are set up first and then stepped through the
-    engine ``_BATCH`` at a time, one loop per batch, in order.
+    independent.  The replicas are set up first and then run by
+    ``passage_times``, in order.
     """
+    if replicas < 1:
+        raise LawParameterError(f"replicas must be >= 1, got {replicas}")
     targets = [tuple(x) for x in targets]
     setups = [
-        _replica_setup(law, dim, targets, horizon, seed.child(stream, r), modified) for r in range(replicas)
+        replica_setup(law, dim, targets, horizon, seed.child(stream, r), modified) for r in range(replicas)
     ]
-    values = np.stack(
-        [row for i in range(0, replicas, _BATCH) for row in _run_batch(setups[i : i + _BATCH], horizon)]
-    )
+    values = np.array(passage_times(setups, horizon), dtype=float).reshape(replicas, len(targets))
     censored = int(np.isnan(values).sum())
     total = values.size
     if censored > censor_budget * total:
@@ -124,8 +109,15 @@ def collect_passage_samples(
     return PassageSamples(targets=targets, values=values, horizon=horizon)
 
 
+def require_positive(name: str, value: float) -> float:
+    """``value``, if it is a finite number > 0; else LawParameterError."""
+    if not (math.isfinite(value) and value > 0):
+        raise LawParameterError(f"{name} must be a finite number > 0, got {value}")
+    return value
+
+
 def _auto_horizon(mu_hint: float, norm: int) -> int:
-    return max(32, math.ceil(3.0 * mu_hint * norm))
+    return max(32, math.ceil(3.0 * require_positive("mu_hint", mu_hint) * norm))
 
 
 def probe_mu_hint(law: ConfigLaw, dim: int, seed: SeedSpec) -> float:
@@ -254,8 +246,8 @@ def collect_tail_samples(
     mu_hat: float,
     seed: SeedSpec,
 ) -> PassageSamples:
-    if epsilon <= 0:
-        raise LawParameterError(f"epsilon must be > 0, got {epsilon}")
+    require_positive("epsilon", epsilon)
+    require_positive("mu_hat", mu_hat)
     dim = len(x_ladder[0])
     norms = [l1(x) for x in x_ladder]
     # the horizon only needs to clear the largest upper threshold: a censored
@@ -502,22 +494,10 @@ def subadditivity_audit(
         pts = _random_triple(rep_seed, dim, window)
         x, y, z = pts
         xs, ys, zs = (star(env, p) for p in pts)
-        # the runs from x, y, x* and y* with their targets, as one batch; a run from a
-        # site without frogs does not happen and reads None
-        runs = [(x, [y, z]), (y, [z]), (xs, [ys, zs]), (ys, [zs])]
-        live = [i for i, (a, _) in enumerate(runs) if env.omega(a) >= 1]
-        tables = simulate_batch(
-            [env] * len(live), [runs[i][0] for i in live], horizon, [runs[i][1] for i in live], True, False
+        # a run from a site without frogs reads None
+        (txy, txz), (tyz,), (sxy, sxz), (syz,) = passage_times(
+            [(env, x, [y, z]), (env, y, [z]), (env, xs, [ys, zs]), (env, ys, [zs])], horizon
         )
-        by_run = dict(zip(live, tables))
-
-        def passage(run: int, b: Coords) -> int | None:
-            if run not in by_run:
-                return None
-            ht = by_run[run].visit_time(b)
-            return ht.time if ht.is_finite else None
-
-        txy, txz, tyz = passage(0, y), passage(0, z), passage(1, z)
         if None in (txy, tyz, txz):
             skipped += 1
         else:
@@ -525,7 +505,6 @@ def subadditivity_audit(
             if txz > txy + tyz:
                 violations += 1
                 details.append({"kind": "plain", "triple": [x, y, z], "values": [txy, tyz, txz]})
-        sxy, sxz, syz = passage(2, ys), passage(2, zs), passage(3, zs)
         if None in (sxy, syz, sxz):
             skipped += 1
         else:

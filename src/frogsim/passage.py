@@ -21,6 +21,10 @@ only step loop: ``simulate_frogs`` is a batch of one.  Every draw is a pure
 function of (seed, site, frog, step), so a replica's visits, genealogy and
 stopping step do not depend on the batch it runs in, and the numpy cost of
 a step is paid once per batch rather than once per replica.
+``passage_times`` turns a list of (environment, source, targets) runs into
+passage values, ``int`` or None when censored, by stepping them through
+``simulate_batch`` in batches; every ensemble of the experiments runs
+through it.
 
 Hitting times come from one routine and one cache.  A ball row holds the
 first hits of a site's own frogs within an l-infinity ball and a horizon;
@@ -46,33 +50,8 @@ from .walks import PURPOSE_WALK, step_codes_np, walk_key, walk_keys_np
 
 
 @dataclass(frozen=True)
-class HittingTime:
-    """Either Finite(time) or censored at a horizon."""
-
-    time: int | None
-    horizon: int | None
-
-    @staticmethod
-    def finite(k: int, horizon: int | None = None) -> "HittingTime":
-        return HittingTime(int(k), horizon)
-
-    @staticmethod
-    def censored(horizon: int | None) -> "HittingTime":
-        return HittingTime(None, horizon)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.time is not None
-
-    def __repr__(self):
-        if self.is_finite:
-            return f"Finite({self.time})"
-        return f"CensoredAt({self.horizon})"
-
-
-@dataclass(frozen=True)
 class PassageOutcome:
-    value: HittingTime
+    value: int | None  # None: censored at the horizon
     witness: tuple[Coords, ...] | None
     horizon: int
     box_radius: int
@@ -104,16 +83,16 @@ class ActivationTable:
         self.awake_trace: list[int] = []
         self.stopped_at: int | None = None
 
-    def visit_time(self, x: Coords) -> HittingTime:
+    def visit_time(self, x: Coords) -> int | None:
+        """The first-visit time of x; None if x was not visited by the horizon."""
         if self.index.contains(x):
             t = int(self.visit[self.index.flat_one(x)])
             if t >= 0:
-                return HittingTime.finite(t, self.horizon)
-        return HittingTime.censored(self.horizon)
+                return t
+        return None
 
     def first_visitor_origin(self, x: Coords) -> Coords:
-        ht = self.visit_time(x)
-        if not ht.is_finite:
+        if self.visit_time(x) is None:
             raise FrogsimError(f"site {x} was not visited by the horizon {self.horizon}")
         return self.index.unflat_one(int(self.parent[self.index.flat_one(x)]))
 
@@ -382,15 +361,42 @@ def simulate_batch(
     return tables
 
 
-def tau(env: Environment, u: Coords, v: Coords, horizon: int) -> HittingTime:
-    """First time any frog initially at u stands on v; censored if none.
+# runs per engine loop: a wider batch shares each step's fixed cost among more
+# runs, but holds all their frogs and activation tables at once
+_BATCH = 16
+
+
+def passage_times(
+    runs: Sequence[tuple[Environment, Coords, Sequence[Coords]]], horizon: int
+) -> list[list[int | None]]:
+    """T(source, y) for every target y of every run (env, source, targets); None when censored.
+
+    A source with no frogs wakes nothing, so its targets all read None.  The
+    other runs step through the engine ``_BATCH`` at a time, in order, each
+    stopping once its targets are visited.  A batch's values are read before
+    the next batch steps, so one batch's tables are alive at a time.
+    """
+    out: list[list[int | None]] = [[None] * len(targets) for _, _, targets in runs]
+    live = [i for i, (env, source, _) in enumerate(runs) if env.omega(source) >= 1]
+    for lo in range(0, len(live), _BATCH):
+        batch = live[lo : lo + _BATCH]
+        envs, sources, goals = zip(*(runs[i] for i in batch))
+        tables = simulate_batch(envs, sources, horizon, [sorted(set(g)) for g in goals], True, False)
+        values = [[table.visit_time(y) for y in want] for table, want in zip(tables, goals)]
+        del tables  # the next batch's loop must not hold these tables too
+        for i, row in zip(batch, values):
+            out[i] = row
+    return out
+
+
+def tau(env: Environment, u: Coords, v: Coords, horizon: int) -> int | None:
+    """First time any frog initially at u stands on v; None if none does by the horizon.
 
     Covers the unoccupied-start convention: no frogs at u means no hit; a
     start outside the box raises GeometryError.
     """
     sites, times = first_hits(env, u, horizon)
-    hit = _row_time(offset_index(horizon, env.dim), sites, times, sub(v, u))
-    return HittingTime.censored(horizon) if hit is None else HittingTime.finite(hit, horizon)
+    return _row_time(offset_index(horizon, env.dim), sites, times, sub(v, u))
 
 
 @lru_cache(maxsize=64)
@@ -555,7 +561,7 @@ def passage_between(
     """T(source, x) with a genealogy witness when finite."""
     table = simulate_frogs(env, source, horizon, stop_targets=[x], strict=strict)
     value = table.visit_time(x)
-    witness = tuple(table.genealogy(x)) if value.is_finite else None
+    witness = None if value is None else tuple(table.genealogy(x))
     return PassageOutcome(value=value, witness=witness, horizon=horizon, box_radius=env.box_radius)
 
 
@@ -564,7 +570,7 @@ def passage_time_star(env: Environment, x: Coords, horizon: int, strict: bool = 
     origin_star = star(env, (0,) * env.dim)
     x_star = star(env, x)
     if x_star == origin_star:
-        return PassageOutcome(HittingTime.finite(0, horizon), (origin_star,), horizon, env.box_radius)
+        return PassageOutcome(0, (origin_star,), horizon, env.box_radius)
     return passage_between(env, origin_star, x_star, horizon, strict=strict)
 
 
@@ -639,14 +645,14 @@ def oracle_passage_time(
             best = cand
             best_relay = u
     if best is None:
-        return PassageOutcome(HittingTime.censored(horizon), None, horizon, env.box_radius)
+        return PassageOutcome(None, None, horizon, env.box_radius)
     chain = [x] if x != best_relay else []
     cur = best_relay
     while cur is not None:
         chain.append(cur)
         cur = parent.get(cur)
     chain.reverse()
-    return PassageOutcome(HittingTime.finite(best, horizon), tuple(chain), horizon, env.box_radius)
+    return PassageOutcome(best, tuple(chain), horizon, env.box_radius)
 
 
 def oracle_all_targets(

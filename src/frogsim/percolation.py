@@ -19,7 +19,7 @@ import numpy as np
 from .environment import ConfigLaw, Environment, sample_environment
 from .errors import EmptySetError, GeometryError, LawParameterError
 from .lattice import Coords, CubeIndex, add, ball_coords, cube_coords, l1, scale, sub
-from .passage import simulate_frogs
+from .passage import passage_times
 from .stats import fit_line, wilson_ci
 from .walks import PURPOSE_FIELD, SeedSpec, site_keys_np, uniform01_np
 
@@ -195,16 +195,9 @@ def white_site_indicator(
     # condition (2): close occupied pairs connect within time N
     close_limit = N ** 0.25
     occ_list = [tuple(int(c) for c in row) for row in occ]
-    for i, x in enumerate(occ_list):
-        targets = [y for y in occ_list if y != x and l1(sub(y, x)) <= close_limit]
-        if not targets:
-            continue
-        table = simulate_frogs(env, x, N, stop_targets=targets, strict=True)
-        for y in targets:
-            ht = table.visit_time(y)
-            if not ht.is_finite or ht.time > N:
-                return 0
-    return 1
+    close = [(x, [y for y in occ_list if y != x and l1(sub(y, x)) <= close_limit]) for x in occ_list]
+    times = passage_times([(env, x, ys) for x, ys in close if ys], N)
+    return int(all(v is not None for row in times for v in row))
 
 
 def _tile_offsets(half: int, d: int) -> list[Coords]:

@@ -49,19 +49,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .environment import Environment, sample_environment, star
-from .errors import GeometryError
+from .environment import Environment
+from .errors import GeometryError, LawParameterError
+from .estimation import replica_setup, require_positive
 from .lattice import Coords, CubeIndex, cube_coords, l1, linf, sub
-from .passage import (
-    HittingTime,
-    _ball_row,
-    _build_rows,
-    _covers,
-    _row_cache,
-    _row_time,
-    offset_index,
-    simulate_batch,
-)
+from .passage import _ball_row, _build_rows, _covers, _row_cache, _row_time, offset_index, passage_times
 from .stats import wilson_ci
 from .walks import SeedSpec
 
@@ -79,6 +71,9 @@ class TruncationParams:
     def make(t: int, dim: int, c4_hat: float, gamma: float = 1.0) -> "TruncationParams":
         if t < 1:
             raise GeometryError(f"truncation scale must be >= 1, got {t}")
+        for name, value in (("c4_hat", c4_hat), ("gamma", gamma)):
+            if not (math.isfinite(value) and value >= 0):
+                raise LawParameterError(f"{name} must be a finite number >= 0, got {value}")
         K = math.ceil(dim * (c4_hat + gamma + 1)) + 1
         return TruncationParams(t=t, gamma=gamma, K=K, c4_hat=c4_hat)
 
@@ -325,15 +320,16 @@ def agreement_experiment(
     """Fraction of replicas with T_t(0*, x*) != T*(0, x), per truncation scale.
 
     One environment per replica serves every t, so the comparison is a
-    coupling across the ladder.  T*(0, x) is censored at 3 mu_hat |x|_1;
-    censored values are excluded from the comparison and reported.
+    coupling across the ladder.  The replicas are set up as in
+    ``collect_passage_samples`` and their T*(0, x) = T(0*, x*) read from
+    ``passage_times``, censored at 3 mu_hat |x|_1; censored values are
+    excluded from the comparison and reported.
     """
     d = len(x)
+    horizon = math.ceil(3.0 * require_positive("mu_hat", mu_hat) * l1(x))
     if c4_hat is None:
         c4_hat = 5.0 * mu_hat
     params = {t: TruncationParams.make(t, d, c4_hat, gamma) for t in t_ladder}
-    horizon = math.ceil(3.0 * mu_hat * l1(x))
-    radius0 = horizon + 8
     table = AgreementTable(x=x, law_label=law.label(), params_by_t=params)
 
     disagree = {t: 0 for t in t_ladder}
@@ -342,40 +338,21 @@ def agreement_experiment(
     long_geo = {t: 0 for t in t_ladder}
     max_boxes = {t: 0 for t in t_ladder}
 
-    # every replica's environment and stars first, then all T*(0, x) from one engine loop
-    envs, stars = [], []
-    for r in range(replicas):
-        env = sample_environment(law, d, radius0, seed.child("agreement", r))
-        origin_star, x_star = star(env, (0,) * d), star(env, x)
-        # one box holds every site either search reads: the engine's reach
-        # and, for each t, the relay region of truncated_passage
-        need = max(_relay_radius(origin_star, x_star, p) for p in params.values())
-        envs.append(env.with_radius(max(radius0, horizon + l1(origin_star), need)))
-        stars.append((origin_star, x_star))
-    t_star = [HittingTime.finite(0, horizon)] * replicas  # T* = 0 when x* == 0*
-    runs = [r for r in range(replicas) if stars[r][0] != stars[r][1]]
-    if runs:
-        values = [
-            table.visit_time(stars[r][1])
-            for r, table in zip(runs, simulate_batch(
-                [envs[r] for r in runs], [stars[r][0] for r in runs], horizon,
-                [[stars[r][1]] for r in runs], True, False,
-            ))
-        ]
-        for r, value in zip(runs, values):
-            t_star[r] = value
-
-    for r, ((origin_star, x_star), value) in enumerate(zip(stars, t_star)):
+    # every replica's environment and stars first, then all T*(0, x) from the engine
+    setups = [replica_setup(law, d, [x], horizon, seed.child("agreement", r), True) for r in range(replicas)]
+    for r, (value,) in enumerate(passage_times(setups, horizon)):
         # the searches cache ball rows on the environment: release each once searched
-        env, envs[r] = envs[r], None
+        (env, origin_star, (x_star,)), setups[r] = setups[r], None
+        # one box holds every site the searches read: the relay region of each t
+        env = env.with_radius(max(_relay_radius(origin_star, x_star, p) for p in params.values()))
         # descending t lets the ball rows cached for a larger t serve the smaller ones
         for t in sorted(t_ladder, reverse=True):
-            if not value.is_finite:
+            if value is None:
                 censored[t] += 1
                 continue
             trunc = truncated_passage(env, origin_star, x_star, params[t])
             compared[t] += 1
-            if trunc.value != value.time:
+            if trunc.value != value:
                 disagree[t] += 1
             if trunc.long_edges_used:
                 long_geo[t] += 1

@@ -62,8 +62,7 @@ def oracle_sweep():
         oracle = oracle_all_targets(env, (0, 0), horizon)
         for row in ball_coords(6, 2).tolist():
             x = tuple(row)
-            engine = table.visit_time(x)
-            ev = engine.time if engine.is_finite else None
+            ev = table.visit_time(x)
             ov = oracle.get(x)
             if ev is not None or ov is not None:
                 compared += 1

@@ -128,6 +128,11 @@ def test_law_validation():
         ConfigLaw.explicit([0.5, 0.4])  # sums to 0.9
     with pytest.raises(LawParameterError):
         ConfigLaw.explicit([1.0])  # concentrated at zero
+    for lam in (float("inf"), float("nan")):  # inf used to sample a constant-1 law, nan all zeros
+        with pytest.raises(LawParameterError):
+            ConfigLaw.poisson(lam)
+    with pytest.raises(LawParameterError):
+        ConfigLaw.explicit([float("nan"), 1.0])
 
 
 def test_law_means():
@@ -143,8 +148,9 @@ def test_law_parse_round_trip():
         law = ConfigLaw.parse(text)
         again = ConfigLaw.from_json(law.to_json())
         assert again == law
-    with pytest.raises(LawParameterError):
-        ConfigLaw.parse("zipf:1.2")
+    for text in ["zipf:1.2", "poisson:inf", "poisson:nan", "explicit:nan,1"]:
+        with pytest.raises(LawParameterError):
+            ConfigLaw.parse(text)
 
 
 def test_environment_json_round_trip():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from frogsim import estimation
+from frogsim import passage
 from frogsim.environment import ConfigLaw
 from frogsim.errors import CensoringBudgetError, LawParameterError
 from frogsim.estimation import (
@@ -18,7 +18,10 @@ from frogsim.estimation import (
     tail_curve_from_samples,
 )
 from frogsim.stats import fit_alpha_grid, fit_line, summarize, wilson_ci
+from frogsim.truncated import TruncationParams, agreement_experiment
 from frogsim.walks import SeedSpec
+
+INF, NAN = float("inf"), float("nan")
 
 
 def test_direct_path_trivial_cases():
@@ -197,7 +200,7 @@ def test_batch_width_and_threads_leave_values_unchanged(modified, monkeypatch):
     law, targets, replicas = ConfigLaw.poisson(1.0), [(3, 0), (0, -5), (7, 2)], 7
 
     def values(width):
-        monkeypatch.setattr(estimation, "_BATCH", width)
+        monkeypatch.setattr(passage, "_BATCH", width)
         return collect_passage_samples(
             law, 2, targets, replicas, SeedSpec(23, "width"), 40, modified=modified,
         ).values
@@ -206,3 +209,47 @@ def test_batch_width_and_threads_leave_values_unchanged(modified, monkeypatch):
     assert np.isfinite(want).any()
     for width in (1, 3, replicas):
         assert np.array_equal(values(width), want, equal_nan=True), width
+
+
+def test_batch_width_leaves_agreement_and_audit_unchanged(monkeypatch):
+    # both run their engine replicas through passage_times, 16 at a time by default
+    def reports(width):
+        monkeypatch.setattr(passage, "_BATCH", width)
+        agreement = agreement_experiment(ConfigLaw.poisson(1.0), (4, 0), [2, 4], 5, SeedSpec(24, "width"), 1.5)
+        audit = subadditivity_audit(ConfigLaw.bernoulli(0.8), 3, SeedSpec(24, "width"), horizon=30)
+        return agreement.rows, audit
+
+    want = reports(16)
+    assert all(row.replicas > 0 for row in want[0]) and want[1].checked_plain > 0
+    for width in (1, 3):
+        assert reports(width) == want, width
+
+
+POISSON, SEED = ConfigLaw.poisson(1.0), SeedSpec(25, "bad")
+
+
+@pytest.mark.parametrize(
+    "func,kwargs",
+    [
+        (TruncationParams.make, dict(t=2, dim=2, c4_hat=INF)),
+        (TruncationParams.make, dict(t=2, dim=2, c4_hat=1.0, gamma=NAN)),
+        *[(agreement_experiment, dict(law=POISSON, x=(4, 0), t_ladder=[2], replicas=1, seed=SEED, mu_hat=mu))
+          for mu in (INF, NAN, -1.0)],
+        (collect_tail_samples, dict(law=POISSON, epsilon=0.5, x_ladder=[(4, 0)], replicas=2, mu_hat=INF, seed=SEED)),
+        (collect_tail_samples, dict(law=POISSON, epsilon=INF, x_ladder=[(4, 0)], replicas=2, mu_hat=1.5, seed=SEED)),
+        *[(estimate_time_constant, dict(law=POISSON, direction=(1, 0), k_ladder=[4], replicas=2, seed=SEED,
+                                        mu_hint=mu)) for mu in (INF, NAN)],
+        *[(concentration_experiment, dict(law=POISSON, x_ladder=[(4, 0)], replicas=2, seed=SEED, mu_hint=mu))
+          for mu in (INF, NAN)],
+        (collect_passage_samples, dict(law=POISSON, dim=2, targets=[(4, 0)], replicas=0, seed=SEED, horizon=20,
+                                       modified=False)),
+    ],
+    ids=["c4-hat-inf", "gamma-nan", "agreement-mu-hat-inf", "agreement-mu-hat-nan", "agreement-mu-hat-negative",
+         "tails-mu-hat-inf", "tails-epsilon-inf", "mu-hint-inf", "mu-hint-nan", "concentration-mu-hint-inf",
+         "concentration-mu-hint-nan", "zero-replicas"],
+)
+def test_library_entry_points_reject_bad_numbers(func, kwargs):
+    # these used to raise OverflowError or ValueError from math.ceil or np.stack, or a
+    # GeometryError about K, in place of the CLI's parameter rules
+    with pytest.raises(LawParameterError):
+        func(**kwargs)

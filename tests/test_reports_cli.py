@@ -59,11 +59,12 @@ def test_cli_bad_epsilon(tmp_path):
 
 
 def test_cli_bad_law(tmp_path):
-    code = run_cli(
-        "mu", "--law", "zipf:2", "--k", "4,8", "--replicas", "5", "--seed", "1",
-        "--out", str(tmp_path / "m"),
-    )
-    assert code == 2
+    # rejected before plan.json is written; poisson:inf used to run a constant-1 law
+    for law in ["zipf:2", "poisson:inf", "poisson:nan", "explicit:nan,1", "poisson:x"]:
+        out = tmp_path / law.replace(":", "_")
+        code = run_cli("mu", "--law", law, "--k", "4,8", "--replicas", "5", "--seed", "1", "--out", str(out))
+        assert code == 2, law
+        assert not (out / "plan.json").exists(), law
 
 
 def test_cli_censoring_exit_code(tmp_path):
@@ -332,12 +333,14 @@ INF, NAN = float("inf"), float("nan")
         ("passage", {**PASSAGE_PARAMS, "horizon": -1}, "horizon must be an integer >= 0"),
         ("passage", {**PASSAGE_PARAMS, "horizon": 2.5}, "horizon must be an integer >= 0"),
         ("sample-env", {**SAMPLE_ENV_PARAMS, "radius": -1}, "radius must be an integer >= 0"),
+        ("percolation", {**PERCOLATION_PARAMS, "white_n": [3], "white_subbox": 1, "white_law": "poisson:inf"},
+         "white_law 'poisson:inf' is not a law"),
     ],
     ids=["law-int", "k-int", "k-negative", "t-float", "side", "p-string", "p-bool", "radius-float",
          "origin-target", "default-target-in-margin", "target-string", "direction-float",
          "calibration-replicas", "mu-hat-inf", "mu-hat-nan", "mu-hat-zero", "mu-hint-inf", "epsilon-inf",
          "c4-hat-inf", "gamma-nan", "gamma-negative", "audit-horizon-negative", "audit-window-negative",
-         "passage-horizon-negative", "passage-horizon-float", "sample-env-radius-negative"],
+         "passage-horizon-negative", "passage-horizon-float", "sample-env-radius-negative", "white-law-inf"],
 )
 def test_cli_replay_rejects_mistyped_params(command, params, message, tmp_path, capsys):
     # rejected before plan.json is written, not by a traceback or after sampling
