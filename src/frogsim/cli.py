@@ -61,95 +61,137 @@ def _parse_points(text: str) -> list[list[int]]:
 
 REQUIRED = object()  # the table default of a flag that every run must give
 
-# Each command's parameters in plan order: (plan key, parser, default, help).
-# The flag is the key with dashes.  An int or float parser is argparse's
-# type and bool makes a switch; any other parser turns the flag's text into
-# the plan value in _plan_from_args, so that a malformed value exits 2 as a
-# plan error.  A default of None leaves the key out of the plan, and a
-# parser of None marks a key that only a stored plan sets.  A replayed plan
-# gets every absent key at its default; REQUIRED_PARAMS lists the keys it
-# must carry.
+TAIL_SIDES = {"upper": ["upper"], "lower": ["lower"], "both": ["upper", "lower"]}
+
+
+def _must(ok, what: str):
+    """A row check: None if ``ok(value)``, else the rest of the message, "must be {what}, got ..."."""
+    return lambda value: None if ok(value) else f"must be {what}, got {value!r}"
+
+
+def _real(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+# type(v) is int: a bool is not an integer here
+INTEGER = _must(lambda v: type(v) is int, "an integer")
+COUNT = _must(lambda v: type(v) is int and v >= 0, "an integer >= 0")
+SIZE = _must(lambda v: type(v) is int and v >= 1, "an integer >= 1")
+POSITIVE = _must(lambda v: _real(v) and v > 0, "a finite number > 0")
+NONNEGATIVE = _must(lambda v: _real(v) and v >= 0, "a finite number >= 0")
+# a repeated scale would fit a slope through one point twice, or fail after plan.json
+LADDER = _must(lambda v: isinstance(v, list) and v and all(type(k) is int and k >= 1 for k in v)
+               and len(set(v)) == len(v), "a non-empty list of positive integers, each once")
+TEXT = _must(lambda v: isinstance(v, str), "a string")
+SWITCH = _must(lambda v: type(v) is bool, "true or false")
+SIDE = _must(lambda v: isinstance(v, str) and v in TAIL_SIDES, "upper or lower (or both)")
+PROBABILITY = _must(lambda v: _real(v) and 0 <= v <= 1, "a number in [0, 1]")
+# lists of coordinates, which _check_params checks against dim; a zero direction has no ray
+SITES = _must(lambda v: isinstance(v, list), "a list")
+DIRECTION = _must(lambda v: isinstance(v, list) and any(v), "a nonzero site")
+
+
+def LAW(value) -> str | None:
+    """The row check of a law: a string that ConfigLaw.parse accepts."""
+    if not isinstance(value, str):
+        return f"must be a string such as poisson:1.0, got {value!r}"
+    try:
+        ConfigLaw.parse(value)
+    except FrogsimError as exc:
+        return f"{value!r} is not a law: {exc}"
+    return None
+
+
+# Each command's parameters in plan order: (plan key, parser, default, check,
+# help).  The flag is the key with dashes.  An int or float parser is
+# argparse's type and bool makes a switch; any other parser turns the flag's
+# text into the plan value in _plan_from_args, so that a malformed value
+# exits 2 as a plan error.  A default of None leaves the key out of the plan,
+# and a parser of None marks a key that only a stored plan sets.  The check
+# takes the plan value and returns None or the rest of the error message;
+# _check_params runs it on every key a plan carries, before plan.json is
+# written, and rejects a key that is not a row.  A replayed plan gets every
+# absent key at its default; REQUIRED_PARAMS lists the keys it must carry.
 _SEED = [
-    ("seed", int, REQUIRED, "master seed (required; no environment fallback)"),
-    ("tag", str, "", "experiment tag mixed into every derived key"),
+    ("seed", int, REQUIRED, INTEGER, "master seed (required; no environment fallback)"),
+    ("tag", str, "", TEXT, "experiment tag mixed into every derived key"),
 ]
 _LAW = [
     *_SEED,
-    ("law", str, REQUIRED, "poisson:1.0 | bernoulli:0.7 | geometric:0.5 | constant:1 | explicit:p0,p1,..."),
-    ("dim", int, 2, None),
+    ("law", str, REQUIRED, LAW, "poisson:1.0 | bernoulli:0.7 | geometric:0.5 | constant:1 | explicit:p0,p1,..."),
+    ("dim", int, 2, SIZE, None),
 ]
 _LADDER = [
     *_LAW,
-    ("direction", _parse_ints, [1, 0], None),
-    ("k", _parse_ints, REQUIRED, "comma list, e.g. 4,8,16,32"),
-    ("replicas", int, REQUIRED, None),
+    ("direction", _parse_ints, [1, 0], DIRECTION, None),
+    ("k", _parse_ints, REQUIRED, LADDER, "comma list, e.g. 4,8,16,32"),
+    ("replicas", int, REQUIRED, SIZE, None),
 ]
 COMMANDS = {
     "sample-env": ("sample a configuration and serialize it", [
         *_LAW,
-        ("radius", int, REQUIRED, None),
-        ("condition", bool, False, "condition on an occupied origin"),
+        ("radius", int, REQUIRED, COUNT, None),
+        ("condition", bool, False, SWITCH, "condition on an occupied origin"),
     ]),
     "passage": ("one passage time with witness", [
         *_LAW,
-        ("radius", int, REQUIRED, None),
-        ("x", _parse_ints, REQUIRED, "target site, e.g. 3,0"),
-        ("horizon", int, REQUIRED, None),
-        ("check_oracle", bool, False, None),
-        ("dump_table", bool, False, "write the activation table and genealogy"),
+        ("radius", int, REQUIRED, COUNT, None),
+        ("x", _parse_ints, REQUIRED, SITES, "target site, e.g. 3,0"),
+        ("horizon", int, REQUIRED, COUNT, None),
+        ("check_oracle", bool, False, SWITCH, None),
+        ("dump_table", bool, False, SWITCH, "write the activation table and genealogy"),
     ]),
     "mu": ("time-constant estimation ladder", _LADDER),
     "tails": ("deviation tail curves", [
         *_LADDER,
-        ("epsilon", float, REQUIRED, None),
-        ("side", str, "both", None),
-        ("mu_hat", float, None, "calibrated estimate; omitted -> internal calibration on a disjoint seed stream"),
-        ("calibration_k", None, [4, 8, 16], None),
-        ("calibration_replicas", None, 200, None),
+        ("epsilon", float, REQUIRED, POSITIVE, None),
+        ("side", str, "both", SIDE, None),
+        ("mu_hat", float, None, POSITIVE,
+         "calibrated estimate; omitted -> internal calibration on a disjoint seed stream"),
+        ("calibration_k", None, [4, 8, 16], LADDER, None),
+        ("calibration_replicas", None, 200, SIZE, None),
     ]),
     "concentration": ("std scaling of the modified passage time", [
         *_LADDER,
-        ("mu_hint", float, None, None),
+        ("mu_hint", float, None, POSITIVE, None),
     ]),
     "truncation": ("truncated-vs-modified agreement experiment", [
         *_LAW,
-        ("x", _parse_ints, REQUIRED, None),
-        ("t", _parse_ints, REQUIRED, "truncation scales, e.g. 1,2,4,8,16"),
-        ("replicas", int, REQUIRED, None),
-        ("gamma", float, 1.0, None),
-        ("mu_hat", float, None, None),
-        ("c4_hat", float, None, None),
+        ("x", _parse_ints, REQUIRED, SITES, None),
+        ("t", _parse_ints, REQUIRED, LADDER, "truncation scales, e.g. 1,2,4,8,16"),
+        ("replicas", int, REQUIRED, SIZE, None),
+        ("gamma", float, 1.0, NONNEGATIVE, None),
+        ("mu_hat", float, None, POSITIVE, None),
+        ("c4_hat", float, None, NONNEGATIVE, None),
     ]),
     "percolation": ("hole radius tail and chemical distance ratios", [
         *_SEED,
-        ("dim", int, 2, None),
-        ("p", float, REQUIRED, None),
-        ("radius", int, REQUIRED, None),
-        ("replicas", int, REQUIRED, None),
-        ("targets", _parse_points, [[20, 0], [0, 20]], "semicolon-separated sites"),
+        ("dim", int, 2, SIZE, None),
+        ("p", float, REQUIRED, PROBABILITY, None),
+        ("radius", int, REQUIRED, COUNT, None),
+        ("replicas", int, REQUIRED, SIZE, None),
+        ("targets", _parse_points, [[20, 0], [0, 20]], SITES, "semicolon-separated sites"),
         # the white_* keys enter a plan only with --white-n
-        ("white_n", _parse_ints, None, "optional block-scale ladder for the white marginal, e.g. 3,5"),
-        ("white_replicas", int, 20, None),
-        ("white_law", str, "poisson:1.0", None),
-        ("white_subbox", int, None, None),
+        ("white_n", _parse_ints, None, LADDER, "optional block-scale ladder for the white marginal, e.g. 3,5"),
+        ("white_replicas", int, 20, SIZE, None),
+        ("white_law", str, "poisson:1.0", LAW, None),
+        ("white_subbox", int, None, SIZE, None),
     ]),
     "audit": ("subadditivity audit", [
         *_LAW,
-        ("triples", int, REQUIRED, None),
-        ("window", int, 5, None),
-        ("horizon", int, 60, None),
+        ("triples", int, REQUIRED, SIZE, None),
+        ("window", int, 5, COUNT, None),
+        ("horizon", int, 60, COUNT, None),
     ]),
 }
 DEFAULTS = {
-    command: {key: default for key, _, default, _ in table if default is not REQUIRED}
+    command: {key: default for key, _, default, _, _ in table if default is not REQUIRED}
     for command, (_, table) in COMMANDS.items()
 }
 
 # the replicated commands and replay still accept --threads
 THREADED = ("mu", "tails", "concentration")
 THREADS = {"type": int, "default": 1, "help": "ignored; kept so that older command lines still run"}
-
-TAIL_SIDES = {"upper": ["upper"], "lower": ["lower"], "both": ["upper", "lower"]}
 
 
 def _params(plan: dict) -> dict:
@@ -158,7 +200,7 @@ def _params(plan: dict) -> dict:
 
 
 def _seed(params: dict) -> SeedSpec:
-    return SeedSpec(int(params["seed"]), params["tag"])
+    return SeedSpec(params["seed"], params["tag"])
 
 
 def _law(params: dict) -> ConfigLaw:
@@ -412,99 +454,51 @@ REQUIRED_PARAMS = {
     "audit": ("seed", "law", "dim", "triples"),
 }
 
-# the sample-size parameters of each replicated command; fewer than one
-# replica leaves nothing to estimate
-SAMPLE_SIZES = {
-    "mu": ("replicas",),
-    "tails": ("replicas", "calibration_replicas"),
-    "concentration": ("replicas",),
-    "truncation": ("replicas",),
-    "percolation": ("replicas", "white_replicas"),
-    "audit": ("triples",),
-}
-
-
-def _real(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
-
-
-# the numeric params, checked wherever a plan carries them: (keys, test, what
-# the test asks for).  A key whose default is None may also be null
-NUMBERS = (
-    (("mu_hat", "mu_hint", "epsilon"), lambda v: _real(v) and v > 0, "a finite number > 0"),
-    (("c4_hat", "gamma"), lambda v: _real(v) and v >= 0, "a finite number >= 0"),
-    (("horizon", "window", "radius"), lambda v: type(v) is int and v >= 0, "an integer >= 0"),
-)
-
-
 def _check_params(plan: dict) -> None:
     command, params = plan["command"], plan["params"]
     missing = [key for key in REQUIRED_PARAMS[command] if key not in params]
     if missing:
         raise PlanError(f"{command}: plan params lack {', '.join(missing)}")
-    for size in SAMPLE_SIZES.get(command, ()):
-        if size in params and not (isinstance(params[size], int) and params[size] >= 1):
-            raise PlanError(f"{command}: {size} must be an integer >= 1, got {params[size]!r}")
-    for key in ("law", "white_law"):
-        if key not in params:
-            continue
-        if not isinstance(params[key], str):
-            raise PlanError(f"{command}: {key} must be a string such as poisson:1.0, got {params[key]!r}")
-        try:
-            ConfigLaw.parse(params[key])
-        except (FrogsimError, ValueError) as exc:
-            raise PlanError(f"{command}: {key} {params[key]!r} is not a law: {exc}") from None
-    for key in ("k", "t", "calibration_k", "white_n"):
-        ladder = params.get(key)
-        if key in params and not (
-            isinstance(ladder, list) and ladder and all(type(v) is int and v >= 1 for v in ladder)
-        ):
-            raise PlanError(f"{command}: {key} must be a non-empty list of positive integers, got {ladder!r}")
-    for keys, ok, what in NUMBERS:
-        for key in keys:
-            nullable = DEFAULTS[command].get(key, REQUIRED) is None  # null runs the default
-            if key in params and not (ok(params[key]) or nullable and params[key] is None):
-                raise PlanError(f"{command}: {key} must be {what}, got {params[key]!r}")
-    if command == "tails" and not (isinstance(params["side"], str) and params["side"] in TAIL_SIDES):
-        raise PlanError(f"tails: side must be upper or lower (or both), got {params['side']!r}")
-    if command == "percolation":
-        p = params["p"]
-        if not (type(p) in (int, float) and 0 <= p <= 1):
-            raise PlanError(f"percolation: p must be a number in [0, 1], got {p!r}")
-        white = _params(plan)
-        subbox, dim = white["white_subbox"], white["dim"]
-        if white["white_n"] and subbox is None and type(dim) is int:
-            small = [n for n in white["white_n"] if default_subbox_side(n, dim) < 1]
-            if small:
-                raise PlanError(
-                    f"percolation: the default sub-box side floor(N^0.25/(4d)) is 0 at white_n {small}; "
-                    "set white_subbox"
-                )
-        if white["white_n"] and subbox is not None and not (type(subbox) is int and subbox >= 1):
-            raise PlanError(f"percolation: white_subbox must be an integer >= 1, got {subbox!r}")
-    dim = params.get("dim")
-    if dim is None:
-        return
-    # a percolation plan that names no targets runs the default ones
-    targets = _params(plan).get("targets", [])
-    points = [(key, params[key]) for key in ("direction", "x") if key in params]
-    points += [("targets", t) for t in targets]
+    table = COMMANDS[command][1]
+    keys = [key for key, *_ in table]
+    unknown = [key for key in params if key not in keys]
+    if unknown:
+        raise PlanError(f"{command}: {unknown[0]} is not a parameter of {command}")
+    for key, _, default, check, _ in table:
+        if key not in params or params[key] is None and default is None:
+            continue  # an absent key, or a null one whose default is None, runs at its default
+        problem = check(params[key])
+        if problem:
+            raise PlanError(f"{command}: {key} {problem}")
+    # the checks that read two keys, each absent key at its default
+    full = _params(plan)
+    dim = full["dim"]
+    points = [(key, full[key]) for key in ("direction", "x") if key in full]
+    points += [("targets", t) for t in full.get("targets", [])]
     for key, point in points:
-        if not (isinstance(point, (list, tuple)) and len(point) == dim):
+        if not (isinstance(point, list) and len(point) == dim):
             raise PlanError(f"{command}: {key} must have dim = {dim} coordinates, got {point!r}")
         if not all(type(c) is int for c in point):
             raise PlanError(f"{command}: {key} must have integer coordinates, got {point!r}")
-    if command == "percolation":
-        if [0] * dim in [list(t) for t in targets]:
-            raise PlanError("percolation: a target must not be the origin, whose chemical ratio is 0/0")
-        radius = params["radius"]
-        margin = boundary_margin(radius)
-        for t in targets:
-            if l1(t) > radius - margin:
-                raise PlanError(
-                    f"percolation: target {tuple(t)} lies inside the boundary margin of {margin}: "
-                    f"its l1 norm must be at most radius - margin = {radius - margin}"
-                )
+    if command != "percolation":
+        return
+    if [0] * dim in full["targets"]:
+        raise PlanError("percolation: a target must not be the origin, whose chemical ratio is 0/0")
+    radius = full["radius"]
+    margin = boundary_margin(radius)
+    for t in full["targets"]:
+        if l1(t) > radius - margin:
+            raise PlanError(
+                f"percolation: target {tuple(t)} lies inside the boundary margin of {margin}: "
+                f"its l1 norm must be at most radius - margin = {radius - margin}"
+            )
+    if full["white_n"] and full["white_subbox"] is None:
+        small = [n for n in full["white_n"] if default_subbox_side(n, dim) < 1]
+        if small:
+            raise PlanError(
+                f"percolation: the default sub-box side floor(N^0.25/(4d)) is 0 at white_n {small}; "
+                "set white_subbox"
+            )
 
 
 def execute_plan(plan: dict, outdir: Path, threads: int = 1) -> str:
@@ -536,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for command, (text, table) in COMMANDS.items():
         sp = sub.add_parser(command, help=text)
-        for key, parse, default, help_ in table:
+        for key, parse, default, _, help_ in table:
             flag = "--" + key.replace("_", "-")
             if parse is bool:
                 sp.add_argument(flag, action="store_true", help=help_)
@@ -558,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _plan_from_args(args: argparse.Namespace) -> dict:
     params = {}
-    for key, parse, _, _ in COMMANDS[args.command][1]:
+    for key, parse, _, _, _ in COMMANDS[args.command][1]:
         value = getattr(args, key, None)  # None: no flag, or an optional flag not given
         if value is None or (key.startswith("white_") and not args.white_n):
             continue

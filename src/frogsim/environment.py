@@ -69,8 +69,8 @@ class ConfigLaw:
 
     @staticmethod
     def constant(k: int) -> "ConfigLaw":
-        if k < 1:
-            raise LawParameterError(f"constant law needs k >= 1, got {k}")
+        if not (k >= 1 and float(k).is_integer()):
+            raise LawParameterError(f"constant law needs an integer k >= 1, got {k}")
         return ConfigLaw("constant", (float(k),))
 
     @staticmethod
@@ -88,41 +88,39 @@ class ConfigLaw:
         return ConfigLaw("explicit", table)
 
     @staticmethod
+    def of(kind: str, params: Sequence[float]) -> "ConfigLaw":
+        """The law ``kind`` with ``params``: the one dispatch behind parse and from_json."""
+        if kind == "explicit":
+            return ConfigLaw.explicit(params)
+        make = {"bernoulli": ConfigLaw.bernoulli, "poisson": ConfigLaw.poisson,
+                "geometric": ConfigLaw.geometric, "constant": ConfigLaw.constant}.get(kind)
+        if make is None:
+            raise LawParameterError(f"unknown law {kind!r}")
+        if len(params) != 1:
+            raise LawParameterError(f"{kind} law takes one parameter, got {len(params)}")
+        return make(params[0])
+
+    @staticmethod
     def parse(text: str) -> "ConfigLaw":
         """Parse CLI syntax like poisson:1.0, bernoulli:0.7, constant:1, explicit:0.2,0.5,0.3."""
         kind, _, arg = text.partition(":")
-        kind = kind.strip().lower()
-        if kind == "bernoulli":
-            return ConfigLaw.bernoulli(float(arg))
-        if kind == "poisson":
-            return ConfigLaw.poisson(float(arg))
-        if kind == "geometric":
-            return ConfigLaw.geometric(float(arg))
-        if kind == "constant":
-            return ConfigLaw.constant(int(arg))
-        if kind == "explicit":
-            return ConfigLaw.explicit(float(v) for v in arg.split(","))
-        raise LawParameterError(f"unknown law {kind!r}")
+        try:
+            params = [float(v) for v in arg.split(",")]
+        except ValueError:
+            raise LawParameterError(f"law parameters {arg!r} are not numbers") from None
+        return ConfigLaw.of(kind.strip().lower(), params)
 
     # -- law queries ---------------------------------------------------------
 
     def label(self) -> str:
-        if self.kind == "constant":
-            return f"constant:{int(self.params[0])}"
-        if self.kind == "explicit":
-            return "explicit:" + ",".join(format(v, ".12g") for v in self.params)
-        return f"{self.kind}:{format(self.params[0], '.12g')}"
+        return f"{self.kind}:" + ",".join(format(v, ".12g") for v in self.params)
 
     def mean(self) -> float:
-        if self.kind == "bernoulli":
-            return self.params[0]
-        if self.kind == "poisson":
+        if self.kind in ("bernoulli", "poisson", "constant"):
             return self.params[0]
         if self.kind == "geometric":
             q = self.params[0]
             return (1.0 - q) / q
-        if self.kind == "constant":
-            return self.params[0]
         return float(sum(k * v for k, v in enumerate(self.params)))
 
     def pmf(self, k: int) -> float:
@@ -189,17 +187,7 @@ class ConfigLaw:
 
     @staticmethod
     def from_json(obj: dict) -> "ConfigLaw":
-        kind = obj["kind"]
-        params = obj["params"]
-        if kind == "bernoulli":
-            return ConfigLaw.bernoulli(params[0])
-        if kind == "poisson":
-            return ConfigLaw.poisson(params[0])
-        if kind == "geometric":
-            return ConfigLaw.geometric(params[0])
-        if kind == "constant":
-            return ConfigLaw.constant(int(params[0]))
-        return ConfigLaw.explicit(params)
+        return ConfigLaw.of(obj["kind"], obj["params"])
 
 
 ENV_SCHEMA_VERSION = 1

@@ -181,9 +181,9 @@ def estimate_time_constant(
     if any(b <= a for a, b in zip(k_ladder, k_ladder[1:])):
         raise LawParameterError("k ladder must be strictly increasing")
     dim = len(direction)
+    dir_norm = require_positive("the l1 norm of direction", l1(direction))  # a zero direction has no ray
     if mu_hint is None:
         mu_hint = probe_mu_hint(law, dim, seed)
-    dir_norm = l1(direction)
     horizon = _auto_horizon(mu_hint, k_ladder[-1] * dir_norm)
     targets = [scale(k, direction) for k in k_ladder]
     samples = collect_passage_samples(

@@ -284,11 +284,12 @@ def simulate_batch(
         inside = goal_reach <= index.radius
         return goal_rep * index.size + np.where(inside, index.flat(goals), 0), inside
 
-    # the live frogs: key on the table, walk key, frog index, birth step and origin
+    # the live frogs: key on the table, walk key, birth step and origin
     counts0 = np.where(active, counts0, 0)
     flat = np.repeat(src_flat, counts0)
-    ell = _ranks(counts0)
-    keys = walk_keys_np(np.repeat(walk_keys, counts0), np.repeat(np.asarray(sources), counts0, axis=0), ell)
+    keys = walk_keys_np(
+        np.repeat(walk_keys, counts0), np.repeat(np.asarray(sources), counts0, axis=0), _ranks(counts0)
+    )
     birth = np.zeros(flat.shape[0], dtype=np.int32)
     origin = np.repeat(src_local, counts0)
     moves = step_vectors(d) @ np.asarray(index.strides, dtype=np.int64)  # key change per direction code
@@ -326,14 +327,12 @@ def simulate_batch(
             wake = np.flatnonzero(counts)
             if wake.shape[0]:
                 woken = counts[wake]
-                new_ell = _ranks(woken)
                 new_keys = walk_keys_np(
-                    np.repeat(walk_keys[site_rep[wake]], woken), np.repeat(coords[wake], woken, axis=0), new_ell
+                    np.repeat(walk_keys[site_rep[wake]], woken), np.repeat(coords[wake], woken, axis=0), _ranks(woken)
                 )
                 flat = np.concatenate([flat, np.repeat(sites[wake], woken)])
                 keys = np.concatenate([keys, new_keys])
-                ell = np.concatenate([ell, new_ell])
-                birth = np.concatenate([birth, np.full(new_ell.shape[0], t, dtype=np.int32)])
+                birth = np.concatenate([birth, np.full(new_keys.shape[0], t, dtype=np.int32)])
                 origin = np.concatenate([origin, np.repeat(site_local[wake].astype(np.int32), woken)])
         if waiting.any():
             # the waiting replicas whose targets are all visited stop at t, and their frogs leave
@@ -348,7 +347,6 @@ def simulate_batch(
                 # one array at a time, so that only one copy is alive at once
                 flat = flat[keep]
                 keys = keys[keep]
-                ell = ell[keep]
                 birth = birth[keep]
                 origin = origin[keep]
 

@@ -148,9 +148,14 @@ def test_law_parse_round_trip():
         law = ConfigLaw.parse(text)
         again = ConfigLaw.from_json(law.to_json())
         assert again == law
-    for text in ["zipf:1.2", "poisson:inf", "poisson:nan", "explicit:nan,1"]:
+    # poisson:1,2 and constant:1.5 used to raise a bare ValueError
+    for text in ["zipf:1.2", "poisson:inf", "poisson:nan", "explicit:nan,1", "poisson:1,2", "constant:1.5"]:
         with pytest.raises(LawParameterError):
             ConfigLaw.parse(text)
+    # from_json used to read every unknown kind as an explicit pmf
+    for doc in [{"kind": "zipf", "params": [0.5, 0.5]}, {"kind": "poisson", "params": [1.0, 2.0]}]:
+        with pytest.raises(LawParameterError):
+            ConfigLaw.from_json(doc)
 
 
 def test_environment_json_round_trip():

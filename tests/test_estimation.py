@@ -243,10 +243,12 @@ POISSON, SEED = ConfigLaw.poisson(1.0), SeedSpec(25, "bad")
           for mu in (INF, NAN)],
         (collect_passage_samples, dict(law=POISSON, dim=2, targets=[(4, 0)], replicas=0, seed=SEED, horizon=20,
                                        modified=False)),
+        # a zero direction used to report mu_hat = 0, below the exact bound mu_lower = 1
+        (estimate_time_constant, dict(law=POISSON, direction=(0, 0), k_ladder=[4, 8], replicas=2, seed=SEED)),
     ],
     ids=["c4-hat-inf", "gamma-nan", "agreement-mu-hat-inf", "agreement-mu-hat-nan", "agreement-mu-hat-negative",
          "tails-mu-hat-inf", "tails-epsilon-inf", "mu-hint-inf", "mu-hint-nan", "concentration-mu-hint-inf",
-         "concentration-mu-hint-nan", "zero-replicas"],
+         "concentration-mu-hint-nan", "zero-replicas", "zero-direction"],
 )
 def test_library_entry_points_reject_bad_numbers(func, kwargs):
     # these used to raise OverflowError or ValueError from math.ceil or np.stack, or a

@@ -174,9 +174,14 @@ def test_cli_audit_and_percolation(tmp_path):
         # not a sample size, but checked with them before plan.json is written
         (["tails", "--law", "bernoulli:0.7", "--k", "4", "--replicas", "2", "--epsilon", "-0.5",
           "--mu-hat", "2.0"], "epsilon"),
+        # dim 0 ended in a RecursionError traceback (audit) or a numpy error (sample-env) after
+        # plan.json, and a zero direction reported mu_hat = 0, below the exact bound mu_lower = 1
+        (["audit", "--law", "bernoulli:0.8", "--triples", "1", "--dim", "0"], "dim"),
+        (["sample-env", "--law", "poisson:1.0", "--radius", "3", "--dim", "0"], "dim"),
+        (["mu", "--law", "poisson:1", "--k", "4,8", "--replicas", "2", "--direction", "0,0"], "direction"),
     ],
     ids=["mu-0", "mu-neg", "tails", "concentration", "truncation", "percolation", "white", "audit",
-         "tails-epsilon"],
+         "tails-epsilon", "audit-dim-zero", "sample-env-dim-zero", "mu-zero-direction"],
 )
 def test_cli_rejects_empty_sample(argv, size, tmp_path, capsys):
     out = tmp_path / "o"
@@ -335,12 +340,27 @@ INF, NAN = float("inf"), float("nan")
         ("sample-env", {**SAMPLE_ENV_PARAMS, "radius": -1}, "radius must be an integer >= 0"),
         ("percolation", {**PERCOLATION_PARAMS, "white_n": [3], "white_subbox": 1, "white_law": "poisson:inf"},
          "white_law 'poisson:inf' is not a law"),
+        # each of these used to run (as seed 1 or 7, or with the oracle) or end in a traceback
+        ("mu", {**MU_PARAMS, "seed": 1.5}, "mu: seed must be an integer, got 1.5"),
+        ("mu", {**MU_PARAMS, "seed": "7"}, "mu: seed must be an integer, got '7'"),
+        ("mu", {**MU_PARAMS, "tag": 5}, "mu: tag must be a string, got 5"),
+        ("mu", {**MU_PARAMS, "replicas": True}, "mu: replicas must be an integer >= 1, got True"),
+        ("sample-env", {**SAMPLE_ENV_PARAMS, "dim": 0}, "sample-env: dim must be an integer >= 1, got 0"),
+        ("passage", {**PASSAGE_PARAMS, "check_oracle": "no"}, "passage: check_oracle must be true or false"),
+        ("sample-env", {**SAMPLE_ENV_PARAMS, "condition": 1}, "sample-env: condition must be true or false"),
+        # a misspelled mu_hat would run the command's default
+        ("mu", {**MU_PARAMS, "bogus": 3}, "mu: bogus is not a parameter of mu"),
+        # a repeated k reported a nan slope with exit 0
+        ("concentration", {**CONCENTRATION_PARAMS, "k": [4, 4]},
+         "k must be a non-empty list of positive integers, each once"),
     ],
     ids=["law-int", "k-int", "k-negative", "t-float", "side", "p-string", "p-bool", "radius-float",
          "origin-target", "default-target-in-margin", "target-string", "direction-float",
          "calibration-replicas", "mu-hat-inf", "mu-hat-nan", "mu-hat-zero", "mu-hint-inf", "epsilon-inf",
          "c4-hat-inf", "gamma-nan", "gamma-negative", "audit-horizon-negative", "audit-window-negative",
-         "passage-horizon-negative", "passage-horizon-float", "sample-env-radius-negative", "white-law-inf"],
+         "passage-horizon-negative", "passage-horizon-float", "sample-env-radius-negative", "white-law-inf",
+         "seed-float", "seed-string", "tag-int", "replicas-bool", "dim-zero", "check-oracle-string",
+         "condition-int", "unknown-key", "k-repeated"],
 )
 def test_cli_replay_rejects_mistyped_params(command, params, message, tmp_path, capsys):
     # rejected before plan.json is written, not by a traceback or after sampling
@@ -351,6 +371,17 @@ def test_cli_replay_rejects_mistyped_params(command, params, message, tmp_path, 
     assert not (out / "plan.json").exists()
     err = capsys.readouterr().err
     assert err.startswith("plan error:") and message in err
+
+
+def test_every_row_default_passes_its_check():
+    # a CLI run that leaves a flag out writes its default, which a replay checks
+    for command, (_, table) in cli.COMMANDS.items():
+        keys = [key for key, *_ in table]
+        assert set(cli.DEFAULTS[command]) <= set(keys), command
+        assert set(cli.REQUIRED_PARAMS[command]) <= set(keys), command
+        for key, _, default, check, _ in table:
+            if default is not cli.REQUIRED and default is not None:
+                assert check(default) is None, (command, key)
 
 
 def test_cli_rejects_infinite_mu_hat(tmp_path, capsys):
