@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import astuple, fields
@@ -19,7 +18,8 @@ from pathlib import Path
 
 from . import __version__
 from .environment import ConfigLaw, condition_origin, sample_environment
-from .errors import CensoringBudgetError, FrogsimError, PlanError
+from .errors import COUNT, DIRECTION, INTEGER, LADDER, NONNEGATIVE, POSITIVE, PROBABILITY, SITES, SIZE, SWITCH, TEXT
+from .errors import CensoringBudgetError, FrogsimError, GeometryError, PlanError, must, require
 from .estimation import (
     ConcentrationRow,
     TailPoint,
@@ -30,13 +30,12 @@ from .estimation import (
     subadditivity_audit,
     tail_curve_from_samples,
 )
-from .lattice import l1
 from .passage import oracle_passage_time, passage_time, passage_time_star, simulate_frogs
 from .percolation import (
     MarginalRow,
-    boundary_margin,
+    check_targets,
     chemical_ratio_experiment,
-    default_subbox_side,
+    default_subbox_sides,
     hole_radius_experiment,
     white_marginal_curve,
 )
@@ -62,33 +61,7 @@ def _parse_points(text: str) -> list[list[int]]:
 REQUIRED = object()  # the table default of a flag that every run must give
 
 TAIL_SIDES = {"upper": ["upper"], "lower": ["lower"], "both": ["upper", "lower"]}
-
-
-def _must(ok, what: str):
-    """A row check: None if ``ok(value)``, else the rest of the message, "must be {what}, got ..."."""
-    return lambda value: None if ok(value) else f"must be {what}, got {value!r}"
-
-
-def _real(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
-
-
-# type(v) is int: a bool is not an integer here
-INTEGER = _must(lambda v: type(v) is int, "an integer")
-COUNT = _must(lambda v: type(v) is int and v >= 0, "an integer >= 0")
-SIZE = _must(lambda v: type(v) is int and v >= 1, "an integer >= 1")
-POSITIVE = _must(lambda v: _real(v) and v > 0, "a finite number > 0")
-NONNEGATIVE = _must(lambda v: _real(v) and v >= 0, "a finite number >= 0")
-# a repeated scale would fit a slope through one point twice, or fail after plan.json
-LADDER = _must(lambda v: isinstance(v, list) and v and all(type(k) is int and k >= 1 for k in v)
-               and len(set(v)) == len(v), "a non-empty list of positive integers, each once")
-TEXT = _must(lambda v: isinstance(v, str), "a string")
-SWITCH = _must(lambda v: type(v) is bool, "true or false")
-SIDE = _must(lambda v: isinstance(v, str) and v in TAIL_SIDES, "upper or lower (or both)")
-PROBABILITY = _must(lambda v: _real(v) and 0 <= v <= 1, "a number in [0, 1]")
-# lists of coordinates, which _check_params checks against dim; a zero direction has no ray
-SITES = _must(lambda v: isinstance(v, list), "a list")
-DIRECTION = _must(lambda v: isinstance(v, list) and any(v), "a nonzero site")
+SIDE = must(lambda v: isinstance(v, str) and v in TAIL_SIDES, "upper or lower (or both)")
 
 
 def LAW(value) -> str | None:
@@ -108,10 +81,11 @@ def LAW(value) -> str | None:
 # text into the plan value in _plan_from_args, so that a malformed value
 # exits 2 as a plan error.  A default of None leaves the key out of the plan,
 # and a parser of None marks a key that only a stored plan sets.  The check
-# takes the plan value and returns None or the rest of the error message;
-# _check_params runs it on every key a plan carries, before plan.json is
-# written, and rejects a key that is not a row.  A replayed plan gets every
-# absent key at its default; REQUIRED_PARAMS lists the keys it must carry.
+# is LAW, SIDE or a rule of errors.py, which the library applies to the same
+# value; _check_params runs it on every key a plan carries, before plan.json
+# is written, and rejects a key that is not a row.  A replayed plan gets
+# every absent key at its default; REQUIRED_PARAMS lists the keys it must
+# carry.
 _SEED = [
     ("seed", int, REQUIRED, INTEGER, "master seed (required; no environment fallback)"),
     ("tag", str, "", TEXT, "experiment tag mixed into every derived key"),
@@ -387,16 +361,9 @@ def run_percolation(plan: dict, outdir: Path) -> str:
         },
         outdir / "report.json",
     )
-    dump_csv(
-        outdir / "hole_tail.csv",
-        ["t", "count_ge_t", "phat"],
-        [[t, c, ph] for t, c, ph in hole.tail],
-    )
-    dump_csv(
-        outdir / "chemical_ratio.csv",
-        ["target", "connected", "max_ratio", "mean_ratio"],
-        [["|".join(map(str, v)), n, mx, mean] for v, n, mx, mean in chem.rows],
-    )
+    dump_csv(outdir / "hole_tail.csv", ["t", "count_ge_t", "phat"], [list(row) for row in hole.tail])
+    dump_csv(outdir / "chemical_ratio.csv", ["target", "connected", "max_ratio", "mean_ratio"],
+             [["|".join(map(str, v)), *rest] for v, *rest in chem.rows])
     extra = ""
     if params["white_n"]:
         rows = white_marginal_curve(
@@ -464,41 +431,27 @@ def _check_params(plan: dict) -> None:
     unknown = [key for key in params if key not in keys]
     if unknown:
         raise PlanError(f"{command}: {unknown[0]} is not a parameter of {command}")
-    for key, _, default, check, _ in table:
-        if key not in params or params[key] is None and default is None:
-            continue  # an absent key, or a null one whose default is None, runs at its default
-        problem = check(params[key])
-        if problem:
-            raise PlanError(f"{command}: {key} {problem}")
-    # the checks that read two keys, each absent key at its default
-    full = _params(plan)
-    dim = full["dim"]
-    points = [(key, full[key]) for key in ("direction", "x") if key in full]
-    points += [("targets", t) for t in full.get("targets", [])]
-    for key, point in points:
-        if not (isinstance(point, list) and len(point) == dim):
-            raise PlanError(f"{command}: {key} must have dim = {dim} coordinates, got {point!r}")
-        if not all(type(c) is int for c in point):
-            raise PlanError(f"{command}: {key} must have integer coordinates, got {point!r}")
-    if command != "percolation":
-        return
-    if [0] * dim in full["targets"]:
-        raise PlanError("percolation: a target must not be the origin, whose chemical ratio is 0/0")
-    radius = full["radius"]
-    margin = boundary_margin(radius)
-    for t in full["targets"]:
-        if l1(t) > radius - margin:
-            raise PlanError(
-                f"percolation: target {tuple(t)} lies inside the boundary margin of {margin}: "
-                f"its l1 norm must be at most radius - margin = {radius - margin}"
-            )
-    if full["white_n"] and full["white_subbox"] is None:
-        small = [n for n in full["white_n"] if default_subbox_side(n, dim) < 1]
-        if small:
-            raise PlanError(
-                f"percolation: the default sub-box side floor(N^0.25/(4d)) is 0 at white_n {small}; "
-                "set white_subbox"
-            )
+    try:
+        for key, _, default, check, _ in table:
+            # an absent key, or a null one whose default is None, runs at its default
+            if key in params and not (params[key] is None and default is None):
+                require(key, params[key], check)
+        # the checks that read two keys, each absent key at its default
+        full = _params(plan)
+        dim = full["dim"]
+        points = [(key, full[key]) for key in ("direction", "x") if key in full]
+        points += [("targets", t) for t in full.get("targets", [])]
+        for key, point in points:
+            if not (isinstance(point, list) and len(point) == dim):
+                raise GeometryError(f"{key} must have dim = {dim} coordinates, got {point!r}")
+            if not all(type(c) is int for c in point):
+                raise GeometryError(f"{key} must have integer coordinates, got {point!r}")
+        if command == "percolation":
+            check_targets(full["targets"], full["radius"])
+            if full["white_n"] and full["white_subbox"] is None:
+                default_subbox_sides(full["white_n"], dim)
+    except FrogsimError as exc:
+        raise PlanError(f"{command}: {exc}") from None
 
 
 def execute_plan(plan: dict, outdir: Path, threads: int = 1) -> str:

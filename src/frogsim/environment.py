@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FrogsimError, GeometryError, LawParameterError, SearchCapError
+from .errors import COUNT, SIZE, FrogsimError, GeometryError, LawParameterError, SearchCapError, require
 from .lattice import Coords, CubeIndex, ball_coords, l1, linf, shell_coords
 from .walks import (
     PURPOSE_CONDITION,
@@ -344,8 +344,8 @@ def sample_environment(law: ConfigLaw, dim: int, box_radius: int, seed: SeedSpec
 
     O(1): counts are computed when a site is first asked for.
     """
-    if box_radius < 0:
-        raise GeometryError(f"box radius must be >= 0, got {box_radius}")
+    require("dim", dim, SIZE)
+    require("box_radius", box_radius, COUNT)
     return Environment(dim, box_radius, law, seed, False, {})
 
 

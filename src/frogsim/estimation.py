@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .environment import ConfigLaw, condition_origin, sample_environment, star
-from .errors import CensoringBudgetError, LawParameterError
+from .errors import COUNT, DIRECTION, LADDER, POSITIVE, SITE_LADDER, SIZE, CensoringBudgetError, LawParameterError
+from .errors import require
 from .lattice import Coords, l1, scale
 from .passage import passage_times
 from .stats import SummaryStats, bootstrap_std_ci, fit_alpha_grid, fit_line, summarize, wilson_ci
@@ -90,8 +91,8 @@ def collect_passage_samples(
     independent.  The replicas are set up first and then run by
     ``passage_times``, in order.
     """
-    if replicas < 1:
-        raise LawParameterError(f"replicas must be >= 1, got {replicas}")
+    require("replicas", replicas, SIZE)
+    require("horizon", horizon, COUNT)
     targets = [tuple(x) for x in targets]
     setups = [
         replica_setup(law, dim, targets, horizon, seed.child(stream, r), modified) for r in range(replicas)
@@ -109,15 +110,8 @@ def collect_passage_samples(
     return PassageSamples(targets=targets, values=values, horizon=horizon)
 
 
-def require_positive(name: str, value: float) -> float:
-    """``value``, if it is a finite number > 0; else LawParameterError."""
-    if not (math.isfinite(value) and value > 0):
-        raise LawParameterError(f"{name} must be a finite number > 0, got {value}")
-    return value
-
-
 def _auto_horizon(mu_hint: float, norm: int) -> int:
-    return max(32, math.ceil(3.0 * require_positive("mu_hint", mu_hint) * norm))
+    return max(32, math.ceil(3.0 * mu_hint * norm))
 
 
 def probe_mu_hint(law: ConfigLaw, dim: int, seed: SeedSpec) -> float:
@@ -155,11 +149,7 @@ class TimeConstantEstimate:
     horizon: int
 
     def rows(self) -> list[dict]:
-        out = []
-        for k in self.k_ladder:
-            s = self.per_k[k]
-            out.append({"k": k, **s.as_dict()})
-        return out
+        return [{"k": k, **self.per_k[k].as_dict()} for k in self.k_ladder]
 
 
 def estimate_time_constant(
@@ -177,14 +167,13 @@ def estimate_time_constant(
     minimum keeps statistical error one-sided.  mu_lower = 1 is the exact
     norm lower bound.
     """
-    k_ladder = sorted(int(k) for k in k_ladder)
-    if any(b <= a for a, b in zip(k_ladder, k_ladder[1:])):
-        raise LawParameterError("k ladder must be strictly increasing")
+    require("direction", direction, DIRECTION)
+    k_ladder = sorted(int(k) for k in require("k_ladder", k_ladder, LADDER))
+    require("replicas", replicas, SIZE)
     dim = len(direction)
-    dir_norm = require_positive("the l1 norm of direction", l1(direction))  # a zero direction has no ray
     if mu_hint is None:
         mu_hint = probe_mu_hint(law, dim, seed)
-    horizon = _auto_horizon(mu_hint, k_ladder[-1] * dir_norm)
+    horizon = _auto_horizon(require("mu_hint", mu_hint, POSITIVE), k_ladder[-1] * l1(direction))
     targets = [scale(k, direction) for k in k_ladder]
     samples = collect_passage_samples(
         law, dim, targets, replicas, seed, horizon,
@@ -246,8 +235,9 @@ def collect_tail_samples(
     mu_hat: float,
     seed: SeedSpec,
 ) -> PassageSamples:
-    require_positive("epsilon", epsilon)
-    require_positive("mu_hat", mu_hat)
+    require("epsilon", epsilon, POSITIVE)
+    require("x_ladder", x_ladder, SITE_LADDER)
+    require("mu_hat", mu_hat, POSITIVE)
     dim = len(x_ladder[0])
     norms = [l1(x) for x in x_ladder]
     # the horizon only needs to clear the largest upper threshold: a censored
@@ -350,11 +340,13 @@ def concentration_experiment(
     """
     if not math.isfinite(law.mean()):
         raise LawParameterError("concentration experiment needs a finite-mean law")
+    require("x_ladder", x_ladder, SITE_LADDER)
+    require("replicas", replicas, SIZE)
     dim = len(x_ladder[0])
     if mu_hint is None:
         mu_hint = probe_mu_hint(law, dim, seed)
     norms = [l1(x) for x in x_ladder]
-    horizon = _auto_horizon(mu_hint, max(norms))
+    horizon = _auto_horizon(require("mu_hint", mu_hint, POSITIVE), max(norms))
     samples = collect_passage_samples(
         law, dim, x_ladder, replicas, seed, horizon,
         modified=True, stream="concentration",
@@ -375,7 +367,7 @@ def concentration_experiment(
             ConcentrationRow(
                 norm=norms[i], n=stats.n, mean=stats.mean, std=stats.std,
                 std_ci_lo=lo, std_ci_hi=hi,
-                ratio_sqrt=stats.std / math.sqrt(norms[i]) if norms[i] else float("nan"),
+                ratio_sqrt=stats.std / math.sqrt(norms[i]),
                 censored=censored,
             )
         )
@@ -481,10 +473,10 @@ def subadditivity_audit(
     Checks T(x,z) <= T(x,y) + T(y,z) whenever all three values are finite,
     and the same for the starred variant; every violation is recorded.
     """
-    violations = 0
-    checked_plain = 0
-    checked_star = 0
-    skipped = 0
+    require("n_triples", n_triples, SIZE)
+    require("window", window, COUNT)
+    require("horizon", horizon, COUNT)
+    violations = checked_plain = checked_star = skipped = 0
     details: list[dict] = []
     for r in range(n_triples):
         rep_seed = seed.child("audit", r)
@@ -526,12 +518,5 @@ def subadditivity_audit(
 def _random_triple(seed: SeedSpec, dim: int, window: int) -> tuple[Coords, Coords, Coords]:
     key = seed.purpose_key(PURPOSE_BOOTSTRAP)
     width = 2 * window + 1
-    out = []
-    counter = 0
-    for _ in range(3):
-        pt = []
-        for _ in range(dim):
-            counter += 1
-            pt.append(int(draw(key, counter) % width) - window)
-        out.append(tuple(pt))
-    return tuple(out)
+    # coordinate j of point i reads counter 1 + i * dim + j
+    return tuple(tuple(int(draw(key, 1 + i * dim + j) % width) - window for j in range(dim)) for i in range(3))

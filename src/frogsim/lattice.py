@@ -124,10 +124,7 @@ def shell_coords(center: Coords, radius: int) -> list[Coords]:
     d = len(center)
     if radius == 0:
         return [center]
-    out = []
-    for offs in _shell_offsets(radius, d):
-        out.append(add(center, offs))
-    return sorted(out)
+    return sorted(add(center, offs) for offs in _shell_offsets(radius, d))
 
 
 @lru_cache(maxsize=512)

@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .environment import Environment, EnvironmentGroup, star
-from .errors import FrogsimError, GeometryError, SearchCapError
+from .errors import COUNT, SITES, FrogsimError, GeometryError, SearchCapError, require
 from .lattice import Coords, CubeIndex, l1, linf, step_vectors, sub
 from .walks import PURPOSE_WALK, step_codes_np, walk_key, walk_keys_np
 
@@ -109,15 +109,11 @@ class ActivationTable:
     def to_json(self, env_ref: dict | None = None) -> dict:
         """Debug dump: visit times and genealogy edges of every visited site."""
         visited = np.nonzero(self.visit >= 0)[0]
-        rows = []
-        for idx in visited.tolist():
-            rows.append(
-                {
-                    "site": list(self.index.unflat_one(idx)),
-                    "time": int(self.visit[idx]),
-                    "parent": list(self.index.unflat_one(int(self.parent[idx]))),
-                }
-            )
+        rows = [
+            {"site": list(self.index.unflat_one(idx)), "time": int(self.visit[idx]),
+             "parent": list(self.index.unflat_one(int(self.parent[idx])))}
+            for idx in visited.tolist()
+        ]
         rows.sort(key=lambda r: (r["time"], r["site"]))
         return {
             "source": list(self.source),
@@ -225,6 +221,7 @@ def simulate_batch(
     move by adding a stride to their key, so the table grows before a step
     that could carry a frog off it: no frog stands beyond the visited sites.
     """
+    require("horizon", horizon, COUNT)
     group = EnvironmentGroup(envs)
     d, n = group.dim, len(envs)
     sources = [tuple(s) for s in sources]
@@ -557,6 +554,7 @@ def passage_between(
     env: Environment, source: Coords, x: Coords, horizon: int, strict: bool = True
 ) -> PassageOutcome:
     """T(source, x) with a genealogy witness when finite."""
+    require("x", x, SITES)
     table = simulate_frogs(env, source, horizon, stop_targets=[x], strict=strict)
     value = table.visit_time(x)
     witness = None if value is None else tuple(table.genealogy(x))

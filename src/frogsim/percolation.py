@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .environment import ConfigLaw, Environment, sample_environment
-from .errors import EmptySetError, GeometryError, LawParameterError
+from .errors import COUNT, LADDER, PROBABILITY, SITES, SIZE, EmptySetError, GeometryError, require
 from .lattice import Coords, CubeIndex, add, ball_coords, cube_coords, l1, scale, sub
 from .passage import passage_times
 from .stats import fit_line, wilson_ci
@@ -49,8 +49,9 @@ class SiteField:
 
 def sample_bernoulli_field(p: float, dim: int, box_radius: int, seed: SeedSpec) -> SiteField:
     """Independent site percolation; the same seed couples all p monotonely."""
-    if not 0.0 <= p <= 1.0:
-        raise LawParameterError(f"percolation parameter p must be in [0,1], got {p}")
+    require("p", p, PROBABILITY)
+    require("dim", dim, SIZE)
+    require("box_radius", box_radius, COUNT)
     coords = ball_coords(box_radius, dim)
     u = uniform01_np(site_keys_np(seed.purpose_key(PURPOSE_FIELD), coords))
     index = CubeIndex(box_radius, dim)
@@ -148,8 +149,15 @@ def hole_radius(f: SiteField, labels: ClusterLabels) -> int:
 # ---------------------------------------------------------------------------
 
 
-def default_subbox_side(N: int, dim: int) -> int:
-    return int(N ** 0.25 / (4 * dim))
+def default_subbox_sides(N_ladder: Sequence[int], dim: int) -> list[int]:
+    """The default sub-box side floor(N^(1/4) / 4d) at each N; GeometryError if one is 0."""
+    sides = [int(N ** 0.25 / (4 * dim)) for N in N_ladder]
+    small = [N for N, side in zip(N_ladder, sides) if side < 1]
+    if small:
+        raise GeometryError(
+            f"the default sub-box side floor(N^0.25/(4d)) is 0 at white_n {small}; set white_subbox"
+        )
+    return sides
 
 
 def white_site_indicator(
@@ -164,12 +172,7 @@ def white_site_indicator(
     desk-scale demonstrations pass an explicit small value.
     """
     d = env.dim
-    half = default_subbox_side(N, d) if subbox_side is None else int(subbox_side)
-    if half < 1:
-        raise GeometryError(
-            f"sub-box side floor(N^0.25/(4d)) = {half} < 1 at N={N}; "
-            "pass subbox_side explicitly for small N"
-        )
+    half = default_subbox_sides([N], d)[0] if subbox_side is None else require("subbox_side", subbox_side, SIZE)
     center = scale(N, v)
     if l1(center) + d * N > env.box_radius:
         raise GeometryError("white window exceeds the sampled box")
@@ -233,6 +236,10 @@ def white_marginal_curve(
     Each replica samples ``law`` on the box of radius dim*N + N + 2, which
     holds the white window around the origin.
     """
+    require("N_ladder", N_ladder, LADDER)
+    require("replicas", replicas, SIZE)
+    if subbox_side is None:
+        default_subbox_sides(N_ladder, require("dim", dim, SIZE))
     rows = []
     for N in N_ladder:
         hits = 0
@@ -252,6 +259,19 @@ def boundary_margin(box_radius: int) -> int:
     ``box_radius - boundary_margin(box_radius)`` are not used.
     """
     return box_radius // 10
+
+
+def check_targets(targets: Sequence[Coords], box_radius: int) -> None:
+    """GeometryError unless every target is a site other than the origin and outside the boundary margin."""
+    if not all(any(t) for t in targets):
+        raise GeometryError("a target must not be the origin, whose chemical ratio is 0/0")
+    margin = boundary_margin(box_radius)
+    for t in targets:
+        if l1(t) > box_radius - margin:
+            raise GeometryError(
+                f"target {tuple(t)} lies inside the boundary margin of {margin}: "
+                f"its l1 norm must be at most radius - margin = {box_radius - margin}"
+            )
 
 
 @dataclass
@@ -274,17 +294,13 @@ def hole_radius_experiment(
     Replicas whose largest cluster sits entirely outside the boundary margin
     would bias the tail, so radii past the margin are discarded as censored.
     """
+    require("replicas", replicas, SIZE)
     margin = boundary_margin(box_radius)
-    radii: list[int] = []
-    for r in range(replicas):
-        f = sample_bernoulli_field(p, dim, box_radius, seed.child("hole", r))
-        labels = label_clusters(f)
-        radii.append(hole_radius(f, labels))
+    fields = (sample_bernoulli_field(p, dim, box_radius, seed.child("hole", r)) for r in range(replicas))
+    radii = [hole_radius(f, label_clusters(f)) for f in fields]
     usable = [rad for rad in radii if rad <= box_radius - margin]
     max_r = max(usable) if usable else 0
-    tail = []
-    logs_x = []
-    logs_y = []
+    tail, logs_x, logs_y = [], [], []
     for t in range(0, max_r + 2):
         cnt = sum(1 for rad in usable if rad >= t)
         phat = cnt / len(usable) if usable else float("nan")
@@ -319,10 +335,9 @@ def chemical_ratio_experiment(
     seed: SeedSpec,
 ) -> ChemicalRatioReport:
     """Ratio of chemical distance to l1 distance on connected origin-target pairs."""
-    margin = boundary_margin(box_radius)
-    for v in targets:
-        if l1(v) > box_radius - margin:
-            raise GeometryError(f"target {v} inside the boundary margin of {margin}")
+    require("targets", targets, SITES)
+    require("replicas", replicas, SIZE)
+    check_targets(targets, require("box_radius", box_radius, COUNT))
     rows = []
     overall = 0.0
     connected = 0

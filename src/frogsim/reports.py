@@ -62,7 +62,5 @@ def dump_json(obj: Any, path: Path) -> None:
 
 
 def dump_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt12(v) for v in row))
+    lines = [",".join(header), *(",".join(fmt12(v) for v in row) for row in rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -50,8 +50,8 @@ from typing import Sequence
 import numpy as np
 
 from .environment import Environment
-from .errors import GeometryError, LawParameterError
-from .estimation import replica_setup, require_positive
+from .errors import LADDER, NONNEGATIVE, POSITIVE, SITES, SIZE, require
+from .estimation import replica_setup
 from .lattice import Coords, CubeIndex, cube_coords, l1, linf, sub
 from .passage import _ball_row, _build_rows, _covers, _row_cache, _row_time, offset_index, passage_times
 from .stats import wilson_ci
@@ -69,17 +69,12 @@ class TruncationParams:
 
     @staticmethod
     def make(t: int, dim: int, c4_hat: float, gamma: float = 1.0) -> "TruncationParams":
-        if t < 1:
-            raise GeometryError(f"truncation scale must be >= 1, got {t}")
-        for name, value in (("c4_hat", c4_hat), ("gamma", gamma)):
-            if not (math.isfinite(value) and value >= 0):
-                raise LawParameterError(f"{name} must be a finite number >= 0, got {value}")
+        require("t", t, SIZE)
+        require("dim", dim, SIZE)
+        require("c4_hat", c4_hat, NONNEGATIVE)
+        require("gamma", gamma, NONNEGATIVE)
         K = math.ceil(dim * (c4_hat + gamma + 1)) + 1
         return TruncationParams(t=t, gamma=gamma, K=K, c4_hat=c4_hat)
-
-    def __post_init__(self):
-        if self.K <= 0:
-            raise GeometryError("K must be positive")
 
     @property
     def cap(self) -> int:
@@ -325,18 +320,17 @@ def agreement_experiment(
     ``passage_times``, censored at 3 mu_hat |x|_1; censored values are
     excluded from the comparison and reported.
     """
+    require("x", x, SITES)
+    require("t_ladder", t_ladder, LADDER)
+    require("replicas", replicas, SIZE)
     d = len(x)
-    horizon = math.ceil(3.0 * require_positive("mu_hat", mu_hat) * l1(x))
+    horizon = math.ceil(3.0 * require("mu_hat", mu_hat, POSITIVE) * l1(x))
     if c4_hat is None:
         c4_hat = 5.0 * mu_hat
     params = {t: TruncationParams.make(t, d, c4_hat, gamma) for t in t_ladder}
     table = AgreementTable(x=x, law_label=law.label(), params_by_t=params)
 
-    disagree = {t: 0 for t in t_ladder}
-    censored = {t: 0 for t in t_ladder}
-    compared = {t: 0 for t in t_ladder}
-    long_geo = {t: 0 for t in t_ladder}
-    max_boxes = {t: 0 for t in t_ladder}
+    disagree, censored, compared, long_geo, max_boxes = ({t: 0 for t in t_ladder} for _ in range(5))
 
     # every replica's environment and stars first, then all T*(0, x) from the engine
     setups = [replica_setup(law, d, [x], horizon, seed.child("agreement", r), True) for r in range(replicas)]

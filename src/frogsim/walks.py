@@ -31,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import INTEGER, TEXT, require
 from .lattice import Coords
 
 MASK64 = (1 << 64) - 1
@@ -122,6 +123,10 @@ class SeedSpec:
 
     master_seed: int
     experiment_tag: str = ""
+
+    def __post_init__(self):
+        require("master_seed", self.master_seed, INTEGER)
+        require("experiment_tag", self.experiment_tag, TEXT)
 
     @cached_property
     def base(self) -> int:

@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from frogsim import passage
-from frogsim.environment import ConfigLaw
-from frogsim.errors import CensoringBudgetError, LawParameterError
+from frogsim import cli, passage
+from frogsim.environment import ConfigLaw, condition_origin, sample_environment
+from frogsim.errors import CensoringBudgetError, GeometryError, LawParameterError
 from frogsim.estimation import (
+    PassageSamples,
     analytic_lower_bounds,
     collect_passage_samples,
     collect_tail_samples,
@@ -16,6 +18,13 @@ from frogsim.estimation import (
     probe_mu_hint,
     subadditivity_audit,
     tail_curve_from_samples,
+)
+from frogsim.passage import passage_time
+from frogsim.percolation import (
+    chemical_ratio_experiment,
+    hole_radius_experiment,
+    sample_bernoulli_field,
+    white_marginal_curve,
 )
 from frogsim.stats import fit_alpha_grid, fit_line, summarize, wilson_ci
 from frogsim.truncated import TruncationParams, agreement_experiment
@@ -226,32 +235,122 @@ def test_batch_width_leaves_agreement_and_audit_unchanged(monkeypatch):
 
 
 POISSON, SEED = ConfigLaw.poisson(1.0), SeedSpec(25, "bad")
+PASSAGE_ENV = condition_origin(sample_environment(POISSON, 2, 8, SEED))
+ONE_SAMPLE = PassageSamples(targets=[(4, 0)], values=np.array([[6.0]]), horizon=20)
 
 
-@pytest.mark.parametrize(
-    "func,kwargs",
-    [
-        (TruncationParams.make, dict(t=2, dim=2, c4_hat=INF)),
-        (TruncationParams.make, dict(t=2, dim=2, c4_hat=1.0, gamma=NAN)),
-        *[(agreement_experiment, dict(law=POISSON, x=(4, 0), t_ladder=[2], replicas=1, seed=SEED, mu_hat=mu))
-          for mu in (INF, NAN, -1.0)],
-        (collect_tail_samples, dict(law=POISSON, epsilon=0.5, x_ladder=[(4, 0)], replicas=2, mu_hat=INF, seed=SEED)),
-        (collect_tail_samples, dict(law=POISSON, epsilon=INF, x_ladder=[(4, 0)], replicas=2, mu_hat=1.5, seed=SEED)),
-        *[(estimate_time_constant, dict(law=POISSON, direction=(1, 0), k_ladder=[4], replicas=2, seed=SEED,
-                                        mu_hint=mu)) for mu in (INF, NAN)],
-        *[(concentration_experiment, dict(law=POISSON, x_ladder=[(4, 0)], replicas=2, seed=SEED, mu_hint=mu))
-          for mu in (INF, NAN)],
-        (collect_passage_samples, dict(law=POISSON, dim=2, targets=[(4, 0)], replicas=0, seed=SEED, horizon=20,
-                                       modified=False)),
-        # a zero direction used to report mu_hat = 0, below the exact bound mu_lower = 1
-        (estimate_time_constant, dict(law=POISSON, direction=(0, 0), k_ladder=[4, 8], replicas=2, seed=SEED)),
-    ],
-    ids=["c4-hat-inf", "gamma-nan", "agreement-mu-hat-inf", "agreement-mu-hat-nan", "agreement-mu-hat-negative",
-         "tails-mu-hat-inf", "tails-epsilon-inf", "mu-hint-inf", "mu-hint-nan", "concentration-mu-hint-inf",
-         "concentration-mu-hint-nan", "zero-replicas", "zero-direction"],
-)
-def test_library_entry_points_reject_bad_numbers(func, kwargs):
-    # these used to raise OverflowError or ValueError from math.ceil or np.stack, or a
-    # GeometryError about K, in place of the CLI's parameter rules
-    with pytest.raises(LawParameterError):
-        func(**kwargs)
+def case(case_id, func, error=LawParameterError, **kwargs):
+    return pytest.param(func, kwargs, error, id=case_id)
+
+
+def agreement(case_id, **kwargs):
+    base = dict(law=POISSON, x=(4, 0), t_ladder=[2], replicas=1, seed=SEED, mu_hat=1.5)
+    return case(case_id, agreement_experiment, **{**base, **kwargs})
+
+
+def ladder(case_id, func, **kwargs):
+    base = {
+        estimate_time_constant: dict(law=POISSON, direction=(1, 0), k_ladder=[4], replicas=2, seed=SEED),
+        collect_tail_samples: dict(law=POISSON, epsilon=0.5, x_ladder=[(4, 0)], replicas=2, mu_hat=1.5, seed=SEED),
+        concentration_experiment: dict(law=POISSON, x_ladder=[(4, 0)], replicas=2, seed=SEED, mu_hint=1.5),
+    }[func]
+    return case(case_id, func, **{**base, **kwargs})
+
+
+def percolation(case_id, func, error=LawParameterError, **kwargs):
+    base = dict(p=0.8, dim=2, box_radius=20, replicas=2, seed=SEED)
+    if func is chemical_ratio_experiment:
+        base["targets"] = [(5, 0)]
+    elif func is white_marginal_curve:
+        base = dict(law=POISSON, dim=2, N_ladder=[5], replicas=2, seed=SEED, subbox_side=1)
+    return case(case_id, func, error, **{**base, **kwargs})
+
+
+def audit(case_id, **kwargs):
+    return case(case_id, subadditivity_audit, **{**dict(law=POISSON, n_triples=1, seed=SEED), **kwargs})
+
+
+CASES = [
+    case("c4-hat-inf", TruncationParams.make, t=2, dim=2, c4_hat=INF),
+    case("gamma-nan", TruncationParams.make, t=2, dim=2, c4_hat=1.0, gamma=NAN),
+    *[agreement(f"agreement-mu-hat-{name}", mu_hat=mu)
+      for name, mu in (("inf", INF), ("nan", NAN), ("negative", -1.0))],
+    ladder("tails-mu-hat-inf", collect_tail_samples, mu_hat=INF),
+    ladder("tails-epsilon-inf", collect_tail_samples, epsilon=INF),
+    *[ladder(f"mu-hint-{name}", estimate_time_constant, mu_hint=mu) for name, mu in (("inf", INF), ("nan", NAN))],
+    *[ladder(f"concentration-mu-hint-{name}", concentration_experiment, mu_hint=mu)
+      for name, mu in (("inf", INF), ("nan", NAN))],
+    case("zero-replicas", collect_passage_samples, law=POISSON, dim=2, targets=[(4, 0)], replicas=0, seed=SEED,
+         horizon=20, modified=False),
+    # a zero direction used to report mu_hat = 0, below the exact bound mu_lower = 1
+    ladder("zero-direction", estimate_time_constant, direction=(0, 0), k_ladder=[4, 8]),
+    # a repeated t counted each replica twice, and 0 replicas gave rows of nan
+    agreement("agreement-t-repeated", t_ladder=[2, 2]),
+    agreement("agreement-zero-replicas", replicas=0),
+    agreement("agreement-x-text", x="4,0"),
+    # a zero or repeated site fitted the slope through log 0 or gave a nan slope, an empty
+    # ladder raised IndexError, and k = 0 divided by zero
+    ladder("concentration-origin-repeated", concentration_experiment, x_ladder=[(0, 0), (0, 0)]),
+    ladder("concentration-repeated", concentration_experiment, x_ladder=[(2, 0), (2, 0)]),
+    ladder("concentration-empty", concentration_experiment, x_ladder=[]),
+    ladder("concentration-zero-replicas", concentration_experiment, replicas=0),
+    ladder("tails-empty", collect_tail_samples, x_ladder=[]),
+    ladder("mu-empty", estimate_time_constant, k_ladder=[]),
+    ladder("mu-k-zero", estimate_time_constant, k_ladder=[0, 2], mu_hint=1.5),
+    ladder("mu-zero-replicas", estimate_time_constant, replicas=0),
+    # an origin target ended in a ZeroDivisionError, and 0 replicas returned a report
+    percolation("chemical-origin-target", chemical_ratio_experiment, GeometryError, targets=[(0, 0)]),
+    percolation("chemical-target-in-margin", chemical_ratio_experiment, GeometryError, targets=[(19, 0)]),
+    percolation("chemical-targets-text", chemical_ratio_experiment, targets="5,0"),
+    percolation("hole-zero-replicas", hole_radius_experiment, replicas=0),
+    percolation("hole-p-above-one", hole_radius_experiment, p=1.5),
+    percolation("hole-radius-negative", hole_radius_experiment, box_radius=-1),
+    case("field-dim-zero", sample_bernoulli_field, p=0.8, dim=0, box_radius=5, seed=SEED),
+    percolation("white-default-subbox", white_marginal_curve, GeometryError, N_ladder=[3], subbox_side=None),
+    percolation("white-n-repeated", white_marginal_curve, N_ladder=[5, 5]),
+    percolation("white-zero-replicas", white_marginal_curve, replicas=0),
+    percolation("white-subbox-zero", white_marginal_curve, subbox_side=0),
+    case("seed-float", SeedSpec, master_seed=1.5),
+    case("tag-int", SeedSpec, master_seed=1, experiment_tag=5),
+    case("law-inf", ConfigLaw.parse, text="poisson:inf"),
+    case("env-dim-zero", sample_environment, law=POISSON, dim=0, box_radius=3, seed=SEED),
+    case("env-radius-negative", sample_environment, law=POISSON, dim=2, box_radius=-1, seed=SEED),
+    case("truncation-dim-zero", TruncationParams.make, t=2, dim=0, c4_hat=1.0),
+    case("passage-horizon-negative", passage_time, env=PASSAGE_ENV, x=(3, 0), horizon=-1),
+    case("passage-x-text", passage_time, env=PASSAGE_ENV, x="3,0", horizon=20),
+    case("tails-side", tail_curve_from_samples, samples=ONE_SAMPLE, epsilon=0.5, side="sideways", mu_hat=1.5,
+         law_label="poisson:1"),
+    audit("audit-zero-triples", n_triples=0),
+    audit("audit-window-negative", window=-1),
+    audit("audit-horizon-negative", horizon=-1),
+]
+
+# for each COMMANDS key, a case that passes a value its row rejects to the library;
+# the switches only steer what the CLI runs and writes
+ROW_CASES = {
+    "seed": "seed-float", "tag": "tag-int", "law": "law-inf", "white_law": "law-inf", "dim": "env-dim-zero",
+    "radius": "hole-radius-negative", "x": "passage-x-text", "horizon": "passage-horizon-negative",
+    "direction": "zero-direction", "k": "mu-k-zero", "replicas": "zero-replicas", "epsilon": "tails-epsilon-inf",
+    "side": "tails-side", "mu_hat": "tails-mu-hat-inf", "calibration_k": "mu-empty",
+    "calibration_replicas": "mu-zero-replicas", "mu_hint": "concentration-mu-hint-inf",
+    "t": "agreement-t-repeated", "gamma": "gamma-nan", "c4_hat": "c4-hat-inf", "p": "hole-p-above-one",
+    "targets": "chemical-origin-target", "white_n": "white-default-subbox", "white_replicas": "white-zero-replicas",
+    "white_subbox": "white-subbox-zero", "triples": "audit-zero-triples", "window": "audit-window-negative",
+}
+CLI_ONLY = {"condition", "check_oracle", "dump_table"}
+
+
+@pytest.mark.parametrize("func,kwargs,error", CASES)
+def test_library_entry_points_reject_bad_numbers(func, kwargs, error):
+    # each used to raise OverflowError, ValueError, IndexError or ZeroDivisionError, warn
+    # and return nan, or return a report, in place of the CLI's parameter rules
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            func(**kwargs)
+
+
+def test_every_row_has_a_library_case():
+    keys = {key for _, table in cli.COMMANDS.values() for key, *_ in table}
+    assert set(ROW_CASES) | CLI_ONLY == keys
+    assert set(ROW_CASES.values()) <= {param.id for param in CASES}
