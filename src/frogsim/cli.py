@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .environment import ConfigLaw, condition_origin, sample_environment
 from .errors import COUNT, DIRECTION, INTEGER, LADDER, NONNEGATIVE, POSITIVE, PROBABILITY, SITES, SIZE, SWITCH, TEXT
-from .errors import CensoringBudgetError, FrogsimError, GeometryError, PlanError, must, require
+from .errors import CensoringBudgetError, FrogsimError, PlanError, must, require, require_site
 from .estimation import (
     ConcentrationRow,
     TailPoint,
@@ -442,10 +442,7 @@ def _check_params(plan: dict) -> None:
         points = [(key, full[key]) for key in ("direction", "x") if key in full]
         points += [("targets", t) for t in full.get("targets", [])]
         for key, point in points:
-            if not (isinstance(point, list) and len(point) == dim):
-                raise GeometryError(f"{key} must have dim = {dim} coordinates, got {point!r}")
-            if not all(type(c) is int for c in point):
-                raise GeometryError(f"{key} must have integer coordinates, got {point!r}")
+            require_site(key, point, dim)
         if command == "percolation":
             check_targets(full["targets"], full["radius"])
             if full["white_n"] and full["white_subbox"] is None:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import COUNT, SIZE, FrogsimError, GeometryError, LawParameterError, SearchCapError, require
+from .errors import COUNT, SIZE, FrogsimError, GeometryError, LawParameterError, SearchCapError, require, require_site
 from .lattice import Coords, CubeIndex, ball_coords, l1, linf, shell_coords
 from .walks import (
     PURPOSE_CONDITION,
@@ -368,7 +368,7 @@ def star(env: Environment, x: Coords) -> Coords:
     box radius; finding nothing raises: a silent fallback would bias every
     downstream statistic.
     """
-    if not env.in_box(x):
+    if not env.in_box(require_site("x", x, env.dim)):
         raise GeometryError(f"site {x} outside box of radius {env.box_radius}")
     for r in range(env.box_radius + 1):
         # shell_coords lists the shell in lex order, so its first occupied site wins the tie-break

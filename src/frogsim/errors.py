@@ -52,6 +52,15 @@ def require(name: str, value, rule):
     return value
 
 
+def require_site(name: str, point, dim: int):
+    """``point``, if it is a list or tuple of ``dim`` integers; else GeometryError "{name} must have ..."."""
+    if not (_sequence(point) and len(point) == dim):
+        raise GeometryError(f"{name} must have dim = {dim} coordinates, got {point!r}")
+    if not all(map(_integer, point)):
+        raise GeometryError(f"{name} must have integer coordinates, got {point!r}")
+    return point
+
+
 def must(ok, what: str):
     """A rule: None if ``ok(value)``, else "must be {what}, got ..."."""
     return lambda value: None if ok(value) else f"must be {what}, got {value!r}"
@@ -83,7 +92,7 @@ SITE_LADDER = must(
     lambda v: _sequence(v) and v and all(_sequence(x) and x and all(map(_integer, x)) and any(x) for x in v)
     and len({len(x) for x in v}) == 1 and len(set(map(tuple, v))) == len(v),
     "a non-empty list of distinct integer sites of one dim, none the origin")
-# coordinates, which the CLI checks against dim; a zero direction has no ray
+# coordinates, which require_site checks against dim; a zero direction has no ray
 SITES = must(_sequence, "a list")
 DIRECTION = must(lambda v: _sequence(v) and any(v), "a nonzero site")
 TEXT = must(lambda v: isinstance(v, str), "a string")

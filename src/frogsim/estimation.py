@@ -16,7 +16,7 @@ import numpy as np
 
 from .environment import ConfigLaw, condition_origin, sample_environment, star
 from .errors import COUNT, DIRECTION, LADDER, POSITIVE, SITE_LADDER, SIZE, CensoringBudgetError, LawParameterError
-from .errors import require
+from .errors import require, require_site
 from .lattice import Coords, l1, scale
 from .passage import passage_times
 from .stats import SummaryStats, bootstrap_std_ci, fit_alpha_grid, fit_line, summarize, wilson_ci
@@ -93,7 +93,7 @@ def collect_passage_samples(
     """
     require("replicas", replicas, SIZE)
     require("horizon", horizon, COUNT)
-    targets = [tuple(x) for x in targets]
+    targets = [tuple(require_site("targets", x, dim)) for x in targets]
     setups = [
         replica_setup(law, dim, targets, horizon, seed.child(stream, r), modified) for r in range(replicas)
     ]

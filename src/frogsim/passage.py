@@ -26,12 +26,15 @@ passage values, ``int`` or None when censored, by stepping them through
 ``simulate_batch`` in batches; every ensemble of the experiments runs
 through it.
 
-Hitting times come from one routine and one cache.  A ball row holds the
-first hits of a site's own frogs within an l-infinity ball and a horizon;
-``ball_first_hits`` builds many rows in one pass, and the rows are cached
-on the environment at the largest (t, horizon) asked for.  ``first_hits``
-and ``tau`` read a row at t = horizon, the relay oracle reads the same rows,
-and the truncated search reads them at its scale t.
+Hitting times come from one cache of ball rows, and this module alone
+knows their format.  A ball row holds the first hits of a site's own frogs
+within an l-infinity ball and a horizon.  ``build_rows`` builds the rows of
+many sites in shared passes and caches each on the environment at the
+largest (t, horizon) asked for; ``row_hits`` reads a site's hits filtered
+to a smaller (t, horizon); ``hit_time`` looks up one offset in them.
+``first_hits`` reads a row at t = horizon, ``tau`` and the relay oracle
+look up hits at t = horizon, and the truncated search and its edge price
+read the same rows at the search's scale t.
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ from typing import Sequence
 import numpy as np
 
 from .environment import Environment, EnvironmentGroup, star
-from .errors import COUNT, SITES, FrogsimError, GeometryError, SearchCapError, require
-from .lattice import Coords, CubeIndex, l1, linf, step_vectors, sub
-from .walks import PURPOSE_WALK, step_codes_np, walk_key, walk_keys_np
+from .errors import COUNT, SITES, FrogsimError, GeometryError, SearchCapError, require, require_site
+from .lattice import Coords, CubeIndex, l1, linf, step_vectors
+from .walks import PURPOSE_WALK, step_codes_np, walk_keys_np
 
 
 @dataclass(frozen=True)
@@ -390,25 +393,13 @@ def tau(env: Environment, u: Coords, v: Coords, horizon: int) -> int | None:
     Covers the unoccupied-start convention: no frogs at u means no hit; a
     start outside the box raises GeometryError.
     """
-    sites, times = first_hits(env, u, horizon)
-    return _row_time(offset_index(horizon, env.dim), sites, times, sub(v, u))
+    return hit_time(env, u, v, horizon, horizon)
 
 
 @lru_cache(maxsize=64)
 def offset_index(horizon: int, dim: int) -> CubeIndex:
     """Layout of the ``first_hits`` keys: offsets from the start, cube of radius ``horizon``."""
     return CubeIndex(horizon, dim)
-
-
-def _row_time(index: CubeIndex, sites: np.ndarray, times: np.ndarray, delta: Coords) -> int | None:
-    """First-hit time at offset ``delta`` in a ``first_hits`` row; None if never hit."""
-    if not index.contains(delta):
-        return None
-    key = index.flat_one(delta)
-    pos = np.searchsorted(sites, key)
-    if pos < sites.shape[0] and sites[pos] == key:
-        return int(times[pos])
-    return None
 
 
 def first_hits(env: Environment, u: Coords, horizon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -419,95 +410,91 @@ def first_hits(env: Environment, u: Coords, horizon: int) -> tuple[np.ndarray, n
     included.  A read of u's ball row at t = horizon, so it shares the rows
     that the truncated search builds; the cache lives and dies with ``env``.
     """
-    index = offset_index(horizon, env.dim)
-    if env.omega(u) < 1:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    if horizon < 1:  # no row holds fewer than one step: only the k = 0 self-hit
-        return np.array([index.size // 2]), np.zeros(1, dtype=np.int64)
-    _, _, offs, _, times = _ball_row(env, u, horizon, horizon)
-    keep = times <= horizon
+    build_rows(env, {u: (horizon, horizon)})
+    offs, times = row_hits(env, u, horizon, horizon)
     # a hit within the horizon lies in its cube, and the row is in lex order: the keys ascend
-    return index.flat(offs[keep]), times[keep]
+    return offset_index(horizon, env.dim).flat(offs), times
+
+
+def hit_time(env: Environment, u: Coords, v: Coords, t: int, horizon: int) -> int | None:
+    """First time one of u's frogs stands on v within ``horizon`` steps; None if none does or |v - u|_inf > t.
+
+    Reads u's ball row at (t, horizon), building it first if the cache does
+    not hold it, whatever v is.
+    """
+    build_rows(env, {u: (t, horizon)})
+    offs, times = row_hits(env, u, t, horizon)
+    hit = times[(offs == np.subtract(v, u)).all(axis=1)]
+    return int(hit[0]) if hit.shape[0] else None
 
 
 # ---------------------------------------------------------------------------
 # Ball rows: the first hits of a site's frogs, cached on the environment
 # ---------------------------------------------------------------------------
 
-
-def _row_cache(env: Environment) -> dict:
-    """The ball rows cached on ``env``: site -> (t, horizon, offsets, norms, times), see ``_ball_row``."""
-    return env.__dict__.setdefault("_ball_rows", {})
+_PASS_STEPS = 1 << 12  # walk steps per numpy pass of build_rows: bounds its temporaries
+_NO_ROW = (-1, 0, None, None, None)  # the (t, horizon) of a site without a row lies below every need
 
 
-def _covers(entry: tuple | None, t: int, horizon: int) -> bool:
-    return entry is not None and entry[0] >= t and entry[1] >= horizon
+def build_rows(env: Environment, needs: dict[Coords, tuple[int, int]]) -> None:
+    """Cache the ball rows of the occupied sites of ``needs`` that the cache does not hold.
 
-
-def _build_rows(env: Environment, needs: dict[Coords, tuple[int, int]]) -> None:
-    """Cache the ball rows of the occupied sites of ``needs`` that the cache does not cover.
-
-    ``needs`` maps a site to the (t, horizon) it asks for.  A row is built at
-    that pair grown to the cached one, so it still serves every pair it
-    served; all of them come from one ``ball_first_hits`` call.
+    ``needs`` maps a site to the (t, horizon) it asks for; a horizon below 1
+    needs no row (see ``row_hits``).  The row of u at (t, horizon) holds
+    every offset within the l-infinity ball of radius t that one of u's
+    walks visits within ``horizon`` steps, k = 0 included, in lex order, with
+    its norm and its first time.  A first hit inside a larger ball and
+    horizon is the first hit inside any smaller pair that holds it, so a row
+    is built at the pair asked for grown to the cached one and still serves
+    every pair it served.  The rows come from passes of about
+    ``_PASS_STEPS`` walk steps over many sites.
     """
-    rows = _row_cache(env)
-    todo = []
+    rows = env.__dict__.setdefault("_ball_rows", {})
+    todo, steps = [], 0
     for u, (t, horizon) in needs.items():
-        old = rows.get(u)
-        if horizon >= 1 and not _covers(old, t, horizon) and env.omega(u) >= 1:
-            todo.append((u, t, horizon) if old is None else (u, max(t, old[0]), max(horizon, old[1])))
-    for (u, t, horizon), row in zip(todo, ball_first_hits(env, todo)):
-        rows[u] = (t, horizon, *row)
+        row_t, row_h, *_ = rows.get(u, _NO_ROW)
+        if horizon >= 1 and (t > row_t or horizon > row_h) and env.omega(u) >= 1:
+            t, horizon = max(t, row_t), max(horizon, row_h)
+            todo.append((u, t, horizon))
+            steps += horizon * env.omega(u)
+            if steps >= _PASS_STEPS:
+                rows.update(_ball_pass(env, todo))
+                todo, steps = [], 0
+    if todo:
+        rows.update(_ball_pass(env, todo))
 
 
-def _ball_row(env: Environment, u: Coords, t: int, horizon: int) -> tuple:
-    """Sparse first hits of the frogs of an occupied u on its l-infinity ball.
+def row_hits(env: Environment, u: Coords, t: int, horizon: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The first hits of u's frogs within l-infinity distance t and ``horizon`` steps.
 
-    Returns (t', h', offsets, norms, times) with t' >= t and h' >= horizon >= 1:
-    every offset within the ball of radius t' that one of u's walks visits
-    within h' steps, k = 0 included, in lex order, with its l-infinity norm
-    and its first time.  A first hit inside a larger ball and horizon is the
-    first hit inside any smaller pair that holds it, so one cached row
-    serves every pair it covers.
+    Returns (offsets, times), the offsets in lex order; None when u's row is
+    not cached that far, which ``build_rows`` mends.  An unoccupied u hits
+    nothing and horizon 0 holds only the k = 0 self-hit: neither needs a row.
     """
-    entry = _row_cache(env).get(u)
-    if not _covers(entry, t, horizon):
-        _build_rows(env, {u: (t, horizon)})
-        entry = _row_cache(env)[u]
-    return entry
+    row_t, row_h, offs, norms, times = env.__dict__.get("_ball_rows", {}).get(u, _NO_ROW)
+    if t <= row_t and horizon <= row_h:
+        keep = (norms <= t) & (times <= horizon)
+        return offs[keep], times[keep]
+    if env.omega(u) < 1:
+        return np.empty((0, env.dim), dtype=np.int64), np.empty(0, dtype=np.int64)
+    if horizon < 1:  # no row holds fewer than one step
+        return np.zeros((1, env.dim), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    return None
 
 
-_PASS_STEPS = 1 << 12  # walk steps per numpy pass of ball_first_hits: bounds its temporaries
+def _ball_pass(env: Environment, todo: Sequence[tuple[Coords, int, int]]) -> dict[Coords, tuple]:
+    """The rows of ``todo``'s (u, t, horizon), each as (t, horizon, offsets, norms, times).
 
-
-def ball_first_hits(env: Environment, todo: Sequence[tuple[Coords, int, int]]) -> list[tuple[np.ndarray, ...]]:
-    """First hits of the frogs of many occupied sites, each on its own l-infinity ball.
-
-    For each (u, t, horizon) of ``todo``, returns (offsets, norms, times):
-    every offset within the ball of radius t that one of u's walks visits
-    within ``horizon`` steps, k = 0 included, in lex order, with its
-    l-infinity norm and its first time.  The walks of all the frogs run as
-    one ragged array, in passes of about ``_PASS_STEPS`` steps, and one sort
-    of (site, offset, time) keys gives each first hit, with no dense ball
-    per site.
+    The walks of all the frogs run as one ragged array, and one sort of
+    (site, offset, time) keys gives each first hit, with no dense ball per
+    site.
     """
-    out, start, steps = [], 0, 0
-    for i, (u, _, horizon) in enumerate(todo):
-        steps += horizon * env.omega(u)
-        if steps >= _PASS_STEPS or i == len(todo) - 1:
-            out += _ball_pass(env, todo[start : i + 1])
-            start, steps = i + 1, 0
-    return out
-
-
-def _ball_pass(env: Environment, todo: Sequence[tuple[Coords, int, int]]) -> list[tuple[np.ndarray, ...]]:
     d, n = env.dim, len(todo)
     sites, ts, hs = zip(*todo)
     ts, hs, counts = np.array(ts), np.array(hs), np.array([env.omega(u) for u in sites])
-    keys = [walk_key(env.seed, u, ell) for u, c in zip(sites, counts.tolist()) for ell in range(1, c + 1)]
-    keys = np.array(keys, dtype=np.uint64)
+    keys = walk_keys_np(
+        env.seed.purpose_key(PURPOSE_WALK), np.repeat(np.asarray(sites), counts, axis=0), _ranks(counts)
+    )
     # walk w is a frog of site frog[w]; its steps 1..h are one run of the ragged arrays
     frog = np.repeat(np.arange(n), counts)
     h = hs[frog]
@@ -540,7 +527,7 @@ def _ball_pass(env: Environment, todo: Sequence[tuple[Coords, int, int]]) -> lis
     offs = ball.unflat(off)
     norms = np.abs(offs).max(axis=1)
     bounds = np.searchsorted(site, np.arange(n + 1)).tolist()
-    return [(offs[a:b], norms[a:b], times[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return {u: (t, h, offs[a:b], norms[a:b], times[a:b]) for (u, t, h), a, b in zip(todo, bounds, bounds[1:])}
 
 
 def passage_time(env: Environment, x: Coords, horizon: int, strict: bool = True) -> PassageOutcome:
@@ -554,7 +541,8 @@ def passage_between(
     env: Environment, source: Coords, x: Coords, horizon: int, strict: bool = True
 ) -> PassageOutcome:
     """T(source, x) with a genealogy witness when finite."""
-    require("x", x, SITES)
+    require_site("x", require("x", x, SITES), env.dim)
+    require_site("source", source, env.dim)
     table = simulate_frogs(env, source, horizon, stop_targets=[x], strict=strict)
     value = table.visit_time(x)
     witness = None if value is None else tuple(table.genealogy(x))
@@ -574,9 +562,11 @@ def passage_time_star(env: Environment, x: Coords, horizon: int, strict: bool = 
 # Brute-force oracle: Dijkstra on the complete relay graph over occupied sites
 # ---------------------------------------------------------------------------
 
+_NODE_CAP = 300  # occupied sites the oracle's complete graph may hold
+
 
 def oracle_relay_distances(
-    env: Environment, source: Coords, horizon: int, node_cap: int = 300
+    env: Environment, source: Coords, horizon: int
 ) -> tuple[dict[Coords, int], dict[Coords, Coords]]:
     """Exact relay-path distances from ``source`` to every occupied box site.
 
@@ -584,15 +574,15 @@ def oracle_relay_distances(
     label-setting over the complete graph, independent of the dynamics.
     """
     occ = env.occupied_coords()
-    if occ.shape[0] > node_cap:
-        raise SearchCapError(f"oracle supports at most {node_cap} occupied sites, found {occ.shape[0]}")
+    if occ.shape[0] > _NODE_CAP:
+        raise SearchCapError(f"oracle supports at most {_NODE_CAP} occupied sites, found {occ.shape[0]}")
     if env.omega(source) < 1:
         return {}, {}
     index = offset_index(horizon, env.dim)
     # nodes in lex order, so a heap tie on the slot breaks as a tie on the site would
     nodes = sorted({tuple(int(c) for c in row) for row in occ} | {tuple(source)})
     coords = np.asarray(nodes, dtype=np.int64)
-    _build_rows(env, dict.fromkeys(nodes, (horizon, horizon)))  # every node's row, in one pass
+    build_rows(env, dict.fromkeys(nodes, (horizon, horizon)))  # every node's row, in one pass
     src = nodes.index(tuple(source))
     best = np.full(len(nodes), horizon + 1, dtype=np.int64)  # beyond the horizon: not reached
     best[src] = 0
@@ -623,17 +613,13 @@ def oracle_relay_distances(
     return dist, parent
 
 
-def oracle_passage_time(
-    env: Environment, source: Coords, x: Coords, horizon: int, node_cap: int = 300
-) -> PassageOutcome:
+def oracle_passage_time(env: Environment, source: Coords, x: Coords, horizon: int) -> PassageOutcome:
     """Relay-infimum value of T(source, x), censored beyond the horizon."""
-    dist, parent = oracle_relay_distances(env, source, horizon, node_cap)
-    index = offset_index(horizon, env.dim)
+    dist, parent = oracle_relay_distances(env, source, horizon)
     best: int | None = None
     best_relay: Coords | None = None
     for u, d_u in dist.items():
-        sites, times = first_hits(env, u, horizon)
-        hit = _row_time(index, sites, times, sub(x, u))
+        hit = hit_time(env, u, x, horizon, horizon)
         if hit is None:
             continue
         cand = d_u + hit
@@ -651,17 +637,15 @@ def oracle_passage_time(
     return PassageOutcome(best, tuple(chain), horizon, env.box_radius)
 
 
-def oracle_all_targets(
-    env: Environment, source: Coords, horizon: int, node_cap: int = 300
-) -> dict[Coords, int]:
+def oracle_all_targets(env: Environment, source: Coords, horizon: int) -> dict[Coords, int]:
     """Oracle values for every box site reachable within the horizon."""
-    dist, _ = oracle_relay_distances(env, source, horizon, node_cap)
+    dist, _ = oracle_relay_distances(env, source, horizon)
     if not dist:
         return {}
-    # min over relays u of d_u + tau(u, v), for every first hit v of every u at once
-    index = offset_index(horizon, env.dim)
-    hits = [(u, d_u, *first_hits(env, u, horizon)) for u, d_u in dist.items()]
-    sites = np.concatenate([index.unflat(keys) + np.asarray(u) for u, _, keys, _ in hits])
+    # min over relays u of d_u + tau(u, v), for every first hit v of every u at once; every
+    # relay's row was built with the distances
+    hits = [(u, d_u, *row_hits(env, u, horizon, horizon)) for u, d_u in dist.items()]
+    sites = np.concatenate([offs + np.asarray(u) for u, _, offs, _ in hits])
     times = np.concatenate([d_u + t_hit for _, d_u, _, t_hit in hits])
     ok = (np.abs(sites).sum(axis=1) <= env.box_radius) & (times <= horizon)
     sites, times = sites[ok], times[ok]

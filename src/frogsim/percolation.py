@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .environment import ConfigLaw, Environment, sample_environment
-from .errors import COUNT, LADDER, PROBABILITY, SITES, SIZE, EmptySetError, GeometryError, require
+from .errors import COUNT, LADDER, PROBABILITY, SITES, SIZE, EmptySetError, GeometryError, require, require_site
 from .lattice import Coords, CubeIndex, add, ball_coords, cube_coords, l1, scale, sub
 from .passage import passage_times
 from .stats import fit_line, wilson_ci
@@ -27,12 +27,11 @@ from .walks import PURPOSE_FIELD, SeedSpec, site_keys_np, uniform01_np
 class SiteField:
     """A 0/1 field on the l1 ball of radius box_radius."""
 
-    def __init__(self, dim: int, box_radius: int, bits: np.ndarray, provenance: str):
+    def __init__(self, dim: int, box_radius: int, bits: np.ndarray):
         self.dim = dim
         self.box_radius = box_radius
         self.index = CubeIndex(box_radius, dim)
         self.bits = bits  # flat over self.index, -1 outside the ball
-        self.provenance = provenance
 
     def in_box(self, x: Coords) -> bool:
         return l1(x) <= self.box_radius
@@ -57,7 +56,7 @@ def sample_bernoulli_field(p: float, dim: int, box_radius: int, seed: SeedSpec) 
     index = CubeIndex(box_radius, dim)
     bits = np.full(index.size, -1, dtype=np.int8)
     bits[index.flat(coords)] = (u < p).astype(np.int8)
-    return SiteField(dim, box_radius, bits, provenance=f"bernoulli({p})")
+    return SiteField(dim, box_radius, bits)
 
 
 def _open_cube(f: SiteField) -> tuple[np.ndarray, CubeIndex]:
@@ -262,9 +261,11 @@ def boundary_margin(box_radius: int) -> int:
 
 
 def check_targets(targets: Sequence[Coords], box_radius: int) -> None:
-    """GeometryError unless every target is a site other than the origin and outside the boundary margin."""
+    """GeometryError unless the targets are distinct sites, none the origin and none inside the boundary margin."""
     if not all(any(t) for t in targets):
         raise GeometryError("a target must not be the origin, whose chemical ratio is 0/0")
+    if len({tuple(t) for t in targets}) < len(targets):
+        raise GeometryError("each target must be listed once: a repeated one would count its pairs twice")
     margin = boundary_margin(box_radius)
     for t in targets:
         if l1(t) > box_radius - margin:
@@ -336,6 +337,8 @@ def chemical_ratio_experiment(
 ) -> ChemicalRatioReport:
     """Ratio of chemical distance to l1 distance on connected origin-target pairs."""
     require("targets", targets, SITES)
+    for v in targets:
+        require_site("targets", v, dim)
     require("replicas", replicas, SIZE)
     check_targets(targets, require("box_radius", box_radius, COUNT))
     rows = []

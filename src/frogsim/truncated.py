@@ -19,8 +19,9 @@ of (f, d, site): ties, and therefore the reported geodesic, are
 deterministic.
 
 Short-edge weights come from ball rows: the first hits of a site's own
-frogs on the l-infinity ball of radius t up to a horizon, stored sparse and
-cached on the environment.  An edge heavier than ub - d_u fails the prune,
+frogs on the l-infinity ball of radius t up to a horizon, which ``passage``
+builds (``build_rows``), caches on the environment and reads filtered to a
+(t, horizon) (``row_hits``).  An edge heavier than ub - d_u fails the prune,
 so a settled u needs its row only to min(cap, ub - d_u), and only those
 hits are relaxed.  The cube costs 4K max(t, L) for an offset of l-infinity
 length L, so it runs only while 4Kt fits under ub - d_u, out to the longest
@@ -28,14 +29,12 @@ L that fits; a capped price never improves on a hit that the row relaxed.
 The cube meets the bound after the direct edge to the goal has lowered it:
 an edge this drops has f above the final bound, so it would never have been
 settled before the goal, nor blocked a push that passes the prune.
-A row is cached at the largest (t, horizon) asked for and serves every
-smaller pair by filtering.  The live heap entries tied with a popped site
-at its f are settled before the goal, so their rows are built in the same
-``ball_first_hits`` pass.  The rows and their cache live in ``passage``,
-where ``tau`` and ``first_hits`` read them too.  ``sigma_t`` is the one
-edge price: the staircase bound and the direct edge read it from the same
-(t, 4Kt) rows as the search, and the tests check it against a dense walker
-of their own.
+A read that finds no row that far builds it, and the live heap entries
+tied with the popped site at its f are settled before the goal, so their
+rows are built in the same ``build_rows`` call.  ``sigma_t`` is the one
+edge price: the staircase bound and the direct edge look it up with
+``hit_time``, the lookup of ``tau``, in the same (t, 4Kt) rows as the
+search, and the tests check it against a dense walker of their own.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from .environment import Environment
 from .errors import LADDER, NONNEGATIVE, POSITIVE, SITES, SIZE, require
 from .estimation import replica_setup
 from .lattice import Coords, CubeIndex, cube_coords, l1, linf, sub
-from .passage import _ball_row, _build_rows, _covers, _row_cache, _row_time, offset_index, passage_times
+from .passage import build_rows, hit_time, passage_times, row_hits
 from .stats import wilson_ci
 from .walks import SeedSpec
 
@@ -90,15 +89,11 @@ def sigma_t(env: Environment, x: Coords, y: Coords, p: TruncationParams) -> int:
     otherwise; the time is read from x's ball row at (t, 4Kt), the row that
     the search relaxes, so the bound and the search price alike.
     """
-    gap = sub(y, x)
-    if linf(gap) > p.t:
-        return 4 * p.K * linf(gap)
-    if env.omega(x) == 0:
-        return p.cap
-    t, _, offs, _, times = _ball_row(env, x, p.t, p.cap)
-    index = offset_index(t, env.dim)
-    hit = _row_time(index, index.flat(offs), times, gap)  # the row is in lex order, so its keys ascend
-    return p.cap if hit is None or hit > p.cap else hit
+    gap = linf(sub(y, x))
+    if gap > p.t:
+        return 4 * p.K * gap
+    hit = hit_time(env, x, y, p.t, p.cap)
+    return p.cap if hit is None else hit
 
 
 @dataclass
@@ -155,7 +150,7 @@ def truncated_passage(env: Environment, x: Coords, y: Coords, p: TruncationParam
     kx, ky = index.flat_one(x), index.flat_one(y)
 
     stair = _staircase(x, y, p.t)
-    _build_rows(env, dict.fromkeys(stair[:-1], (p.t, p.cap)))  # the bound's short edges, in one pass
+    build_rows(env, dict.fromkeys(stair[:-1], (p.t, p.cap)))  # the bound's short edges, in one pass
     direct = sigma_t(env, x, y, p)
     ub = min(sum(sigma_t(env, a, b, p) for a, b in zip(stair[:-1], stair[1:])), direct)
 
@@ -198,7 +193,6 @@ def truncated_passage(env: Environment, x: Coords, y: Coords, p: TruncationParam
             heappush(heap, item)
         ub = min(ub, dist[ky])
 
-    rows = _row_cache(env)
     while heap:
         f_u, d_u, ku = heappop(heap)
         if ku in settled or d_u > dist[ku]:
@@ -210,12 +204,14 @@ def truncated_passage(env: Environment, x: Coords, y: Coords, p: TruncationParam
         # short edges from u's row; one of weight above ub - d_u fails the prune, so the
         # row is needed only that far, and the zero offset never improves the settled u
         horizon = min(p.cap, ub - d_u)
-        if horizon >= 1 and not _covers(rows.get(u), p.t, horizon) and env.omega(u) >= 1:
-            _build_rows(env, {u: (p.t, horizon), **tied_needs(f_u)})
-        if horizon >= 1 and u in rows:  # u is occupied, and its row now covers the horizon
-            _, _, offs, norms, times = rows[u]
-            ok = np.nonzero((times <= horizon) & (norms <= p.t))[0]
-            relax(ku, u, tuple(offs[ok].T), d_u + times[ok])
+        if horizon >= 1:
+            hits = row_hits(env, u, p.t, horizon)
+            if hits is None:  # build u's row in one pass with the rows of its tie layer
+                build_rows(env, {u: (p.t, horizon), **tied_needs(f_u)})
+                hits = row_hits(env, u, p.t, horizon)
+            offs, times = hits
+            if times.shape[0]:  # an unoccupied u has no hits
+                relax(ku, u, tuple(offs.T), d_u + times)
         # the direct long edge to the goal keeps the bound tight
         gap_goal = linf(sub(y, u))
         nd = d_u + K4 * gap_goal

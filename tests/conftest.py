@@ -2,7 +2,7 @@ import numpy as np
 
 from frogsim.environment import ConfigLaw, Environment
 from frogsim.lattice import ball_coords, step_vectors
-from frogsim.passage import offset_index
+from frogsim.passage import offset_index, row_hits
 from frogsim.walks import PURPOSE_WALK, SeedSpec, step_codes_np, walk_keys_np
 
 # one law of every kind, each with several positive counts where it can
@@ -61,3 +61,12 @@ def dense_tau(env, u, v, horizon):
     sites, times = dense_first_hits(env, u, horizon)
     pos = np.searchsorted(sites, index.flat_one(delta))
     return int(times[pos]) if pos < sites.shape[0] and sites[pos] == index.flat_one(delta) else None
+
+
+def row_extent_is(env, u, t, horizon):
+    """Whether u's cached ball row ends at (t, horizon): ``row_hits`` reads it there and not one step beyond."""
+    return (
+        row_hits(env, u, t, horizon) is not None
+        and row_hits(env, u, t + 1, horizon) is None
+        and row_hits(env, u, t, horizon + 1) is None
+    )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from frogsim import cli, passage
-from frogsim.environment import ConfigLaw, condition_origin, sample_environment
+from frogsim.environment import ConfigLaw, condition_origin, sample_environment, star
 from frogsim.errors import CensoringBudgetError, GeometryError, LawParameterError
 from frogsim.estimation import (
     PassageSamples,
@@ -19,7 +19,7 @@ from frogsim.estimation import (
     subadditivity_audit,
     tail_curve_from_samples,
 )
-from frogsim.passage import passage_time
+from frogsim.passage import passage_between, passage_time
 from frogsim.percolation import (
     chemical_ratio_experiment,
     hole_radius_experiment,
@@ -302,6 +302,15 @@ CASES = [
     percolation("chemical-origin-target", chemical_ratio_experiment, GeometryError, targets=[(0, 0)]),
     percolation("chemical-target-in-margin", chemical_ratio_experiment, GeometryError, targets=[(19, 0)]),
     percolation("chemical-targets-text", chemical_ratio_experiment, targets="5,0"),
+    # a repeated target wrote its row twice and counted its connected pairs twice
+    percolation("chemical-target-repeated", chemical_ratio_experiment, GeometryError, targets=[(5, 0), (5, 0)]),
+    # a site of another dimension failed in a numpy reshape, or star returned it
+    percolation("chemical-target-dim", chemical_ratio_experiment, GeometryError, targets=[(5, 0, 0)]),
+    case("samples-target-dim", collect_passage_samples, GeometryError, law=POISSON, dim=3, targets=[(4, 0)],
+         replicas=2, seed=SEED, horizon=20, modified=False),
+    case("passage-between-dim", passage_between, GeometryError, env=PASSAGE_ENV, source=(0, 0), x=(4, 0, 0),
+         horizon=10),
+    case("star-dim", star, GeometryError, env=PASSAGE_ENV, x=(1, 0, 0)),
     percolation("hole-zero-replicas", hole_radius_experiment, replicas=0),
     percolation("hole-p-above-one", hole_radius_experiment, p=1.5),
     percolation("hole-radius-negative", hole_radius_experiment, box_radius=-1),

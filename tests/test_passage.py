@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LAWS, dense_first_hits, dense_tau, env_from_counts
+from conftest import LAWS, dense_first_hits, dense_tau, env_from_counts, row_extent_is
 from frogsim import passage
 from frogsim.environment import ConfigLaw, Environment, condition_origin, sample_environment, star
 from frogsim.errors import FrogsimError, GeometryError
-from frogsim.lattice import CubeIndex, add, ball_coords, l1, linf, step_vectors
+from frogsim.lattice import CubeIndex, add, ball_coords, l1, linf, step_vectors, sub
 from frogsim.passage import (
     ActivationTable,
-    _ball_row,
-    _build_rows,
-    _row_cache,
+    build_rows,
     first_hits,
+    hit_time,
     oracle_all_targets,
     oracle_passage_time,
     offset_index,
@@ -23,6 +22,7 @@ from frogsim.passage import (
     passage_time,
     passage_time_star,
     passage_times,
+    row_hits,
     simulate_batch,
     simulate_frogs,
     tau,
@@ -260,7 +260,7 @@ def test_first_hits_horizon_zero_is_the_self_hit():
     assert keys.tolist() == [offset_index(0, 2).flat_one((0, 0))] and times.tolist() == [0]
     assert same_hits((keys, times), dense_first_hits(env, occupied, 0))
     assert first_hits(env, empty, 0)[0].shape == (0,)
-    assert occupied not in _row_cache(env)
+    assert row_hits(env, occupied, 0, 1) is None  # no row was built
 
 
 @pytest.mark.parametrize("pass_steps", [1, 37])
@@ -268,16 +268,17 @@ def test_rows_do_not_depend_on_pass_size(pass_steps, monkeypatch):
     # first_hits reads rows that many-site passes build: cutting the passes must change no row
     def rows(env):
         sites = [tuple(x) for x in env.occupied_coords().tolist()]
-        _build_rows(env, {u: (3 if i % 2 else 12, 12) for i, u in enumerate(sites)})
-        return {u: first_hits(env, u, h) for u in sites for h in (12, 7)}, dict(_row_cache(env))
+        asked = {u: (3 if i % 2 else 12, 12) for i, u in enumerate(sites)}
+        build_rows(env, asked)
+        assert all(row_extent_is(env, u, t, h) for u, (t, h) in asked.items())
+        built = {u: row_hits(env, u, t, h) for u, (t, h) in asked.items()}
+        return {(u, h): first_hits(env, u, h) for u in sites for h in (12, 7)}, built
 
     want_hits, want_rows = rows(make_env(ConfigLaw.poisson(1.7), radius=5, seed=8))
     monkeypatch.setattr(passage, "_PASS_STEPS", pass_steps)
     got_hits, got_rows = rows(make_env(ConfigLaw.poisson(1.7), radius=5, seed=8))
     assert got_rows.keys() == want_rows.keys()
-    for u, row in want_rows.items():
-        assert got_rows[u][:2] == row[:2]
-        assert all(np.array_equal(a, b) for a, b in zip(got_rows[u][2:], row[2:]))
+    assert all(same_hits(got_rows[u], row) for u, row in want_rows.items())
     assert all(same_hits(got_hits[k], want_hits[k]) for k in want_hits)
 
 
@@ -288,26 +289,29 @@ def test_first_hits_in_dim_8_matches_dense_walker():
     origin = (0,) * 8
     assert same_hits(first_hits(env, origin, 100), dense_first_hits(env, origin, 100))
     near = [tuple(int(i == j) - int(i == j + 8) for j in range(8)) for i in range(16)]
-    _build_rows(env, dict.fromkeys(near, (100, 100)))
+    build_rows(env, dict.fromkeys(near, (100, 100)))
     for u in near:
         assert same_hits(first_hits(env, u, 100), dense_first_hits(env, u, 100))
     # a ball wider than the horizon is laid out at the horizon: at radius 150 one key would overflow
     far = (2,) + (0,) * 7
-    _, _, offs, _, times = _ball_row(env, far, 150, 20)
+    build_rows(env, {far: (150, 20)})
+    offs, times = row_hits(env, far, 150, 20)
     assert same_hits((offset_index(20, 8).flat(offs), times), dense_first_hits(env, far, 20))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 3), st.integers(0, 4), st.sampled_from(LAWS), st.integers(0, 2**32),
-    st.lists(st.tuples(st.sampled_from(["row", "first_hits", "tau"]), st.integers(0, 30), st.integers(1, 3)),
-             min_size=1, max_size=12),
+    st.lists(
+        st.tuples(st.sampled_from(["row", "first_hits", "tau", "hit_time"]), st.integers(0, 30), st.integers(1, 3)),
+        min_size=1, max_size=12,
+    ),
     st.data(),
 )
 def test_row_cache_requests_in_any_order(dim, radius, law, seed, requests, data):
-    # A* rows, first_hits and tau share one cache on one environment: whatever order they
-    # come in and however the rows grow, every answer is the dense walker's, and each row
-    # ends at the largest t and the largest horizon asked of it
+    # A* rows, first_hits, tau and the hit lookup share one cache on one environment:
+    # whatever order they come in and however the rows grow, every answer is the dense
+    # walker's, and each row ends at the largest t and the largest horizon asked of it
     env = sample_environment(law, dim, radius, SeedSpec(seed, "rows"))
     sites = [tuple(x) for x in ball_coords(radius, dim).tolist()]
     asked = {}
@@ -315,22 +319,31 @@ def test_row_cache_requests_in_any_order(dim, radius, law, seed, requests, data)
         u = data.draw(st.sampled_from(sites))
         if env.omega(u) >= 1 and horizon >= 1:
             t_max, h_max = asked.get(u, (0, 0))
-            asked[u] = (max(t_max, horizon if kind != "row" else t), max(h_max, horizon))
+            asked[u] = (max(t_max, t if kind in ("row", "hit_time") else horizon), max(h_max, horizon))
         if kind == "first_hits":
             assert same_hits(first_hits(env, u, horizon), dense_first_hits(env, u, horizon))
-        elif kind == "tau":
+        elif kind in ("tau", "hit_time"):
+            # the lookup reads u's row wherever v lies; at scale t it misses v beyond t
             v = add(u, data.draw(st.tuples(*[st.integers(-horizon - 1, horizon + 1)] * dim)))
-            assert tau(env, u, v, horizon) == dense_tau(env, u, v, horizon)
+            if kind == "tau":
+                assert tau(env, u, v, horizon) == dense_tau(env, u, v, horizon)
+            else:
+                want = dense_tau(env, u, v, horizon) if linf(sub(v, u)) <= t else None
+                assert hit_time(env, u, v, t, horizon) == want
         elif env.omega(u) >= 1 and horizon >= 1:
             # the weights of a search at scale t under horizon: hits within both, the rest capped
-            t_row, h_row, offs, norms, times = _ball_row(env, u, t, horizon)
-            assert t_row >= t and h_row >= horizon
-            ok = (norms <= t) & (times <= horizon)
+            build_rows(env, {u: (t, horizon)})
+            hits = row_hits(env, u, t, horizon)
+            assert hits is not None  # the row holds (t, horizon)
             keys, want = dense_first_hits(env, u, horizon)
             near = np.abs(offset_index(horizon, dim).unflat(keys)).max(axis=1) <= t
-            assert np.array_equal(offset_index(horizon, dim).flat(offs[ok]), keys[near])
-            assert np.array_equal(times[ok], want[near])
-    assert {u: row[:2] for u, row in _row_cache(env).items()} == asked
+            assert np.array_equal(offset_index(horizon, dim).flat(hits[0]), keys[near])
+            assert np.array_equal(hits[1], want[near])
+    for u in sites:
+        if u in asked:
+            assert row_extent_is(env, u, *asked[u]), u
+        elif env.omega(u) >= 1:
+            assert row_hits(env, u, 0, 1) is None, u  # asked nothing: no row
 
 
 @contextmanager

@@ -23,10 +23,10 @@ from frogsim.percolation import (
 from frogsim.walks import SeedSpec
 
 
-def field_from_indicator(dim, box_radius, values, provenance):
+def field_from_indicator(dim, box_radius, values):
     """A hand-built field: the given sites open (value 1) or closed (0), no other site open."""
     bits = np.full(CubeIndex(box_radius, dim).size, -1, dtype=np.int8)
-    f = SiteField(dim, box_radius, bits, provenance)
+    f = SiteField(dim, box_radius, bits)
     for x, v in values.items():
         bits[f.index.flat_one(x)] = 1 if v else 0
     return f
@@ -34,7 +34,7 @@ def field_from_indicator(dim, box_radius, values, provenance):
 
 def ones_field(radius=6):
     vals = {tuple(int(c) for c in row): 1 for row in ball_coords(radius, 2).tolist()}
-    return field_from_indicator(2, radius, vals, "ones")
+    return field_from_indicator(2, radius, vals)
 
 
 def test_bernoulli_extremes():
@@ -69,7 +69,7 @@ def test_label_clusters_all_open():
 
 
 def test_label_clusters_empty():
-    f = field_from_indicator(2, 3, {}, "empty")
+    f = field_from_indicator(2, 3, {})
     labels = label_clusters(f)
     assert labels.sizes == {}
     assert labels.largest_id is None
@@ -80,7 +80,7 @@ def test_label_clusters_empty():
 def test_label_clusters_two_components():
     # a 5x5 window: a size-4 square far from a size-3 bar
     opens = {(-2, -2): 1, (-2, -1): 1, (-1, -2): 1, (-1, -1): 1, (2, 2): 1, (2, 1): 1, (2, 0): 1}
-    f = field_from_indicator(2, 4, opens, "fixture")
+    f = field_from_indicator(2, 4, opens)
     labels = label_clusters(f)
     sizes = sorted(labels.sizes.values())
     assert sizes == [3, 4]
@@ -92,7 +92,7 @@ def test_largest_cluster_tie_takes_lex_smallest_lowest_site():
     # replaced picked the far one by its root, the rule picks the lowest site
     near = [(0, -2), (1, -3), (1, -2), (2, -4), (2, -3), (3, -3)]
     far = [(0, 4), (0, 5), (0, 6), (1, 3), (1, 4), (2, 3)]
-    f = field_from_indicator(2, 6, {x: 1 for x in near + far}, "tie")
+    f = field_from_indicator(2, 6, {x: 1 for x in near + far})
     labels = label_clusters(f)
     assert sorted(labels.sizes.values()) == [6, 6]
     rows = [tuple(r) for r in f.open_coords().tolist()]
@@ -105,7 +105,7 @@ def test_chemical_distance_cases():
     dist = open_distances_from(f, (0, 0))
     assert dist[f.index.flat_one((0, 0))] == 0
     assert dist[f.index.flat_one((3, -2))] == 5
-    closed = field_from_indicator(2, 4, {(0, 0): 1, (1, 1): 1}, "gap")
+    closed = field_from_indicator(2, 4, {(0, 0): 1, (1, 1): 1})
     dist = open_distances_from(closed, (0, 0))
     assert dist[closed.index.flat_one((1, 1))] == -1  # open, not reached
     assert dist[closed.index.flat_one((2, 0))] == -1  # closed
@@ -122,12 +122,12 @@ def test_chemical_at_least_l1():
 
 def test_hole_radius_cases():
     opens = {(0, 0): 1, (0, 1): 1, (1, 0): 1}
-    f = field_from_indicator(2, 4, opens, "origin-in")
+    f = field_from_indicator(2, 4, opens)
     labels = label_clusters(f)
     assert hole_radius(f, labels) == 0
 
     shifted = {(2, 1): 1, (3, 1): 1, (2, 2): 1, (0, 0): 0}
-    f2 = field_from_indicator(2, 5, shifted, "shifted")
+    f2 = field_from_indicator(2, 5, shifted)
     labels2 = label_clusters(f2)
     assert hole_radius(f2, labels2) == 3
 

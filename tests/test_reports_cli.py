@@ -409,12 +409,15 @@ def test_cli_replay_accepts_null_defaults(tmp_path):
         (["--p", "0.8", "--radius", "-3"], "radius must be an integer >= 0"),
         (["--p", "0.8", "--radius", "20", "--targets", "19,0"],
          "target (19, 0) lies inside the boundary margin of 2"),
+        # a repeated target wrote its row twice and counted its connected pairs twice
+        (["--p", "0.8", "--radius", "30", "--targets", "5,0;5,0"],
+         "each target must be listed once: a repeated one would count its pairs twice"),
         (["--p", "0.8", "--radius", "30", "--white-n", "3"],
          "the default sub-box side floor(N^0.25/(4d)) is 0 at white_n [3]"),
         (["--p", "0.8", "--radius", "30", "--white-n", "3", "--white-subbox", "0"],
          "white_subbox must be an integer >= 1, got 0"),
     ],
-    ids=["origin-target", "p-above-one", "p-nan", "radius-negative", "target-in-margin",
+    ids=["origin-target", "p-above-one", "p-nan", "radius-negative", "target-in-margin", "target-repeated",
          "white-n-default-subbox", "white-subbox-zero"],
 )
 def test_cli_rejects_bad_percolation_plan(argv, message, tmp_path, capsys):

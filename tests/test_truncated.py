@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LAWS, dense_first_hits, dense_tau, env_from_counts
+from conftest import LAWS, dense_first_hits, dense_tau, env_from_counts, row_extent_is
 from frogsim.environment import ConfigLaw, condition_origin, sample_environment, star
 from frogsim.errors import SearchCapError
 from frogsim.lattice import Coords, add, ball_coords, cube_coords, l1, linf, sub
-from frogsim.passage import _ball_row, offset_index
+from frogsim.passage import build_rows, offset_index
 from frogsim.truncated import (
     TruncatedResult,
     TruncationParams,
@@ -90,7 +90,7 @@ def test_sigma_reads_the_row_at_t():
     env = condition_origin(poisson_env(seed=5, radius=40))
     p = TruncationParams.make(2, 2, c4_hat=1.0)
     sigma_t(env, (0, 0), (1, 0), p)
-    assert env._ball_rows[(0, 0)][:2] == (p.t, p.cap)
+    assert row_extent_is(env, (0, 0), p.t, p.cap)
 
 
 BALL_ROW_STARTS = [(0, 0), (1, 0), (0, 1), (-1, -1), (2, 3), (-3, 1)]
@@ -114,11 +114,10 @@ def test_ball_row_matches_tau(order):
             for u in BALL_ROW_STARTS:
                 _check_ball_row(env, u, p)
         else:
-            for u in occupied:
-                _ball_row(env, u, t, horizon)
-            assert {env._ball_rows[u][:2] for u in occupied} == {(t, horizon)}
+            build_rows(env, dict.fromkeys(occupied, (t, horizon)))
+            assert all(row_extent_is(env, u, t, horizon) for u in occupied)
     top = TruncationParams.make(max(t for t, _ in order), 2, c4_hat=1.0)
-    assert {env._ball_rows[u][:2] for u in occupied} == {(top.t, top.cap)}
+    assert all(row_extent_is(env, u, top.t, top.cap) for u in occupied)
 
 
 @pytest.mark.parametrize("law", [ConfigLaw.poisson(1.0), ConfigLaw.bernoulli(0.5)], ids=["poisson", "bernoulli"])
