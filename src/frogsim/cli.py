@@ -119,7 +119,7 @@ COMMANDS = {
     "tails": ("deviation tail curves", [
         *_LADDER,
         ("epsilon", float, REQUIRED, POSITIVE, None),
-        ("side", str, "both", SIDE, None),
+        ("side", str, "both", SIDE, "upper | lower | both"),
         ("mu_hat", float, None, POSITIVE,
          "calibrated estimate; omitted -> internal calibration on a disjoint seed stream"),
         ("calibration_k", None, [4, 8, 16], LADDER, None),
@@ -487,8 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
             elif parse is not None:
                 sp.add_argument(
                     flag, type=parse if parse in (int, float) else None, required=default is REQUIRED,
-                    default=None if default is REQUIRED else default,
-                    choices=list(TAIL_SIDES) if key == "side" else None, help=help_,
+                    default=None if default is REQUIRED else default, help=help_,
                 )
         sp.add_argument("--out", required=True, help="output directory for plan + reports")
         if command in THREADED:

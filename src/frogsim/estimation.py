@@ -55,20 +55,12 @@ class PassageSamples:
 
 
 def replica_setup(law, dim, targets, horizon, rep_seed, modified):
-    """A replica's run (environment, source, goals) for ``passage_times``."""
+    """A replica's run (environment, source, goals) for ``passage_times``, which sizes the engine's box."""
     # star searches the whole box, so this radius decides when SearchCapError is raised
     env = sample_environment(law, dim, horizon + 8, rep_seed)
     if modified:
-        source = star(env, (0,) * dim)
-        goals = [star(env, x) for x in targets]
-    else:
-        env = condition_origin(env)
-        source = (0,) * dim
-        goals = list(targets)
-    need = horizon + l1(source)
-    if need > env.box_radius:
-        env = env.with_radius(need)
-    return env, source, goals
+        return env, star(env, (0,) * dim), [star(env, x) for x in targets]
+    return condition_origin(env), (0,) * dim, list(targets)
 
 
 def collect_passage_samples(
@@ -471,43 +463,38 @@ def subadditivity_audit(
     """Exact triangle-inequality checks on random triples, one per replica.
 
     Checks T(x,z) <= T(x,y) + T(y,z) whenever all three values are finite,
-    and the same for the starred variant; every violation is recorded.
+    and the same for the starred triple; every violation is recorded.  All
+    the runs are read from one ``passage_times`` call, so the box radius
+    serves ``star`` alone, whose search it caps.
     """
     require("n_triples", n_triples, SIZE)
     require("window", window, COUNT)
     require("horizon", horizon, COUNT)
-    violations = checked_plain = checked_star = skipped = 0
-    details: list[dict] = []
+    triples, runs = [], []
     for r in range(n_triples):
         rep_seed = seed.child("audit", r)
-        # sources live in the window cube (l1 norm up to dim * window) and
-        # stars drift at most a few sites beyond it for any sensible law
         env = sample_environment(law, dim, horizon + dim * window + 6, rep_seed)
-        pts = _random_triple(rep_seed, dim, window)
-        x, y, z = pts
-        xs, ys, zs = (star(env, p) for p in pts)
-        # a run from a site without frogs reads None
-        (txy, txz), (tyz,), (sxy, sxz), (syz,) = passage_times(
-            [(env, x, [y, z]), (env, y, [z]), (env, xs, [ys, zs]), (env, ys, [zs])], horizon
-        )
+        plain = _random_triple(rep_seed, dim, window)
+        for kind, (x, y, z) in (("plain", plain), ("star", tuple(star(env, p) for p in plain))):
+            triples.append((kind, [x, y, z]))
+            # a run from a site without frogs reads None
+            runs += [(env, x, [y, z]), (env, y, [z])]
+    values = passage_times(runs, horizon)
+    checked = {"plain": 0, "star": 0}
+    violations = skipped = 0
+    details: list[dict] = []
+    for (kind, triple), (txy, txz), (tyz,) in zip(triples, values[::2], values[1::2]):
         if None in (txy, tyz, txz):
             skipped += 1
-        else:
-            checked_plain += 1
-            if txz > txy + tyz:
-                violations += 1
-                details.append({"kind": "plain", "triple": [x, y, z], "values": [txy, tyz, txz]})
-        if None in (sxy, syz, sxz):
-            skipped += 1
-        else:
-            checked_star += 1
-            if sxz > sxy + syz:
-                violations += 1
-                details.append({"kind": "star", "triple": [xs, ys, zs], "values": [sxy, syz, sxz]})
+            continue
+        checked[kind] += 1
+        if txz > txy + tyz:
+            violations += 1
+            details.append({"kind": kind, "triple": triple, "values": [txy, tyz, txz]})
     return SubadditivityReport(
         violations=violations,
-        checked_plain=checked_plain,
-        checked_star=checked_star,
+        checked_plain=checked["plain"],
+        checked_star=checked["star"],
         skipped=skipped,
         replicas=n_triples,
         law_label=law.label(),

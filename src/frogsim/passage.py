@@ -23,8 +23,9 @@ stopping step do not depend on the batch it runs in, and the numpy cost of
 a step is paid once per batch rather than once per replica.
 ``passage_times`` turns a list of (environment, source, targets) runs into
 passage values, ``int`` or None when censored, by stepping them through
-``simulate_batch`` in batches; every ensemble of the experiments runs
-through it.
+``simulate_batch`` in batches, each on its environment grown to horizon +
+|source|_1; every ensemble of the experiments runs through it, so no
+ensemble sizes a box for the engine.
 
 Hitting times come from one cache of ball rows, and this module alone
 knows their format.  A ball row holds the first hits of a site's own frogs
@@ -369,11 +370,14 @@ def passage_times(
 ) -> list[list[int | None]]:
     """T(source, y) for every target y of every run (env, source, targets); None when censored.
 
+    Each run reads ``env.with_radius(horizon + |source|_1)``, where the engine
+    computes the process on all of Z^d; growing a box resamples nothing.
     A source with no frogs wakes nothing, so its targets all read None.  The
     other runs step through the engine ``_BATCH`` at a time, in order, each
     stopping once its targets are visited.  A batch's values are read before
     the next batch steps, so one batch's tables are alive at a time.
     """
+    runs = [(env.with_radius(horizon + l1(source)), source, targets) for env, source, targets in runs]
     out: list[list[int | None]] = [[None] * len(targets) for _, _, targets in runs]
     live = [i for i, (env, source, _) in enumerate(runs) if env.omega(source) >= 1]
     for lo in range(0, len(live), _BATCH):
@@ -410,6 +414,7 @@ def first_hits(env: Environment, u: Coords, horizon: int) -> tuple[np.ndarray, n
     included.  A read of u's ball row at t = horizon, so it shares the rows
     that the truncated search builds; the cache lives and dies with ``env``.
     """
+    require_site("u", u, env.dim)
     build_rows(env, {u: (horizon, horizon)})
     offs, times = row_hits(env, u, horizon, horizon)
     # a hit within the horizon lies in its cube, and the row is in lex order: the keys ascend
@@ -422,6 +427,8 @@ def hit_time(env: Environment, u: Coords, v: Coords, t: int, horizon: int) -> in
     Reads u's ball row at (t, horizon), building it first if the cache does
     not hold it, whatever v is.
     """
+    require_site("u", u, env.dim)
+    require_site("v", v, env.dim)
     build_rows(env, {u: (t, horizon)})
     offs, times = row_hits(env, u, t, horizon)
     hit = times[(offs == np.subtract(v, u)).all(axis=1)]
@@ -615,6 +622,8 @@ def oracle_relay_distances(
 
 def oracle_passage_time(env: Environment, source: Coords, x: Coords, horizon: int) -> PassageOutcome:
     """Relay-infimum value of T(source, x), censored beyond the horizon."""
+    require_site("source", source, env.dim)
+    require_site("x", x, env.dim)
     dist, parent = oracle_relay_distances(env, source, horizon)
     best: int | None = None
     best_relay: Coords | None = None

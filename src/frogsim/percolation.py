@@ -9,7 +9,6 @@ damp finite-size bias.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -18,20 +17,26 @@ import numpy as np
 
 from .environment import ConfigLaw, Environment, sample_environment
 from .errors import COUNT, LADDER, PROBABILITY, SITES, SIZE, EmptySetError, GeometryError, require, require_site
-from .lattice import Coords, CubeIndex, add, ball_coords, cube_coords, l1, scale, sub
+from .lattice import Coords, CubeIndex, ball_coords, cube_coords, l1, scale, sub
 from .passage import passage_times
 from .stats import fit_line, wilson_ci
 from .walks import PURPOSE_FIELD, SeedSpec, site_keys_np, uniform01_np
 
 
 class SiteField:
-    """A 0/1 field on the l1 ball of radius box_radius."""
+    """A 0/1 field on the l1 ball of radius box_radius.
 
-    def __init__(self, dim: int, box_radius: int, bits: np.ndarray):
+    ``open`` is a flat bool array over ``index``, the cube of radius
+    box_radius + 1: true at the open sites of the ball, false elsewhere.
+    The cube's outer layer is closed, so a site's neighbours are its key
+    plus or minus a stride and an open neighbour never wraps.
+    """
+
+    def __init__(self, dim: int, box_radius: int, is_open: np.ndarray):
         self.dim = dim
         self.box_radius = box_radius
-        self.index = CubeIndex(box_radius, dim)
-        self.bits = bits  # flat over self.index, -1 outside the ball
+        self.index = CubeIndex(box_radius + 1, dim)
+        self.open = is_open
 
     def in_box(self, x: Coords) -> bool:
         return l1(x) <= self.box_radius
@@ -39,11 +44,11 @@ class SiteField:
     def bit(self, x: Coords) -> int:
         if not self.in_box(x):
             raise GeometryError(f"site {x} outside field of radius {self.box_radius}")
-        return int(self.bits[self.index.flat_one(x)])
+        return int(self.open[self.index.flat_one(x)])
 
     def open_coords(self) -> np.ndarray:
-        coords = ball_coords(self.box_radius, self.dim)
-        return coords[self.bits[self.index.flat(coords)] == 1]
+        """The open sites, lex order: the keys ascend in lex order of their sites."""
+        return self.index.unflat(np.flatnonzero(self.open))
 
 
 def sample_bernoulli_field(p: float, dim: int, box_radius: int, seed: SeedSpec) -> SiteField:
@@ -53,18 +58,10 @@ def sample_bernoulli_field(p: float, dim: int, box_radius: int, seed: SeedSpec) 
     require("box_radius", box_radius, COUNT)
     coords = ball_coords(box_radius, dim)
     u = uniform01_np(site_keys_np(seed.purpose_key(PURPOSE_FIELD), coords))
-    index = CubeIndex(box_radius, dim)
-    bits = np.full(index.size, -1, dtype=np.int8)
-    bits[index.flat(coords)] = (u < p).astype(np.int8)
-    return SiteField(dim, box_radius, bits)
-
-
-def _open_cube(f: SiteField) -> tuple[np.ndarray, CubeIndex]:
-    """The open set as a flat bool array over the cube one layer wider than
-    ``f.index``.  The extra layer is closed, so a site's neighbours are its
-    key plus or minus a stride and an open neighbour never wraps."""
-    is_open = np.pad(f.bits.reshape((f.index.side,) * f.dim) == 1, 1)
-    return is_open.ravel(), CubeIndex(f.box_radius + 1, f.dim)
+    index = CubeIndex(box_radius + 1, dim)
+    is_open = np.zeros(index.size, dtype=bool)
+    is_open[index.flat(coords)] = u < p
+    return SiteField(dim, box_radius, is_open)
 
 
 @dataclass
@@ -81,7 +78,7 @@ def label_clusters(f: SiteField) -> ClusterLabels:
     The largest cluster is the one of maximal size; among equal sizes, the one
     with the smallest id, i.e. the lex-smallest lowest site.
     """
-    is_open, index = _open_cube(f)
+    is_open, index = f.open, f.index
     keys = np.flatnonzero(is_open)  # ascending, so aligned with f.open_coords()
     if keys.size == 0:
         return ClusterLabels(label=np.zeros(0, dtype=np.int64), sizes={}, largest_id=None)
@@ -114,12 +111,12 @@ def label_clusters(f: SiteField) -> ClusterLabels:
 def open_distances_from(f: SiteField, source: Coords) -> np.ndarray:
     """BFS distances inside the open set from an open source site.
 
-    Flat over ``f.index``: 0 at the source, -1 at sites that are closed or
-    not reached.
+    Flat over ``f.index``, the cube with the closed outer layer: 0 at the
+    source, -1 at sites that are closed or not reached.
     """
     if not f.in_box(source):
         raise GeometryError(f"site {source} outside field of radius {f.box_radius}")
-    is_open, index = _open_cube(f)
+    is_open, index = f.open, f.index
     steps = np.array([s * sign for s in index.strides for sign in (1, -1)])
     dist = np.full(index.size, -1, dtype=np.int64)
     frontier = np.array([index.flat_one(source)])
@@ -133,7 +130,7 @@ def open_distances_from(f: SiteField, source: Coords) -> np.ndarray:
         nxt = np.sort(nxt[is_open[nxt] & (dist[nxt] < 0)])
         frontier = nxt[np.diff(nxt, prepend=-1) != 0]
         dist[frontier] = layer
-    return dist.reshape((index.side,) * f.dim)[(slice(1, -1),) * f.dim].ravel()
+    return dist
 
 
 def hole_radius(f: SiteField, labels: ClusterLabels) -> int:
@@ -178,33 +175,36 @@ def white_site_indicator(
 
     window = cube_coords(N, d) + np.asarray(center, dtype=np.int64)
     counts = env.counts_at(window)
-    occ = window[counts > 0]
-
-    # condition (1): every tile of side 2*half fully inside the window meets
-    # the occupied set; tile q covers sites (2*half*q - half, 2*half*q + half]
-    side = 2 * half
-    qs_axes = []
-    for i in range(d):
-        lo = -((-(center[i] - N + half - 1)) // side)  # ceil division
-        hi = (center[i] + N - half) // side
-        qs_axes.append(range(lo, hi + 1))
-    occ_set = {tuple(int(c) for c in row) for row in occ}
-    for q in itertools.product(*qs_axes):
-        tile_center = tuple(side * qi for qi in q)
-        if not any(add(tile_center, off) in occ_set for off in _tile_offsets(half, d)):
-            return 0
+    if not _tiles_occupied((counts > 0).reshape((2 * N + 1,) * d), center, N, half):
+        return 0
 
     # condition (2): close occupied pairs connect within time N
     close_limit = N ** 0.25
-    occ_list = [tuple(int(c) for c in row) for row in occ]
+    occ_list = [tuple(int(c) for c in row) for row in window[counts > 0]]
     close = [(x, [y for y in occ_list if y != x and l1(sub(y, x)) <= close_limit]) for x in occ_list]
     times = passage_times([(env, x, ys) for x, ys in close if ys], N)
     return int(all(v is not None for row in times for v in row))
 
 
-def _tile_offsets(half: int, d: int) -> list[Coords]:
-    """Offsets of the half-open tile (-half, half]^d."""
-    return [tuple(t) for t in itertools.product(range(-half + 1, half + 1), repeat=d)]
+def _tiles_occupied(occupied: np.ndarray, center: Coords, N: int, half: int) -> bool:
+    """Condition (1): every tile of side 2*half fully inside the window meets the occupied set.
+
+    ``occupied`` is the window's occupancy, a bool array over the cube of
+    radius N around ``center``.  Tile q covers the sites (2*half*q - half,
+    2*half*q + half] on each axis.  The tiles inside the window are a run
+    of whole tiles per axis: crop each axis to them and split it into
+    (tiles, 2*half).
+    """
+    side = 2 * half
+    cuts, shape = [], []
+    for c in center:
+        first = -((N - c - half + 1) // side)  # ceil((c - N + half - 1) / side): the lowest tile inside
+        tiles = max((c + N - half) // side - first + 1, 0)
+        start = side * first - half + 1 - (c - N)  # its lowest site, as an index into the window
+        cuts.append(slice(start, start + side * tiles))
+        shape += [tiles, side]
+    blocks = occupied[tuple(cuts)].reshape(shape)
+    return bool(blocks.any(axis=tuple(range(1, 2 * len(center), 2))).all())
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +232,9 @@ def white_marginal_curve(
 ) -> list[MarginalRow]:
     """Monte Carlo marginal P(the origin block is white) per block scale N.
 
-    Each replica samples ``law`` on the box of radius dim*N + N + 2, which
-    holds the white window around the origin.
+    Each replica samples ``law`` on the box of radius dim*N, which holds the
+    white window around the origin; ``passage_times`` grows it for the
+    passage condition.
     """
     require("N_ladder", N_ladder, LADDER)
     require("replicas", replicas, SIZE)
@@ -243,7 +244,7 @@ def white_marginal_curve(
     for N in N_ladder:
         hits = 0
         for r in range(replicas):
-            env = sample_environment(law, dim, dim * N + N + 2, seed.child(f"marginal-N{N}", r))
+            env = sample_environment(law, dim, dim * N, seed.child(f"marginal-N{N}", r))
             hits += white_site_indicator(env, (0,) * dim, N, subbox_side=subbox_side)
         lo, hi = wilson_ci(hits, replicas)
         rows.append(MarginalRow(N=N, replicas=replicas, hits=hits, phat=hits / replicas, ci_lo=lo, ci_hi=hi))
@@ -346,7 +347,7 @@ def chemical_ratio_experiment(
     connected = 0
     per_target = {v: [] for v in targets}
     origin = (0,) * dim
-    target_keys = CubeIndex(box_radius, dim).flat(np.array(targets, dtype=np.int64).reshape(-1, dim))
+    target_keys = CubeIndex(box_radius + 1, dim).flat(np.array(targets, dtype=np.int64).reshape(-1, dim))
     for r in range(replicas):
         f = sample_bernoulli_field(p, dim, box_radius, seed.child("chem", r))
         if f.bit(origin) != 1:

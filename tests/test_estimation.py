@@ -19,7 +19,7 @@ from frogsim.estimation import (
     subadditivity_audit,
     tail_curve_from_samples,
 )
-from frogsim.passage import passage_between, passage_time
+from frogsim.passage import first_hits, hit_time, oracle_passage_time, passage_between, passage_time, tau
 from frogsim.percolation import (
     chemical_ratio_experiment,
     hole_radius_experiment,
@@ -311,6 +311,14 @@ CASES = [
     case("passage-between-dim", passage_between, GeometryError, env=PASSAGE_ENV, source=(0, 0), x=(4, 0, 0),
          horizon=10),
     case("star-dim", star, GeometryError, env=PASSAGE_ENV, x=(1, 0, 0)),
+    # a site of another dimension failed in a numpy broadcast, or its first coordinates were read
+    case("tau-dim", tau, GeometryError, env=PASSAGE_ENV, u=(0, 0), v=(1, 0, 0), horizon=5),
+    case("hit-time-dim", hit_time, GeometryError, env=PASSAGE_ENV, u=(0, 0, 0), v=(1, 0), t=2, horizon=5),
+    case("first-hits-dim", first_hits, GeometryError, env=PASSAGE_ENV, u=(0,), horizon=5),
+    case("oracle-source-dim", oracle_passage_time, GeometryError, env=PASSAGE_ENV, source=(0, 0, 0), x=(1, 0),
+         horizon=5),
+    case("oracle-x-dim", oracle_passage_time, GeometryError, env=PASSAGE_ENV, source=(0, 0), x=(1, 0, 0),
+         horizon=5),
     percolation("hole-zero-replicas", hole_radius_experiment, replicas=0),
     percolation("hole-p-above-one", hole_radius_experiment, p=1.5),
     percolation("hole-radius-negative", hole_radius_experiment, box_radius=-1),

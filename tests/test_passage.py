@@ -225,9 +225,13 @@ def passage_runs():
 
 
 def test_passage_times_match_single_runs():
-    runs = passage_runs()
+    # and a run on a box below horizon + |source|_1, which the runner grows
+    small = make_env(ConfigLaw.bernoulli(0.5), radius=6, seed=0, conditioned=False)
+    source = tuple(small.occupied_coords()[0].tolist())
+    runs = passage_runs() + [(small, source, [(4, 0), (0, 9), (-12, 3)])]
     got = passage_times(runs, 20)
     for (env, source, targets), row in zip(runs, got):
+        env = env.with_radius(20 + l1(source))  # grown by hand
         if env.omega(source) == 0:  # wakes nothing, not even at the source
             assert row == [None] * len(targets)
             continue

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 from conftest import env_from_counts
 from frogsim.environment import ConfigLaw, sample_environment
 from frogsim.errors import EmptySetError, GeometryError
-from frogsim.lattice import CubeIndex, add, ball_coords, l1, step_vectors
+from frogsim.lattice import CubeIndex, add, ball_coords, cube_coords, l1, scale, step_vectors
 from frogsim.percolation import (
     SiteField,
+    _tiles_occupied,
     chemical_ratio_experiment,
     hole_radius,
     hole_radius_experiment,
@@ -25,11 +27,11 @@ from frogsim.walks import SeedSpec
 
 def field_from_indicator(dim, box_radius, values):
     """A hand-built field: the given sites open (value 1) or closed (0), no other site open."""
-    bits = np.full(CubeIndex(box_radius, dim).size, -1, dtype=np.int8)
-    f = SiteField(dim, box_radius, bits)
+    index = CubeIndex(box_radius + 1, dim)
+    is_open = np.zeros(index.size, dtype=bool)
     for x, v in values.items():
-        bits[f.index.flat_one(x)] = 1 if v else 0
-    return f
+        is_open[index.flat_one(x)] = bool(v)
+    return SiteField(dim, box_radius, is_open)
 
 
 def ones_field(radius=6):
@@ -157,6 +159,31 @@ def test_white_geometry_guard():
     env = sample_environment(ConfigLaw.constant(40), 2, 6, SeedSpec(11, "white"))
     with pytest.raises(GeometryError):
         white_site_indicator(env, (0, 0), N=4, subbox_side=1)
+    # a box that just holds the window suffices: the passage condition grows its own
+    env = sample_environment(ConfigLaw.poisson(1.0), 2, 9, SeedSpec(1))
+    assert white_site_indicator(env, (1, 0), 3, subbox_side=1) == white_site_indicator(
+        env.with_radius(12), (1, 0), 3, subbox_side=1
+    )
+
+
+def tiles_occupied_by_loop(occupied, center, N, half):
+    """Condition (1) tile by tile: tile q covers (2*half*q - half, 2*half*q + half] on each axis."""
+    d, side = len(center), 2 * half
+    window = [tuple(row) for row in (cube_coords(N, d) + np.asarray(center)).tolist()]
+    occ = {x for x, o in zip(window, occupied.ravel().tolist()) if o}
+    axes = [range(-((-(c - N + half - 1)) // side), (c + N - half) // side + 1) for c in center]
+    offsets = list(itertools.product(range(-half + 1, half + 1), repeat=d))
+    return all(any(add(scale(side, q), off) in occ for off in offsets) for q in itertools.product(*axes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 4), st.floats(0.0, 1.0), st.data())
+def test_tiles_occupied_matches_tile_loop(dim, N, half, density, data):
+    v = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    occupied = rng.random((2 * N + 1,) * dim) < density
+    center = scale(N, v)
+    assert _tiles_occupied(occupied, center, N, half) == tiles_occupied_by_loop(occupied, center, N, half)
 
 
 def test_white_locality():

@@ -140,13 +140,16 @@ def test_cli_replay_missing_plan(tmp_path):
 
 
 def test_cli_audit_and_percolation(tmp_path):
-    out = tmp_path / "audit"
-    assert run_cli(
-        "audit", "--law", "bernoulli:0.8", "--triples", "6", "--seed", "2",
-        "--horizon", "40", "--out", str(out),
-    ) == 0
-    rep = json.loads((out / "report.json").read_text())
-    assert rep["violations"] == 0
+    # a sparse law's stars lie far from the window: the runner, not the audit, sizes their box
+    for name, law, triples, horizon, seed in (("audit", "bernoulli:0.8", "6", "40", "2"),
+                                              ("sparse", "bernoulli:0.01", "3", "30", "0")):
+        out = tmp_path / name
+        assert run_cli(
+            "audit", "--law", law, "--triples", triples, "--seed", seed,
+            "--horizon", horizon, "--out", str(out),
+        ) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["violations"] == 0
 
     out2 = tmp_path / "perc"
     assert run_cli(
@@ -179,9 +182,12 @@ def test_cli_audit_and_percolation(tmp_path):
         (["audit", "--law", "bernoulli:0.8", "--triples", "1", "--dim", "0"], "dim"),
         (["sample-env", "--law", "poisson:1.0", "--radius", "3", "--dim", "0"], "dim"),
         (["mu", "--law", "poisson:1", "--k", "4,8", "--replicas", "2", "--direction", "0,0"], "direction"),
+        # the SIDE rule rejects it, as it does in a replayed plan, not an argparse choice list
+        (["tails", "--law", "bernoulli:0.7", "--k", "4", "--replicas", "2", "--epsilon", "0.5",
+          "--mu-hat", "2.0", "--side", "sideways"], "side"),
     ],
     ids=["mu-0", "mu-neg", "tails", "concentration", "truncation", "percolation", "white", "audit",
-         "tails-epsilon", "audit-dim-zero", "sample-env-dim-zero", "mu-zero-direction"],
+         "tails-epsilon", "audit-dim-zero", "sample-env-dim-zero", "mu-zero-direction", "tails-side"],
 )
 def test_cli_rejects_empty_sample(argv, size, tmp_path, capsys):
     out = tmp_path / "o"
