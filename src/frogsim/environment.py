@@ -142,9 +142,6 @@ class ConfigLaw:
             return 1.0 if k == int(self.params[0]) else 0.0
         return self.params[k] if k < len(self.params) else 0.0
 
-    def p_zero(self) -> float:
-        return self.pmf(0)
-
     @cached_property
     def _cdf(self) -> np.ndarray:
         """The cdf table, built once per law: poisson tables cost O(k^2) pmf work."""
@@ -168,7 +165,7 @@ class ConfigLaw:
 
     @cached_property
     def _conditioned_cdf(self) -> np.ndarray:
-        p0 = float(self.p_zero())
+        p0 = float(self.pmf(0))
         cond = np.clip((self._cdf - p0) / (1.0 - p0), 0.0, 1.0)
         cond.setflags(write=False)
         return cond

@@ -9,7 +9,7 @@ folded into means; exceeding the censoring budget raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -141,7 +141,7 @@ class TimeConstantEstimate:
     horizon: int
 
     def rows(self) -> list[dict]:
-        return [{"k": k, **self.per_k[k].as_dict()} for k in self.k_ladder]
+        return [{"k": k, **asdict(self.per_k[k])} for k in self.k_ladder]
 
 
 def estimate_time_constant(
@@ -465,7 +465,8 @@ def subadditivity_audit(
     Checks T(x,z) <= T(x,y) + T(y,z) whenever all three values are finite,
     and the same for the starred triple; every violation is recorded.  All
     the runs are read from one ``passage_times`` call, so the box radius
-    serves ``star`` alone, whose search it caps.
+    serves ``star`` alone, whose search it caps.  An audit that skips every
+    triple checks nothing, and raises CensoringBudgetError.
     """
     require("n_triples", n_triples, SIZE)
     require("window", window, COUNT)
@@ -491,6 +492,11 @@ def subadditivity_audit(
         if txz > txy + tyz:
             violations += 1
             details.append({"kind": kind, "triple": triple, "values": [txy, tyz, txz]})
+    if not checked["plain"] + checked["star"]:
+        raise CensoringBudgetError(
+            f"all {skipped} plain and starred triples skipped at horizon {horizon} (each had a run from "
+            "an empty site or a censored value): nothing was checked", horizon, skipped, skipped,
+        )
     return SubadditivityReport(
         violations=violations,
         checked_plain=checked["plain"],

@@ -12,8 +12,9 @@ cannot influence any event up to the horizon, because frogs move one step
 per time unit, and the engine computes the process on all of Z^d.  It
 refuses smaller boxes unless ``strict=False``, in which case it computes
 the well-defined finite-box process (out-of-box sites wake nothing) that
-the oracle replays exactly.  The activation table starts small and grows
-with the frogs' reach, so memory follows the sites a run visits.
+the oracle replays exactly.  The activation table starts small, holding
+the frogs' reach and every stop target, and grows with the reach, so
+memory follows the sites a run visits.
 
 ``simulate_batch`` runs several replicas (environments of one law, each
 with its own source and stop targets) through one step loop, which is the
@@ -36,13 +37,16 @@ to a smaller (t, horizon); ``hit_time`` looks up one offset in them.
 ``first_hits`` reads a row at t = horizon, ``tau`` and the relay oracle
 look up hits at t = horizon, and the truncated search and its edge price
 read the same rows at the search's scale t.
+
+The relay oracle settles labels on the complete tau-weighted graph of
+occupied sites by ``argmin`` over one label array: it shares only the walks
+with the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heappop, heappush
 from typing import Sequence
 
 import numpy as np
@@ -95,18 +99,13 @@ class ActivationTable:
                 return t
         return None
 
-    def first_visitor_origin(self, x: Coords) -> Coords:
-        if self.visit_time(x) is None:
-            raise FrogsimError(f"site {x} was not visited by the horizon {self.horizon}")
-        return self.index.unflat_one(int(self.parent[self.index.flat_one(x)]))
-
     def genealogy(self, x: Coords) -> list[Coords]:
         """Relay chain source = w_0, ..., w_m = x from the parent pointers."""
-        chain = [x]
-        cur = x
-        while cur != self.source:
-            cur = self.first_visitor_origin(cur)
-            chain.append(cur)
+        if self.visit_time(x) is None:
+            raise FrogsimError(f"site {x} was not visited by the horizon {self.horizon}")
+        chain = [x]  # a visited site's first visitor came from a visited site
+        while chain[-1] != self.source:
+            chain.append(self.index.unflat_one(int(self.parent[self.index.flat_one(chain[-1])])))
         chain.reverse()
         return chain
 
@@ -244,19 +243,8 @@ def simulate_batch(
     # frogs move one step per time unit: at time t every frog of replica r lies
     # within |source_r|_1 + t of the origin, so these cubes bound the whole run
     reach_radius = [l1(s) + horizon for s in sources]
-    reach = max(linf(s) for s in sources)  # the largest |site|_inf visited so far
-    index = CubeIndex(min(reach + _START_RADIUS, max(reach_radius)), d)
-    # a visit time fits int16 whenever the horizon does
-    visit = np.full(n * index.size, -1, dtype=np.int16 if horizon < 2**15 else np.int32)
-    parent = np.full(n * index.size, -1, dtype=np.int32)
-    walk_keys = np.asarray([e.seed.purpose_key(PURPOSE_WALK) for e in envs], dtype=np.uint64)
     traces: list[list[int]] = [[] for _ in range(n)]
     stopped: list[int | None] = [None] * n
-
-    src_local = index.flat(np.asarray(sources, dtype=np.int64)).astype(np.int32)
-    src_flat = np.arange(n) * index.size + src_local
-    visit[src_flat] = 0
-    parent[src_flat] = src_local
 
     # the replicas still running, and those of them that stop on their targets
     active = np.ones(n, dtype=bool)
@@ -277,13 +265,19 @@ def simulate_batch(
             stopped[r] = 0
     goal_rep = np.asarray(goal_rep, dtype=np.int64)
     goals = np.asarray(goals, dtype=np.int64).reshape(-1, d)
-    goal_reach = np.abs(goals).max(axis=1, initial=0)
 
-    def goal_keys() -> tuple[np.ndarray, np.ndarray]:
-        # a target beyond the table is unvisited, and its key would alias a site inside:
-        # point it at a slot of its replica and mask it
-        inside = goal_reach <= index.radius
-        return goal_rep * index.size + np.where(inside, index.flat(goals), 0), inside
+    reach = max(linf(s) for s in sources)  # the largest |site|_inf visited so far
+    # the table holds every stop target from the start, so each has a key on it
+    index = CubeIndex(min(max(reach + _START_RADIUS, int(np.abs(goals).max(initial=0))), max(reach_radius)), d)
+    # a visit time fits int16 whenever the horizon does
+    visit = np.full(n * index.size, -1, dtype=np.int16 if horizon < 2**15 else np.int32)
+    parent = np.full(n * index.size, -1, dtype=np.int32)
+    walk_keys = np.asarray([e.seed.purpose_key(PURPOSE_WALK) for e in envs], dtype=np.uint64)
+
+    src_local = index.flat(np.asarray(sources, dtype=np.int64)).astype(np.int32)
+    src_flat = np.arange(n) * index.size + src_local
+    visit[src_flat] = 0
+    parent[src_flat] = src_local
 
     # the live frogs: key on the table, walk key, birth step and origin
     counts0 = np.where(active, counts0, 0)
@@ -294,7 +288,7 @@ def simulate_batch(
     birth = np.zeros(flat.shape[0], dtype=np.int32)
     origin = np.repeat(src_local, counts0)
     moves = step_vectors(d) @ np.asarray(index.strides, dtype=np.int64)  # key change per direction code
-    want_keys, goal_inside = goal_keys()
+    want_keys = goal_rep * index.size + index.flat(goals)
 
     for t in range(1, horizon + 1):
         if not active.any():
@@ -314,7 +308,7 @@ def simulate_batch(
             flat = _rekey(old, index, flat)
             origin = _rekey(old, index, origin)
             moves = step_vectors(d) @ np.asarray(index.strides, dtype=np.int64)
-            want_keys, goal_inside = goal_keys()
+            want_keys = goal_rep * index.size + index.flat(goals)
         flat += moves[step_codes_np(keys, t - birth, d)]
         new = visit[flat] < 0
         if new.any():
@@ -338,7 +332,7 @@ def simulate_batch(
         if waiting.any():
             # the waiting replicas whose targets are all visited stop at t, and their frogs leave
             done = waiting.copy()
-            done[goal_rep[~(goal_inside & (visit[want_keys] >= 0))]] = False
+            done[goal_rep[visit[want_keys] < 0]] = False
             if done.any():
                 for r in np.flatnonzero(done).tolist():
                     stopped[r] = t
@@ -579,6 +573,9 @@ def oracle_relay_distances(
 
     Edge weight between occupied sites is tau(u, v) at the given horizon;
     label-setting over the complete graph, independent of the dynamics.
+    The labels are one array over the nodes in lex order; each round settles
+    the least unsettled label (least site among ties) by ``argmin`` and
+    relaxes its row, until no label left lies within the horizon.
     """
     occ = env.occupied_coords()
     if occ.shape[0] > _NODE_CAP:
@@ -586,7 +583,7 @@ def oracle_relay_distances(
     if env.omega(source) < 1:
         return {}, {}
     index = offset_index(horizon, env.dim)
-    # nodes in lex order, so a heap tie on the slot breaks as a tie on the site would
+    # nodes in lex order, so argmin's first slot among tied labels is the least site
     nodes = sorted({tuple(int(c) for c in row) for row in occ} | {tuple(source)})
     coords = np.asarray(nodes, dtype=np.int64)
     build_rows(env, dict.fromkeys(nodes, (horizon, horizon)))  # every node's row, in one pass
@@ -595,11 +592,13 @@ def oracle_relay_distances(
     best[src] = 0
     via = np.full(len(nodes), -1, dtype=np.int64)
     todo = np.ones(len(nodes), dtype=bool)
-    heap: list[tuple[int, int]] = [(0, src)]
-    while heap:
-        d_u, i = heappop(heap)
-        if not todo[i]:  # a stale entry: i was settled at a smaller distance
-            continue
+    while True:
+        # settle the least label left, the least site among ties; past the horizon, none is reached
+        label = np.where(todo, best, horizon + 1)
+        i = int(np.argmin(label))
+        d_u = int(label[i])
+        if d_u > horizon:
+            break
         todo[i] = False
         # every node is occupied, so its row holds at least the self-hit
         sites, times = first_hits(env, nodes[i], horizon)
@@ -610,10 +609,7 @@ def oracle_relay_distances(
         pos = np.minimum(np.searchsorted(sites, keys), sites.shape[0] - 1)
         cand = d_u + times[pos]
         better = (sites[pos] == keys) & (cand < best[v])
-        v, cand = v[better], cand[better]
-        best[v], via[v] = cand, i
-        for item in zip(cand.tolist(), v.tolist()):
-            heappush(heap, item)
+        best[v[better]], via[v[better]] = cand[better], i
     reached = np.flatnonzero(best <= horizon).tolist()
     dist = {nodes[j]: int(best[j]) for j in reached}
     parent = {nodes[j]: nodes[via[j]] for j in reached if via[j] >= 0}
@@ -621,21 +617,18 @@ def oracle_relay_distances(
 
 
 def oracle_passage_time(env: Environment, source: Coords, x: Coords, horizon: int) -> PassageOutcome:
-    """Relay-infimum value of T(source, x), censored beyond the horizon."""
+    """Relay-infimum value of T(source, x), censored beyond the horizon.
+
+    The least (d_u + tau(u, x), u) over the reached relays u, so the least
+    site wins a tie; the witness is u's relay chain, then x unless x is u.
+    """
     require_site("source", source, env.dim)
     require_site("x", x, env.dim)
     dist, parent = oracle_relay_distances(env, source, horizon)
-    best: int | None = None
-    best_relay: Coords | None = None
-    for u, d_u in dist.items():
-        hit = hit_time(env, u, x, horizon, horizon)
-        if hit is None:
-            continue
-        cand = d_u + hit
-        if cand <= horizon and (best is None or cand < best or (cand == best and u < best_relay)):
-            best = cand
-            best_relay = u
-    if best is None:
+    hits = {u: hit_time(env, u, x, horizon, horizon) for u in dist}
+    found = [(dist[u] + hit, u) for u, hit in hits.items() if hit is not None]
+    best, best_relay = min(found, default=(horizon + 1, None))
+    if best > horizon:
         return PassageOutcome(None, None, horizon, env.box_radius)
     chain = [x] if x != best_relay else []
     cur = best_relay

@@ -168,6 +168,7 @@ def white_site_indicator(
     desk-scale demonstrations pass an explicit small value.
     """
     d = env.dim
+    require_site("v", v, d)
     half = default_subbox_sides([N], d)[0] if subbox_side is None else require("subbox_side", subbox_side, SIZE)
     center = scale(N, v)
     if l1(center) + d * N > env.box_radius:

@@ -13,18 +13,10 @@ import math
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-REPORT_SCHEMA_VERSION = 1
-
 
 def round12(x: float) -> float:
     """Round to 12 significant decimal digits; stable shortest-repr floats."""
-    if isinstance(x, float):
-        if math.isnan(x):
-            return x
-        if math.isinf(x):
-            return x
-        return float(format(x, ".12g"))
-    return x
+    return float(format(x, ".12g")) if isinstance(x, float) else x
 
 
 def fmt12(x: Any) -> str:

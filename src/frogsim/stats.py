@@ -22,16 +22,6 @@ class SummaryStats:
     ci_hi: float
     censored_count: int
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "std": self.std,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "censored_count": self.censored_count,
-        }
-
 
 def summarize(values: np.ndarray, censored_count: int = 0) -> SummaryStats:
     values = np.asarray(values, dtype=float)

@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .environment import Environment
-from .errors import LADDER, NONNEGATIVE, POSITIVE, SITES, SIZE, require
+from .errors import LADDER, NONNEGATIVE, POSITIVE, SITES, SIZE, require, require_site
 from .estimation import replica_setup
 from .lattice import Coords, CubeIndex, cube_coords, l1, linf, sub
 from .passage import build_rows, hit_time, passage_times, row_hits
@@ -89,6 +89,8 @@ def sigma_t(env: Environment, x: Coords, y: Coords, p: TruncationParams) -> int:
     otherwise; the time is read from x's ball row at (t, 4Kt), the row that
     the search relaxes, so the bound and the search price alike.
     """
+    require_site("x", x, env.dim)
+    require_site("y", y, env.dim)
     gap = linf(sub(y, x))
     if gap > p.t:
         return 4 * p.K * gap
@@ -143,6 +145,8 @@ def truncated_passage(env: Environment, x: Coords, y: Coords, p: TruncationParam
     ``_relay_radius(x, y, p)``, which lays out the keys; reads of the
     configuration outside the box raise GeometryError.
     """
+    require_site("x", x, env.dim)
+    require_site("y", y, env.dim)
     if x == y:
         return TruncatedResult(0, (x,), 0, 0, 0)
     d, K4 = env.dim, 4 * p.K

@@ -25,9 +25,10 @@ from frogsim.percolation import (
     hole_radius_experiment,
     sample_bernoulli_field,
     white_marginal_curve,
+    white_site_indicator,
 )
 from frogsim.stats import fit_alpha_grid, fit_line, summarize, wilson_ci
-from frogsim.truncated import TruncationParams, agreement_experiment
+from frogsim.truncated import TruncationParams, agreement_experiment, sigma_t, truncated_passage
 from frogsim.walks import SeedSpec
 
 INF, NAN = float("inf"), float("nan")
@@ -237,6 +238,7 @@ def test_batch_width_leaves_agreement_and_audit_unchanged(monkeypatch):
 POISSON, SEED = ConfigLaw.poisson(1.0), SeedSpec(25, "bad")
 PASSAGE_ENV = condition_origin(sample_environment(POISSON, 2, 8, SEED))
 ONE_SAMPLE = PassageSamples(targets=[(4, 0)], values=np.array([[6.0]]), horizon=20)
+PARAMS = TruncationParams.make(t=2, dim=2, c4_hat=1.0)
 
 
 def case(case_id, func, error=LawParameterError, **kwargs):
@@ -319,6 +321,9 @@ CASES = [
          horizon=5),
     case("oracle-x-dim", oracle_passage_time, GeometryError, env=PASSAGE_ENV, source=(0, 0), x=(1, 0, 0),
          horizon=5),
+    case("white-dim", white_site_indicator, GeometryError, env=PASSAGE_ENV, v=(0, 0, 0), N=3, subbox_side=1),
+    case("truncated-dim", truncated_passage, GeometryError, env=PASSAGE_ENV, x=(0, 0), y=(3, 0, 0), p=PARAMS),
+    case("sigma-dim", sigma_t, GeometryError, env=PASSAGE_ENV, x=(0, 0), y=(1, 0, 0), p=PARAMS),
     percolation("hole-zero-replicas", hole_radius_experiment, replicas=0),
     percolation("hole-p-above-one", hole_radius_experiment, p=1.5),
     percolation("hole-radius-negative", hole_radius_experiment, box_radius=-1),
@@ -365,6 +370,18 @@ def test_library_entry_points_reject_bad_numbers(func, kwargs, error):
         warnings.simplefilter("error")
         with pytest.raises(error):
             func(**kwargs)
+
+
+@pytest.mark.parametrize("func,kwargs,name", [
+    pytest.param(white_site_indicator, dict(env=PASSAGE_ENV, v=(0, 0, 0), N=3, subbox_side=1), "v", id="white"),
+    pytest.param(truncated_passage, dict(env=PASSAGE_ENV, x=(0, 0), y=(3, 0, 0), p=PARAMS), "y", id="truncated"),
+    pytest.param(truncated_passage, dict(env=PASSAGE_ENV, x=(0, 0), y=(3.5, 0), p=PARAMS), "y", id="truncated-float"),
+    pytest.param(sigma_t, dict(env=PASSAGE_ENV, x=(0, 0, 0), y=(1, 0), p=PARAMS), "x", id="sigma"),
+])
+def test_site_errors_name_the_argument(func, kwargs, name):
+    # the wrong-length sites failed in numpy or zip, and a float coordinate was blamed on hit_time's v
+    with pytest.raises(GeometryError, match=f"^{name} must have"):
+        func(**kwargs)
 
 
 def test_every_row_has_a_library_case():

@@ -47,6 +47,32 @@ def test_ball_and_shell():
     assert shell_coords((3, 3), 0) == [(3, 3)]
 
 
+def recursive_shell(center, radius):
+    """The recursive shell generator that ``shell_coords`` replaced, kept as its oracle."""
+    offs = set()
+
+    def rec(prefix, remaining, axes_left):
+        if axes_left == 1:
+            for s in (remaining, -remaining):
+                offs.add(tuple(prefix + [s]))
+            return
+        for mag in range(remaining + 1):
+            for s in {mag, -mag}:
+                rec(prefix + [s], remaining - mag, axes_left - 1)
+
+    if radius == 0:
+        return [center]
+    rec([], radius, len(center))
+    return sorted(tuple(c + o for c, o in zip(center, off)) for off in offs)
+
+
+def test_shell_matches_recursive_generator():
+    for dim in range(1, 5):
+        for radius in range(0, 9 if dim < 4 else 6):
+            for center in [(0,) * dim, tuple(range(-2, dim - 2))]:
+                assert shell_coords(center, radius) == recursive_shell(center, radius), (dim, radius, center)
+
+
 def test_step_vectors_shape():
     sv = step_vectors(3)
     assert sv.shape == (6, 3)

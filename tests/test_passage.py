@@ -1,3 +1,4 @@
+import hashlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -17,6 +18,7 @@ from frogsim.passage import (
     hit_time,
     oracle_all_targets,
     oracle_passage_time,
+    oracle_relay_distances,
     offset_index,
     passage_between,
     passage_time,
@@ -117,6 +119,29 @@ def test_engine_matches_oracle_sweep():
             if table.visit_time(x) != oracle.get(x):
                 mismatches += 1
     assert mismatches == 0
+
+
+def oracle_digest(replicas, horizons):
+    """sha256 of the oracle's distances, parents, all-target values, values and witnesses."""
+    seed = SeedSpec(20240817, "acceptance").child("oracle")  # the criterion-1 replicas
+    targets = [tuple(x) for x in ball_coords(7, 2).tolist()][::9]
+    digest = hashlib.sha256()
+    for r in range(replicas):
+        env = condition_origin(sample_environment(ConfigLaw.bernoulli(0.7), 2, 6, seed.child("rep", r)))
+        for horizon in horizons:
+            dist, parent = oracle_relay_distances(env, (0, 0), horizon)
+            outcomes = [oracle_passage_time(env, (0, 0), x, horizon) for x in targets]
+            digest.update(repr((
+                list(dist.items()), list(parent.items()), list(oracle_all_targets(env, (0, 0), horizon).items()),
+                [(out.value, out.witness) for out in outcomes],
+            )).encode())
+    return digest.hexdigest()
+
+
+def test_oracle_digest_is_pinned():
+    # every distance, parent, value and witness, their order included; change the pin
+    # only for an intended change of the oracle's output, and say why in CHANGES.md
+    assert oracle_digest(8, (40, 5)) == "97375524e2e266d4d7de42d329706c575ad40d444840202f41339d63c2af1796"
 
 
 def test_passage_lower_bound_and_horizon_monotonicity():
@@ -410,6 +435,19 @@ def test_growing_engine_matches_oracle(case):
             table = simulate_frogs(env, source, horizon, strict=False)
         for x in map(tuple, ball_coords(env.box_radius, env.dim).tolist()):
             assert table.visit_time(x) == oracle.get(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(engine_cases(), st.data())
+def test_oracle_witness_telescopes(case, data):
+    env, source, horizon = case
+    values = oracle_all_targets(env, source, horizon)  # the source among them
+    x = data.draw(st.sampled_from(sorted(values)))
+    out = oracle_passage_time(env, source, x, horizon)
+    assert out.value == values[x]
+    assert out.witness[0] == source and out.witness[-1] == x
+    # each hop is a relay whose frogs hit the next site; the last hop ends on x
+    assert sum(tau(env, a, b, horizon) for a, b in zip(out.witness, out.witness[1:])) == out.value
 
 
 @settings(max_examples=60, deadline=None)

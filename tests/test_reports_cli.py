@@ -139,10 +139,10 @@ def test_cli_replay_missing_plan(tmp_path):
     assert run_cli("replay", str(tmp_path / "nope.json")) == 2
 
 
-def test_cli_audit_and_percolation(tmp_path):
+def test_cli_audit_and_percolation(tmp_path, capsys):
     # a sparse law's stars lie far from the window: the runner, not the audit, sizes their box
     for name, law, triples, horizon, seed in (("audit", "bernoulli:0.8", "6", "40", "2"),
-                                              ("sparse", "bernoulli:0.01", "3", "30", "0")):
+                                              ("sparse", "bernoulli:0.01", "3", "30", "1")):
         out = tmp_path / name
         assert run_cli(
             "audit", "--law", law, "--triples", triples, "--seed", seed,
@@ -150,6 +150,17 @@ def test_cli_audit_and_percolation(tmp_path):
         ) == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["violations"] == 0
+        assert rep["checked_plain"] + rep["checked_star"] >= 1
+
+    # seed 0 skips every sparse triple: an audit that checked nothing fails, and writes no report
+    out = tmp_path / "vacuous"
+    assert run_cli(
+        "audit", "--law", "bernoulli:0.01", "--triples", "3", "--seed", "0", "--horizon", "30", "--out", str(out),
+    ) == 3
+    err = capsys.readouterr().err
+    assert "all 6 plain and starred triples skipped at horizon 30" in err
+    assert "box radius" not in err
+    assert not (out / "report.json").exists()
 
     out2 = tmp_path / "perc"
     assert run_cli(
