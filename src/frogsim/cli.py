@@ -336,7 +336,8 @@ def run_truncation(plan: dict, outdir: Path) -> str:
     )
     dump_csv(outdir / "agreement.csv", _columns(AgreementRow), [astuple(r) for r in rows])
     frac = ", ".join(f"t={r.t}: {r.phat:.3g}" for r in rows)
-    return f"disagreement fractions {frac}"
+    work = ", ".join(f"t={r.t}: {table.settled[r.t]}/{table.relaxations[r.t]}" for r in rows)
+    return f"disagreement fractions {frac}; A* settled/relaxations {work}"
 
 
 def run_percolation(plan: dict, outdir: Path) -> str:

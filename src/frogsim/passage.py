@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -108,6 +108,16 @@ class ActivationTable:
             chain.append(self.index.unflat_one(int(self.parent[self.index.flat_one(chain[-1])])))
         chain.reverse()
         return chain
+
+    def relay_chain(self, x: Coords) -> tuple[tuple[Coords, int], ...] | None:
+        """The genealogy of x, each site with its visit time; None if x was not visited.
+
+        A hop's end was first stood on by a frog of its start, woken at the
+        start's time, so tau over the hop is at most the difference of times.
+        """
+        if self.visit_time(x) is None:
+            return None
+        return tuple((w, self.visit_time(w)) for w in self.genealogy(x))
 
     def to_json(self, env_ref: dict | None = None) -> dict:
         """Debug dump: visit times and genealogy edges of every visited site."""
@@ -360,25 +370,30 @@ _BATCH = 16
 
 
 def passage_times(
-    runs: Sequence[tuple[Environment, Coords, Sequence[Coords]]], horizon: int
-) -> list[list[int | None]]:
-    """T(source, y) for every target y of every run (env, source, targets); None when censored.
+    runs: Sequence[tuple[Environment, Coords, Sequence[Coords]]],
+    horizon: int,
+    read: Callable[[ActivationTable, Coords], object] = ActivationTable.visit_time,
+) -> list[list]:
+    """T(source, y), or what ``read`` reads of y, for every target y of every run (env, source, targets).
 
     Each run reads ``env.with_radius(horizon + |source|_1)``, where the engine
     computes the process on all of Z^d; growing a box resamples nothing.
-    A source with no frogs wakes nothing, so its targets all read None.  The
+    A source with no frogs wakes nothing, so its targets read None, as
+    censored ones do.  The
     other runs step through the engine ``_BATCH`` at a time, in order, each
     stopping once its targets are visited.  A batch's values are read before
-    the next batch steps, so one batch's tables are alive at a time.
+    the next batch steps, so one batch's tables are alive at a time: ``read``
+    reads them, the visit time by default, and ``ActivationTable.relay_chain``
+    hands back each value's relay chain with it.
     """
     runs = [(env.with_radius(horizon + l1(source)), source, targets) for env, source, targets in runs]
-    out: list[list[int | None]] = [[None] * len(targets) for _, _, targets in runs]
+    out: list[list] = [[None] * len(targets) for _, _, targets in runs]
     live = [i for i, (env, source, _) in enumerate(runs) if env.omega(source) >= 1]
     for lo in range(0, len(live), _BATCH):
         batch = live[lo : lo + _BATCH]
         envs, sources, goals = zip(*(runs[i] for i in batch))
         tables = simulate_batch(envs, sources, horizon, [sorted(set(g)) for g in goals], True, False)
-        values = [[table.visit_time(y) for y in want] for table, want in zip(tables, goals)]
+        values = [[read(table, y) for y in want] for table, want in zip(tables, goals)]
         del tables  # the next batch's loop must not hold these tables too
         for i, row in zip(batch, values):
             out[i] = row

@@ -8,15 +8,23 @@ value over relay sequences under this edge weight.
 
 The search is A* with the l1 distance to the goal as heuristic (admissible
 and consistent since every edge weight dominates the l1 step) plus an upper
-bound seeded by a concrete staircase path, which soundly prunes long-range
-relaxations.  Sites are int keys of one ``CubeIndex`` that holds the relay
-region.  Each settled site u relaxes two sets of edges as arrays, and only
-the candidates under the bound reach the dicts and the heap: the hits of
-u's ball row, then one cube of offsets priced 4K(t v |off|_inf), which
-holds the capped short edges and the long ones.  Keys follow the lex order
-of sites, so the heap pops in the total order of (f, d, key), which is that
-of (f, d, site): ties, and therefore the reported geodesic, are
-deterministic.
+bound, the least price of concrete relay paths, which soundly prunes
+long-range relaxations.  The paths are the direct edge, a staircase of hops
+of length t, and optionally the caller's chain, such as the engine's
+activation genealogy: its hops were crossed by the frogs of their starts
+within the hop times, so reading each start's row that deep prices the
+chain at its sigma_t sum.  Any chain gives a valid bound, since a hop not
+found that deep is priced at the cap, which is never below its sigma_t.
+Staircase hops are priced at the cap unless a frog hits, so without a chain
+the bound sits near 4Kt or above, and rows are walked that deep.
+
+Sites are int keys of one ``CubeIndex`` that holds the relay region.  Each
+settled site u relaxes two sets of edges as arrays, and only the candidates
+under the bound reach the dicts and the heap: the hits of u's ball row, then
+one cube of offsets priced 4K(t v |off|_inf), which holds the capped short
+edges and the long ones.  Keys follow the lex order of sites, so the heap
+pops in the total order of (f, d, key), which is that of (f, d, site): ties,
+and therefore the reported geodesic, are deterministic.
 
 Short-edge weights come from ball rows: the first hits of a site's own
 frogs on the l-infinity ball of radius t up to a horizon, which ``passage``
@@ -32,9 +40,10 @@ settled before the goal, nor blocked a push that passes the prune.
 A read that finds no row that far builds it, and the live heap entries
 tied with the popped site at its f are settled before the goal, so their
 rows are built in the same ``build_rows`` call.  ``sigma_t`` is the one
-edge price: the staircase bound and the direct edge look it up with
-``hit_time``, the lookup of ``tau``, in the same (t, 4Kt) rows as the
-search, and the tests check it against a dense walker of their own.
+edge price: the bound's hops and the direct edge look it up with
+``hit_time``, the lookup of ``tau``, in the same rows as the search, read
+at (t, 4Kt) or at a chain hop's time, and the tests check it against a
+dense walker of their own.
 """
 
 from __future__ import annotations
@@ -49,10 +58,10 @@ from typing import Sequence
 import numpy as np
 
 from .environment import Environment
-from .errors import LADDER, NONNEGATIVE, POSITIVE, SITES, SIZE, require, require_site
+from .errors import LADDER, NONNEGATIVE, POSITIVE, SITES, SIZE, GeometryError, require, require_site
 from .estimation import replica_setup
 from .lattice import Coords, CubeIndex, cube_coords, l1, linf, sub
-from .passage import build_rows, hit_time, passage_times, row_hits
+from .passage import ActivationTable, build_rows, hit_time, passage_times, row_hits
 from .stats import wilson_ci
 from .walks import SeedSpec
 
@@ -91,10 +100,19 @@ def sigma_t(env: Environment, x: Coords, y: Coords, p: TruncationParams) -> int:
     """
     require_site("x", x, env.dim)
     require_site("y", y, env.dim)
-    gap = linf(sub(y, x))
+    return _hop_price(env, x, y, p, p.cap)
+
+
+def _hop_price(env: Environment, a: Coords, b: Coords, p: TruncationParams, depth: int) -> int:
+    """sigma_t(a, b) when a's row read ``depth`` steps holds tau(a, b), else the cap; never below sigma_t.
+
+    A short hop not hit within min(depth, 4Kt) steps costs 4Kt, which is
+    its sigma_t or more; a long hop costs 4K times its gap at any depth.
+    """
+    gap = linf(sub(b, a))
     if gap > p.t:
         return 4 * p.K * gap
-    hit = hit_time(env, x, y, p.t, p.cap)
+    hit = hit_time(env, a, b, p.t, min(depth, p.cap))
     return p.cap if hit is None else hit
 
 
@@ -134,19 +152,39 @@ def _staircase(x: Coords, y: Coords, t: int) -> list[Coords]:
     return path
 
 
-def truncated_passage(env: Environment, x: Coords, y: Coords, p: TruncationParams) -> TruncatedResult:
+def truncated_passage(
+    env: Environment, x: Coords, y: Coords, p: TruncationParams,
+    via: Sequence[tuple[Coords, int]] | None = None,
+) -> TruncatedResult:
     """Exact shortest relay-path value from x to y under the two-point weight.
 
     Candidate relays live inside {z : |x-z|_1 + |z-y|_1 <= 4K(t v |x-y|_inf)}
     because every edge weight dominates the l1 step and the single edge
-    (x, y) already costs at most that bound; the staircase upper bound and
-    the goal's tentative distance prune the region further, soundly.  Every
-    candidate under the bound lies in the cube of radius
-    ``_relay_radius(x, y, p)``, which lays out the keys; reads of the
-    configuration outside the box raise GeometryError.
+    (x, y) already costs at most that bound; the upper bound and the goal's
+    tentative distance prune the region further, soundly.  Every candidate
+    under the bound lies in the cube of radius ``_relay_radius(x, y, p)``,
+    which lays out the keys; reads of the configuration outside the box
+    raise GeometryError.
+
+    The bound starts at the least price of three relay paths: the direct
+    edge, the staircase, and ``via`` when given, a chain x = w_0, ..., w_m = y
+    of (site, time) pairs such as ``ActivationTable.relay_chain`` returns.
+    Each short hop of ``via`` is priced from its start's row read only to
+    the difference of its times, and at the cap when no hit lies that deep,
+    so any chain prices at or above its sigma_t sum, which is at least the
+    value; the engine's chain, whose hops its frogs crossed in those times,
+    prices at its sigma_t sum.  No bound changes the result: only
+    ``relaxations`` counts cells under it.
     """
     require_site("x", x, env.dim)
     require_site("y", y, env.dim)
+    relays = []  # the bound's relay paths x -> y, as (a, b, depth) hops
+    if via is not None:
+        for site, _ in via:
+            require_site("via", site, env.dim)
+        if not via or tuple(via[0][0]) != tuple(x) or tuple(via[-1][0]) != tuple(y):
+            raise GeometryError(f"via must have x = {x} first and y = {y} last, got {via!r}")
+        relays.append([(tuple(a), tuple(b), tb - ta) for (a, ta), (b, tb) in zip(via, via[1:])])
     if x == y:
         return TruncatedResult(0, (x,), 0, 0, 0)
     d, K4 = env.dim, 4 * p.K
@@ -154,9 +192,11 @@ def truncated_passage(env: Environment, x: Coords, y: Coords, p: TruncationParam
     kx, ky = index.flat_one(x), index.flat_one(y)
 
     stair = _staircase(x, y, p.t)
-    build_rows(env, dict.fromkeys(stair[:-1], (p.t, p.cap)))  # the bound's short edges, in one pass
+    relays.append([(a, b, p.cap) for a, b in zip(stair, stair[1:])])
+    # every short hop's row, as deep as its price reads (a staircase site's to the cap), in one pass
+    build_rows(env, {a: (p.t, min(depth, p.cap)) for hops in relays for a, b, depth in hops if linf(sub(b, a)) <= p.t})
     direct = sigma_t(env, x, y, p)
-    ub = min(sum(sigma_t(env, a, b, p) for a, b in zip(stair[:-1], stair[1:])), direct)
+    ub = min(direct, *(sum(_hop_price(env, a, b, p, depth) for a, b, depth in hops) for hops in relays))
 
     dist = {kx: 0, ky: direct}
     parent = {ky: kx}
@@ -300,6 +340,9 @@ class AgreementTable:
     law_label: str
     params_by_t: dict[int, TruncationParams]
     rows: list[AgreementRow] = field(default_factory=list)
+    # per t, the A* nodes settled and cube cells relaxed over the compared replicas
+    settled: dict[int, int] = field(default_factory=dict)
+    relaxations: dict[int, int] = field(default_factory=dict)
 
 
 def agreement_experiment(
@@ -318,7 +361,12 @@ def agreement_experiment(
     coupling across the ladder.  The replicas are set up as in
     ``collect_passage_samples`` and their T*(0, x) = T(0*, x*) read from
     ``passage_times``, censored at 3 mu_hat |x|_1; censored values are
-    excluded from the comparison and reported.
+    excluded from the comparison and reported.  Each value comes with the
+    engine's relay chain 0* -> x* and its visit times, which seeds every
+    search's bound (see ``truncated_passage``): a valid bound for any chain,
+    and one near the answer, so rows are read only about as deep as T_t.
+    The table also totals, per t, the nodes the searches settled and the
+    cube cells they relaxed.
     """
     require("x", x, SITES)
     require("t_ladder", t_ladder, LADDER)
@@ -328,24 +376,31 @@ def agreement_experiment(
     if c4_hat is None:
         c4_hat = 5.0 * mu_hat
     params = {t: TruncationParams.make(t, d, c4_hat, gamma) for t in t_ladder}
-    table = AgreementTable(x=x, law_label=law.label(), params_by_t=params)
+    table = AgreementTable(x=x, law_label=law.label(), params_by_t=params,
+                           settled=dict.fromkeys(t_ladder, 0), relaxations=dict.fromkeys(t_ladder, 0))
 
     disagree, censored, compared, long_geo, max_boxes = ({t: 0 for t in t_ladder} for _ in range(5))
 
-    # every replica's environment and stars first, then all T*(0, x) from the engine
+    # every replica's environment and stars first, then all T*(0, x) from the engine, each
+    # with its relay chain: the engine's genealogy, whose hop times seed the search's bound
     setups = [replica_setup(law, d, [x], horizon, seed.child("agreement", r), True) for r in range(replicas)]
-    for r, (value,) in enumerate(passage_times(setups, horizon)):
+    for r, (chain,) in enumerate(passage_times(setups, horizon, ActivationTable.relay_chain)):
         # the searches cache ball rows on the environment: release each once searched
         (env, origin_star, (x_star,)), setups[r] = setups[r], None
-        # one box holds every site the searches read: the relay region of each t
-        env = env.with_radius(max(_relay_radius(origin_star, x_star, p) for p in params.values()))
+        value = None if chain is None else chain[-1][1]
+        # one box holds every site the searches read: the relay region of each t, and the
+        # engine's box, which holds the chain
+        env = env.with_radius(max(horizon + l1(origin_star), *(_relay_radius(origin_star, x_star, p)
+                                                               for p in params.values())))
         # descending t lets the ball rows cached for a larger t serve the smaller ones
         for t in sorted(t_ladder, reverse=True):
             if value is None:
                 censored[t] += 1
                 continue
-            trunc = truncated_passage(env, origin_star, x_star, params[t])
+            trunc = truncated_passage(env, origin_star, x_star, params[t], via=chain)
             compared[t] += 1
+            table.settled[t] += trunc.settled
+            table.relaxations[t] += trunc.relaxations
             if trunc.value != value:
                 disagree[t] += 1
             if trunc.long_edges_used:

@@ -377,6 +377,13 @@ def test_library_entry_points_reject_bad_numbers(func, kwargs, error):
     pytest.param(truncated_passage, dict(env=PASSAGE_ENV, x=(0, 0), y=(3, 0, 0), p=PARAMS), "y", id="truncated"),
     pytest.param(truncated_passage, dict(env=PASSAGE_ENV, x=(0, 0), y=(3.5, 0), p=PARAMS), "y", id="truncated-float"),
     pytest.param(sigma_t, dict(env=PASSAGE_ENV, x=(0, 0, 0), y=(1, 0), p=PARAMS), "x", id="sigma"),
+    pytest.param(truncated_passage, dict(env=PASSAGE_ENV, x=(0, 0), y=(3, 0), p=PARAMS,
+                                         via=[((0, 0), 0), ((1, 0, 0), 2), ((3, 0), 5)]), "via", id="via-site"),
+    pytest.param(truncated_passage, dict(env=PASSAGE_ENV, x=(0, 0), y=(3, 0), p=PARAMS,
+                                         via=[((1, 0), 0), ((3, 0), 5)]), "via", id="via-start"),
+    pytest.param(truncated_passage, dict(env=PASSAGE_ENV, x=(0, 0), y=(3, 0), p=PARAMS,
+                                         via=[((0, 0), 0), ((2, 0), 5)]), "via", id="via-end"),
+    pytest.param(truncated_passage, dict(env=PASSAGE_ENV, x=(0, 0), y=(0, 0), p=PARAMS, via=[]), "via", id="via-empty"),
 ])
 def test_site_errors_name_the_argument(func, kwargs, name):
     # the wrong-length sites failed in numpy or zip, and a float coordinate was blamed on hit_time's v

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import LAWS, dense_first_hits, dense_tau, env_from_counts, row_extent_is
+from frogsim import passage, truncated
 from frogsim.environment import ConfigLaw, condition_origin, sample_environment, star
 from frogsim.errors import SearchCapError
 from frogsim.lattice import Coords, add, ball_coords, cube_coords, l1, linf, sub
-from frogsim.passage import build_rows, offset_index
+from frogsim.passage import ActivationTable, build_rows, offset_index, passage_times
 from frogsim.truncated import (
     TruncatedResult,
     TruncationParams,
@@ -247,6 +248,38 @@ def test_agreement_experiment_monotone_rows():
         assert r.max_box_count <= r.max_box_bound
 
 
+def test_agreement_table_totals_the_search_work(monkeypatch):
+    # per t, the table sums settled and relaxations over the searches it compared
+    seen = []
+    search = truncated.truncated_passage
+
+    def recorded(env, x, y, p, via=None):
+        seen.append((p.t, search(env, x, y, p, via)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(truncated, "truncated_passage", recorded)
+    table = agreement_experiment(ConfigLaw.poisson(1.0), (4, 0), [2, 8], 6, SeedSpec(5, "work"), mu_hat=2.0)
+    for t in (2, 8):
+        assert table.settled[t] == sum(res.settled for s, res in seen if s == t) > 0
+        assert table.relaxations[t] == sum(res.relaxations for s, res in seen if s == t) > 0
+
+
+def test_relay_chain_bound_halves_the_row_walks(monkeypatch):
+    # the staircase prices its hops at the cap, 4Kt, unless a frog hits, so without the engine's
+    # chain the search walks rows that deep: 55,623 walk steps before the chain seeded the
+    # bound, 18,245 with it
+    steps = []
+    ball_pass = passage._ball_pass
+
+    def counted(env, todo):
+        steps.extend(h * env.omega(u) for u, _, h in todo)
+        return ball_pass(env, todo)
+
+    monkeypatch.setattr(passage, "_ball_pass", counted)
+    agreement_experiment(ConfigLaw.poisson(1.0), (8, 0), [4, 8, 16], 4, SeedSpec(0, "relay-bound"), mu_hat=2.0)
+    assert 0 < sum(steps) <= 55_623 // 2
+
+
 # ---------------------------------------------------------------------------
 # Oracles: the A* on tuple keys and dicts, and brute-force Bellman-Ford
 # ---------------------------------------------------------------------------
@@ -388,6 +421,33 @@ def test_truncated_matches_dict_oracle(dim, radius, law, seed, t, c4_hat, data):
     y = add(x, data.draw(st.tuples(*[st.integers(-2 * t - 1, 2 * t + 1)] * dim)))
     env = env.with_radius(_relay_radius(x, y, p))  # the same realization, on a box the search fits
     assert truncated_passage(env, x, y, p) == dict_truncated_passage(env, x, y, p)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(1, 3), st.sampled_from([ConfigLaw.poisson(1.0), ConfigLaw.poisson(2.5), ConfigLaw.bernoulli(0.5),
+                                         ConfigLaw.bernoulli(0.8)]),
+    st.integers(0, 2**32), st.integers(1, 16), st.floats(0.0, 2.0), st.data(),
+)
+def test_relay_chain_bound_keeps_the_search(dim, law, seed, t, c4_hat, data):
+    # the engine's chain and a bogus one, whose hops are read 0 steps deep and so priced at the
+    # cap or 4K times their gap, each seed a valid bound: only relaxations may move
+    env = condition_origin(sample_environment(law, dim, 4, SeedSpec(seed, "via")))
+    p = TruncationParams.make(t, dim, c4_hat)
+    x, horizon = (0,) * dim, 40
+    y = data.draw(st.tuples(*[st.integers(-3, 3)] * dim))
+    (engine,), = passage_times([(env, x, [y])], horizon, ActivationTable.relay_chain)
+    bogus = [(x, 0), *((site, 0) for site in data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim), max_size=3))),
+             (y, 0)]
+    env = env.with_radius(max(_relay_radius(x, y, p), horizon))  # a box that holds both chains
+
+    def result(res):
+        return res.value, res.witness, res.long_edges_used, res.settled
+
+    want = result(truncated_passage(env, x, y, p))
+    assert result(dict_truncated_passage(env, x, y, p)) == want
+    for via in filter(None, [engine, bogus]):
+        assert result(truncated_passage(env, x, y, p, via=via)) == want
 
 
 def test_truncated_long_edge_witness_pin():
