@@ -469,10 +469,10 @@ def build_rows(env: Environment, needs: dict[Coords, tuple[int, int]]) -> None:
     todo, steps = [], 0
     for u, (t, horizon) in needs.items():
         row_t, row_h, *_ = rows.get(u, _NO_ROW)
-        if horizon >= 1 and (t > row_t or horizon > row_h) and env.omega(u) >= 1:
+        if horizon >= 1 and (t > row_t or horizon > row_h) and (frogs := env.omega(u)) >= 1:
             t, horizon = max(t, row_t), max(horizon, row_h)
             todo.append((u, t, horizon))
-            steps += horizon * env.omega(u)
+            steps += horizon * frogs
             if steps >= _PASS_STEPS:
                 rows.update(_ball_pass(env, todo))
                 todo, steps = [], 0

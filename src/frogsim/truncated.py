@@ -16,15 +16,28 @@ within the hop times, so reading each start's row that deep prices the
 chain at its sigma_t sum.  Any chain gives a valid bound, since a hop not
 found that deep is priced at the cap, which is never below its sigma_t.
 Staircase hops are priced at the cap unless a frog hits, so without a chain
-the bound sits near 4Kt or above, and rows are walked that deep.
+the bound sits near 4Kt or above, and rows are walked that deep.  A chain
+with a hop longer than t can still price far above the answer, so when the
+chain's arrival time is the engine's T*, which T_t equals in most replicas,
+the search first runs under the guess 2T* and keeps its value if that is at
+most the guess.  The guess is checked, not trusted: every value the search
+reports is the price of a real relay path, so a value v <= g bounds the
+optimum by g; every node settled before the goal has f <= the optimum <= g
+and is never pruned, and a candidate pruned under g but not under the proven
+bound has f > g, so it never settles before the goal nor sets the distance
+or parent of one that does.  The value, witness and counts match the search
+under the proven bound, save ``relaxations``; above the guess, the search
+runs again under the proven bound, with the rows the first run built cached.
 
-Sites are int keys of one ``CubeIndex`` that holds the relay region.  Each
-settled site u relaxes two sets of edges as arrays, and only the candidates
-under the bound reach the dicts and the heap: the hits of u's ball row, then
-one cube of offsets priced 4K(t v |off|_inf), which holds the capped short
-edges and the long ones.  Keys follow the lex order of sites, so the heap
-pops in the total order of (f, d, key), which is that of (f, d, site): ties,
-and therefore the reported geodesic, are deterministic.
+Sites are int keys of one ``CubeIndex`` that holds the relay region, and
+only the candidates under the bound reach the dicts and the heap.  Each
+settled site u relaxes the hits of its ball row in a plain loop over their
+lists, since under a tight bound a row holds about a dozen hits, too few to
+repay numpy's cost per call; then one cube of offsets priced
+4K(t v |off|_inf), which holds the capped short edges and the long ones,
+relaxes as arrays.  Keys follow the lex order of sites, so the heap pops in
+the total order of (f, d, key), which is that of (f, d, site): ties, and
+therefore the reported geodesic, are deterministic.
 
 Short-edge weights come from ball rows: the first hits of a site's own
 frogs on the l-infinity ball of radius t up to a horizon, which ``passage``
@@ -53,6 +66,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import repeat
+from operator import add, mul
 from typing import Sequence
 
 import numpy as np
@@ -175,6 +189,15 @@ def truncated_passage(
     value; the engine's chain, whose hops its frogs crossed in those times,
     prices at its sigma_t sum.  No bound changes the result: only
     ``relaxations`` counts cells under it.
+
+    With ``via``, the search first runs under g = 2 x its arrival time when
+    that lies below the bound, and keeps its value when it is at most g:
+    that value is then exact, as the module docstring shows, and the result
+    is that of the proven search save ``relaxations``.  A larger value means
+    g lay below the optimum, and the search runs again under the proven
+    bound; its ``relaxations`` count only that run.  A settled site relaxes
+    its row's hits one by one and the cube of capped and long edges as
+    arrays.
     """
     require_site("x", x, env.dim)
     require_site("y", y, env.dim)
@@ -187,17 +210,35 @@ def truncated_passage(
         relays.append([(tuple(a), tuple(b), tb - ta) for (a, ta), (b, tb) in zip(via, via[1:])])
     if x == y:
         return TruncatedResult(0, (x,), 0, 0, 0)
-    d, K4 = env.dim, 4 * p.K
-    index = CubeIndex(_relay_radius(x, y, p), d)
-    kx, ky = index.flat_one(x), index.flat_one(y)
-
+    index = CubeIndex(_relay_radius(x, y, p), env.dim)
     stair = _staircase(x, y, p.t)
     relays.append([(a, b, p.cap) for a, b in zip(stair, stair[1:])])
     # every short hop's row, as deep as its price reads (a staircase site's to the cap), in one pass
     build_rows(env, {a: (p.t, min(depth, p.cap)) for hops in relays for a, b, depth in hops if linf(sub(b, a)) <= p.t})
     direct = sigma_t(env, x, y, p)
     ub = min(direct, *(sum(_hop_price(env, a, b, p, depth) for a, b, depth in hops) for hops in relays))
+    # a value at most the guess is exact; above it, search again under the proven bound,
+    # with the rows the first search built still cached
+    guess = 2 * via[-1][1] if via is not None else ub
+    if guess < ub:
+        res = _search(env, index, x, y, p, direct, guess)
+        if res.value <= guess:
+            return res
+    return _search(env, index, x, y, p, direct, ub)
 
+
+def _search(
+    env: Environment, index: CubeIndex, x: Coords, y: Coords, p: TruncationParams, direct: int, ub: int,
+) -> TruncatedResult:
+    """The A* of ``truncated_passage`` from x to y under the bound ``ub``, given the direct edge's price.
+
+    The value is the price of a real relay path, the direct edge's when
+    nothing under ``ub`` beats it, so it is exact whenever it is at most
+    ``ub``; a larger value means ``ub`` lay below the optimum.
+    """
+    d, K4 = env.dim, 4 * p.K
+    kx, ky = index.flat_one(x), index.flat_one(y)
+    strides = index.strides
     dist = {kx: 0, ky: direct}
     parent = {ky: kx}
     settled: set[int] = set()
@@ -218,25 +259,6 @@ def truncated_passage(
                 stack += (2 * i + 1, 2 * i + 2)
         return needs
 
-    def relax(ku: int, u: Coords, cols: tuple[np.ndarray, ...], nd: np.ndarray) -> None:
-        # edges u -> u + off at tentative distances nd: push those under the bound that improve
-        nonlocal ub
-        f = nd.copy()
-        for col, a, b in zip(cols, u, y):
-            f += np.abs(col + (a - b))
-        ok = np.nonzero(f <= ub)[0]
-        keys = np.full(ok.shape[0], ku, dtype=np.int64)
-        for col, stride in zip(cols, index.strides):
-            keys += col[ok] * stride
-        nd, f = nd[ok], f[ok]
-        better = nd < np.fromiter(map(dist.get, keys.tolist(), repeat(1 << 62)), np.int64, ok.shape[0])
-        keys, nd, f = keys[better].tolist(), nd[better].tolist(), f[better].tolist()
-        dist.update(zip(keys, nd))
-        parent.update(dict.fromkeys(keys, ku))
-        for item in zip(f, nd, keys):
-            heappush(heap, item)
-        ub = min(ub, dist[ky])
-
     while heap:
         f_u, d_u, ku = heappop(heap)
         if ku in settled or d_u > dist[ku]:
@@ -253,9 +275,20 @@ def truncated_passage(
             if hits is None:  # build u's row in one pass with the rows of its tie layer
                 build_rows(env, {u: (p.t, horizon), **tied_needs(f_u)})
                 hits = row_hits(env, u, p.t, horizon)
+            # a row holds about a dozen hits under a tight bound, too few to repay numpy's
+            # per-call cost, so they are relaxed one by one, in the row's key order
             offs, times = hits
-            if times.shape[0]:  # an unoccupied u has no hits
-                relax(ku, u, tuple(offs.T), d_u + times)
+            uy = [a - b for a, b in zip(u, y)]
+            for off, time in zip(offs.tolist(), times.tolist()):
+                nd = d_u + time
+                f = nd + sum(map(abs, map(add, off, uy)))
+                if f <= ub:
+                    kv = ku + sum(map(mul, off, strides))
+                    if nd < dist.get(kv, 1 << 62):
+                        dist[kv] = nd
+                        parent[kv] = ku
+                        heappush(heap, (f, nd, kv))
+            ub = min(ub, dist[ky])
         # the direct long edge to the goal keeps the bound tight
         gap_goal = linf(sub(y, u))
         nd = d_u + K4 * gap_goal
@@ -267,8 +300,24 @@ def truncated_passage(
         # fits under the bound; where u's row has a hit, the capped price never improves on it
         max_len = (ub - d_u) // K4
         if max_len >= p.t:
+            # the cube holds (2L + 1)^d cells for the longest length L, so it relaxes as arrays
             cols, lengths = _linf_cube(min(max_len, p.cap), p.t, d)
-            relax(ku, u, cols, d_u + K4 * lengths)
+            nd = d_u + K4 * lengths
+            f = nd.copy()
+            for col, a, b in zip(cols, u, y):
+                f += np.abs(col + (a - b))
+            ok = np.nonzero(f <= ub)[0]
+            keys = np.full(ok.shape[0], ku, dtype=np.int64)
+            for col, stride in zip(cols, strides):
+                keys += col[ok] * stride
+            nd, f = nd[ok], f[ok]
+            better = nd < np.fromiter(map(dist.get, keys.tolist(), repeat(1 << 62)), np.int64, ok.shape[0])
+            keys, nd, f = keys[better].tolist(), nd[better].tolist(), f[better].tolist()
+            dist.update(zip(keys, nd))
+            parent.update(dict.fromkeys(keys, ku))
+            for item in zip(f, nd, keys):
+                heappush(heap, item)
+            ub = min(ub, dist[ky])
         relaxations += (2 * min(max(max_len, p.t), p.cap) + 1) ** d
 
     # the goal is always settled: its direct-edge entry stays on the heap until improved

@@ -280,6 +280,22 @@ def test_relay_chain_bound_halves_the_row_walks(monkeypatch):
     assert 0 < sum(steps) <= 55_623 // 2
 
 
+def test_checked_guess_cuts_the_row_walks(monkeypatch):
+    # a t = 4 search whose proven bound sits far above the engine's passage time first searches
+    # under twice that time, so it reads rows only about that deep: 53,756 walk steps when every
+    # search started from the proven bound, 25,384 with the checked guess
+    steps = []
+    ball_pass = passage._ball_pass
+
+    def counted(env, todo):
+        steps.extend(h * env.omega(u) for u, _, h in todo)
+        return ball_pass(env, todo)
+
+    monkeypatch.setattr(passage, "_ball_pass", counted)
+    agreement_experiment(ConfigLaw.poisson(1.0), (8, 0), [4, 8, 16], 4, SeedSpec(0, "checked-guess"), mu_hat=2.0)
+    assert 0 < sum(steps) <= 53_756 * 3 // 4
+
+
 # ---------------------------------------------------------------------------
 # Oracles: the A* on tuple keys and dicts, and brute-force Bellman-Ford
 # ---------------------------------------------------------------------------
@@ -459,3 +475,27 @@ def test_truncated_long_edge_witness_pin():
     assert res.witness == ((0, 0), (2, 1), (3, 0), (4, -1), (5, 0))
     assert res.long_edges_used == 1
     assert res == dict_truncated_passage(env, (0, 0), (5, 0), p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3), st.sampled_from([ConfigLaw.poisson(1.0), ConfigLaw.poisson(2.5), ConfigLaw.bernoulli(0.5),
+                                         ConfigLaw.bernoulli(0.8)]),
+    st.integers(0, 2**32), st.integers(1, 6), st.floats(0.0, 1.0), st.data(),
+)
+def test_checked_guess_keeps_the_search(dim, law, seed, t, c4_hat, data):
+    # the chain [(x, 0), (y, T)] guesses the bound 2T.  Every T up to past half the value v
+    # is tried: a guess below v must fall back to the proven bound, and a guess of v itself
+    # must still settle the nodes with f = v and d < v that precede the goal
+    env = condition_origin(sample_environment(law, dim, 4, SeedSpec(seed, "guess")))
+    p = TruncationParams.make(t, dim, c4_hat)
+    x = (0,) * dim
+    y = data.draw(st.tuples(*[st.integers(-3, 3)] * dim))
+    env = env.with_radius(_relay_radius(x, y, p))
+
+    def result(res):
+        return res.value, res.witness, res.long_edges_used, res.settled
+
+    want = result(truncated_passage(env, x, y, p))
+    for T in range(-(-want[0] // 2) + 2):
+        assert result(truncated_passage(env, x, y, p, via=[(x, 0), (y, T)])) == want, T
