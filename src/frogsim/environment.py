@@ -300,6 +300,8 @@ class EnvironmentGroup:
     keyed counts from each environment's seed, then each environment's fixed
     sites, then each box mask.  The fixed sites of all members are one sorted
     array of keys ``member * size + key`` over one cube that holds them all.
+    A caller that hashes the sites itself, from the heads absorb(purpose_key,
+    d) of ``omega_keys``, reads the counts with ``counts_from_keys``.
     """
 
     def __init__(self, envs: Sequence[Environment]):
@@ -307,7 +309,7 @@ class EnvironmentGroup:
         if any(e.law != first.law or e.dim != first.dim for e in envs):
             raise FrogsimError("an environment group needs one law and one dimension")
         self.law, self.dim = first.law, first.dim
-        self._omega_keys = np.asarray([e.seed.purpose_key(PURPOSE_OMEGA) for e in envs], dtype=np.uint64)
+        self.omega_keys = np.asarray([e.seed.purpose_key(PURPOSE_OMEGA) for e in envs], dtype=np.uint64)
         self._box_radius = np.asarray([e.box_radius for e in envs], dtype=np.int64)
         fixed = [(m, x, c) for m, e in enumerate(envs) for x, c in e._fixed.items()]
         self._fixed_index = CubeIndex(max((linf(x) for _, x, _ in fixed), default=0), self.dim)
@@ -323,7 +325,11 @@ class EnvironmentGroup:
 
     def counts_at(self, rep: int | np.ndarray, coords: np.ndarray) -> np.ndarray:
         """Counts at the rows of an (n, dim) array, row i read in member ``rep[i]`` (or all in ``rep``)."""
-        out = self.law.quantile_counts(uniform01_np(site_keys_np(self._omega_keys[rep], coords)))
+        return self.counts_from_keys(rep, coords, site_keys_np(self.omega_keys[rep], coords))
+
+    def counts_from_keys(self, rep: int | np.ndarray, coords: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """``counts_at(rep, coords)``, given the sites' ``PURPOSE_OMEGA`` site keys."""
+        out = self.law.quantile_counts(uniform01_np(keys))
         if self._fixed_keys is not None:
             near = np.nonzero(np.abs(coords).max(axis=1) <= self._fixed_index.radius)[0]
             member = np.asarray(rep, dtype=np.int64)

@@ -110,8 +110,14 @@ class CubeIndex:
         return tuple(key // s % self.side - self.radius for s in self.strides)
 
     def unflat(self, keys: np.ndarray) -> np.ndarray:
-        """The (n, dim) sites of an array of keys."""
-        return np.stack([keys // s % self.side - self.radius for s in self.strides], axis=1)
+        """The (n, dim) sites of an array of keys, one ``divmod`` per axis."""
+        coords = np.empty((keys.shape[0], self.dim), dtype=np.int64)
+        rest = keys
+        for j, s in enumerate(self.strides[:-1]):
+            coords[:, j], rest = np.divmod(rest, s)
+        coords[:, -1] = rest  # the last stride is 1
+        coords -= self.radius
+        return coords
 
 
 def ball_coords(radius: int, dim: int) -> np.ndarray:

@@ -21,7 +21,13 @@ with its own source and stop targets) through one step loop, which is the
 only step loop: ``simulate_frogs`` is a batch of one.  Every draw is a pure
 function of (seed, site, frog, step), so a replica's visits, genealogy and
 stopping step do not depend on the batch it runs in, and the numpy cost of
-a step is paid once per batch rather than once per replica.
+a step is paid once per batch rather than once per replica.  A step adds
+WEYL to each frog's running counter k * WEYL and draws every direction
+code from it in one pass.  Only a step that first visits a site does more:
+one sort finds the new sites and their first visitors, one pass per axis
+hashes each new site for both its count and its frogs' walk keys, from
+per-replica heads made once per batch, and only then can a replica reach
+its last stop target.
 ``passage_times`` turns a list of (environment, source, targets) runs into
 passage values, ``int`` or None when censored, by stepping them through
 ``simulate_batch`` in batches, each on its environment grown to horizon +
@@ -54,7 +60,7 @@ import numpy as np
 from .environment import Environment, EnvironmentGroup, star
 from .errors import COUNT, SITES, FrogsimError, GeometryError, SearchCapError, require, require_site
 from .lattice import Coords, CubeIndex, l1, linf, step_vectors
-from .walks import PURPOSE_WALK, step_codes_np, walk_keys_np
+from .walks import PURPOSE_WALK, WEYL, absorb_coords_np, absorb_np, step_codes_np, walk_keys_np, weyl_codes_np
 
 
 @dataclass(frozen=True)
@@ -155,10 +161,14 @@ def simulate_frogs(
     return simulate_batch([env], [source], horizon, stops, strict, record_trace)[0]
 
 
-def _ranks(counts: np.ndarray) -> np.ndarray:
-    """1, ..., c for each count c, concatenated: the frog indices of the sites holding ``counts``."""
-    ends = np.cumsum(counts)
-    return (np.arange(1, ends[-1] + 1) - np.repeat(ends - counts, counts)).astype(np.int32)
+def _frogs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frogs of the sites holding ``counts``: each frog's site i, and its index 1, ..., counts[i] there.
+
+    The indices are uint64, as the walk keys absorb them.
+    """
+    at = np.repeat(np.arange(counts.shape[0]), counts)
+    # at ascends, so searchsorted finds the first frog of each frog's site
+    return at, (np.arange(1, at.shape[0] + 1) - np.searchsorted(at, at)).view(np.uint64)
 
 
 def _rekey(old: CubeIndex, new: CubeIndex, keys: np.ndarray) -> np.ndarray:
@@ -186,10 +196,10 @@ def _recentre(old: CubeIndex, new: CubeIndex, table: np.ndarray) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _first_visits(flat: np.ndarray, new: np.ndarray, origin: np.ndarray, size: int, n_keys: int):
+def _first_visits(flat: np.ndarray, idx: np.ndarray, origin: np.ndarray, size: int, n_keys: int):
     """The keys first stood on, each with the origin of its first visitor.
 
-    ``new`` masks the frogs standing on unvisited keys, which lie below
+    ``idx`` lists the frogs standing on unvisited keys, which lie below
     ``n_keys``; origins are local keys, below ``size``.  Among simultaneous
     arrivals the smallest origin wins (then the smallest frog index, but
     frogs of one origin leave the same parent).  Origins lie below their
@@ -197,7 +207,6 @@ def _first_visits(flat: np.ndarray, new: np.ndarray, origin: np.ndarray, size: i
     by (key, origin) as a lexsort would; the lexsort runs when that packed
     key could reach 2**63, i.e. when ``n_keys * size > 2**63``.
     """
-    idx = np.flatnonzero(new)
     keys, origins = flat[idx], origin[idx]
     if n_keys * size > 2**63:  # the largest key, n_keys * size - 1, would not fit
         order = np.lexsort((origins, keys))
@@ -256,9 +265,8 @@ def simulate_batch(
     traces: list[list[int]] = [[] for _ in range(n)]
     stopped: list[int | None] = [None] * n
 
-    # the replicas still running, and those of them that stop on their targets
+    # the replicas still running, and the targets they stop on, until each is visited
     active = np.ones(n, dtype=bool)
-    waiting = np.zeros(n, dtype=bool)
     goal_rep: list[int] = []
     goals: list[Coords] = []
     for r, want in enumerate(stop_targets or [None] * n):
@@ -267,7 +275,6 @@ def simulate_batch(
         # targets outside the reachable cube stay censored; drop them from the stop set
         reachable = [x for x in want if linf(x) <= reach_radius[r]]
         if any(x != sources[r] for x in reachable):
-            waiting[r] = True
             goal_rep += [r] * len(reachable)
             goals += reachable
         else:  # every reachable target is the source, visited at step 0
@@ -282,23 +289,25 @@ def simulate_batch(
     # a visit time fits int16 whenever the horizon does
     visit = np.full(n * index.size, -1, dtype=np.int16 if horizon < 2**15 else np.int32)
     parent = np.full(n * index.size, -1, dtype=np.int32)
-    walk_keys = np.asarray([e.seed.purpose_key(PURPOSE_WALK) for e in envs], dtype=np.uint64)
+    # each replica's heads absorb(purpose_key, d) for its counts (row 0) and its walks (row 1):
+    # one pass per axis then hashes a site for both
+    walk_purpose = np.asarray([e.seed.purpose_key(PURPOSE_WALK) for e in envs], dtype=np.uint64)
+    heads = absorb_np(np.stack([group.omega_keys, walk_purpose]), d)
 
     src_local = index.flat(np.asarray(sources, dtype=np.int64)).astype(np.int32)
     src_flat = np.arange(n) * index.size + src_local
     visit[src_flat] = 0
     parent[src_flat] = src_local
 
-    # the live frogs: key on the table, walk key, birth step and origin
-    counts0 = np.where(active, counts0, 0)
-    flat = np.repeat(src_flat, counts0)
-    keys = walk_keys_np(
-        np.repeat(walk_keys, counts0), np.repeat(np.asarray(sources), counts0, axis=0), _ranks(counts0)
-    )
-    birth = np.zeros(flat.shape[0], dtype=np.int32)
-    origin = np.repeat(src_local, counts0)
+    # the live frogs: key on the table, walk key, step counter k times WEYL, and origin
+    at, ells = _frogs(np.where(active, counts0, 0))
+    flat = src_flat[at]
+    keys = absorb_np(absorb_coords_np(heads[1], np.asarray(sources, dtype=np.int64))[at], ells)
+    weyl = np.zeros(flat.shape[0], dtype=np.uint64)
+    origin = src_local[at]
     moves = step_vectors(d) @ np.asarray(index.strides, dtype=np.int64)  # key change per direction code
     want_keys = goal_rep * index.size + index.flat(goals)
+    weyl_step = np.uint64(WEYL)
 
     for t in range(1, horizon + 1):
         if not active.any():
@@ -319,40 +328,42 @@ def simulate_batch(
             origin = _rekey(old, index, origin)
             moves = step_vectors(d) @ np.asarray(index.strides, dtype=np.int64)
             want_keys = goal_rep * index.size + index.flat(goals)
-        flat += moves[step_codes_np(keys, t - birth, d)]
-        new = visit[flat] < 0
-        if new.any():
-            sites, firsts = _first_visits(flat, new, origin, index.size, n * index.size)
-            visit[sites] = t
-            parent[sites] = firsts
-            site_rep, site_local = np.divmod(sites, index.size)
-            coords = index.unflat(site_local)
-            reach = max(reach, int(np.abs(coords).max()))
-            counts = group.counts_at(site_rep, coords)
-            wake = np.flatnonzero(counts)
-            if wake.shape[0]:
-                woken = counts[wake]
-                new_keys = walk_keys_np(
-                    np.repeat(walk_keys[site_rep[wake]], woken), np.repeat(coords[wake], woken, axis=0), _ranks(woken)
-                )
-                flat = np.concatenate([flat, np.repeat(sites[wake], woken)])
-                keys = np.concatenate([keys, new_keys])
-                birth = np.concatenate([birth, np.full(new_keys.shape[0], t, dtype=np.int32)])
-                origin = np.concatenate([origin, np.repeat(site_local[wake].astype(np.int32), woken)])
-        if waiting.any():
-            # the waiting replicas whose targets are all visited stop at t, and their frogs leave
-            done = waiting.copy()
-            done[goal_rep[visit[want_keys] < 0]] = False
+        weyl += weyl_step
+        flat += moves.take(weyl_codes_np(keys, weyl, d))
+        new = np.flatnonzero(visit[flat] < 0)  # the frogs on unvisited sites
+        if not new.shape[0]:
+            continue  # no site is first visited, so no replica can reach its last target
+        sites, firsts = _first_visits(flat, new, origin, index.size, n * index.size)
+        visit[sites] = t
+        parent[sites] = firsts
+        site_rep, site_local = np.divmod(sites, index.size)
+        coords = index.unflat(site_local)
+        reach = max(reach, int(np.abs(coords).max()))
+        omega_keys, walk_keys = absorb_coords_np(heads.take(site_rep, axis=1), coords)
+        counts = group.counts_from_keys(site_rep, coords, omega_keys)
+        at, ells = _frogs(counts)
+        if at.shape[0]:
+            flat = np.concatenate([flat, sites[at]])
+            keys = np.concatenate([keys, absorb_np(walk_keys[at], ells)])
+            weyl = np.concatenate([weyl, np.zeros(at.shape[0], dtype=np.uint64)])
+            origin = np.concatenate([origin, site_local[at]], dtype=np.int32)
+        reached = visit[want_keys] >= 0
+        if reached.any():
+            # reached targets leave the stop set; the replicas with none left stop at t, and their frogs leave
+            left = ~reached
+            done = np.zeros(n, dtype=bool)
+            done[goal_rep[reached]] = True
+            done[goal_rep[left]] = False
+            goal_rep, goals, want_keys = goal_rep[left], goals[left], want_keys[left]
             if done.any():
                 for r in np.flatnonzero(done).tolist():
                     stopped[r] = t
-                waiting &= ~done
                 active &= ~done
                 keep = active[flat // index.size]
                 # one array at a time, so that only one copy is alive at once
                 flat = flat[keep]
                 keys = keys[keep]
-                birth = birth[keep]
+                weyl = weyl[keep]
                 origin = origin[keep]
 
     tables = []
@@ -508,11 +519,9 @@ def _ball_pass(env: Environment, todo: Sequence[tuple[Coords, int, int]]) -> dic
     d, n = env.dim, len(todo)
     sites, ts, hs = zip(*todo)
     ts, hs, counts = np.array(ts), np.array(hs), np.array([env.omega(u) for u in sites])
-    keys = walk_keys_np(
-        env.seed.purpose_key(PURPOSE_WALK), np.repeat(np.asarray(sites), counts, axis=0), _ranks(counts)
-    )
     # walk w is a frog of site frog[w]; its steps 1..h are one run of the ragged arrays
-    frog = np.repeat(np.arange(n), counts)
+    frog, ells = _frogs(counts)
+    keys = walk_keys_np(env.seed.purpose_key(PURPOSE_WALK), np.asarray(sites)[frog], ells)
     h = hs[frog]
     start = np.cumsum(h) - h
     walk = np.repeat(np.arange(h.shape[0]), h)

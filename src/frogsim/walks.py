@@ -4,7 +4,7 @@ Every frog's trajectory is a pure function of (master seed, experiment tag,
 origin site, frog index): direction codes come from a counter-based keyed
 mixing function, so hitting times queried in any order, or in parallel, see
 one consistent realization of the walk family.  Step k of a frog is a pure
-function of (walk key, k), so no per-frog state is ever cached: callers
+function of (walk key, k), so no per-frog state need be cached: callers
 draw whole batches of (key, counter) pairs with ``step_codes_np``.
 
 Key derivation layout (all arithmetic mod 2^64; see docs/key-derivation.md
@@ -22,6 +22,15 @@ Purposes: 1 = walk steps, 2 = configuration counts, 3 = percolation bits,
 Walk key fields: (dim, x_1, ..., x_d, ell); coordinates are absorbed as
 two's-complement 64-bit values.  The direction code of step k >= 1 is
 draw(key, k) mod 2d, indexing lattice.step_vectors(d).
+
+The numpy paths compute the same words in the equivalent forms of
+docs/key-derivation.md.  ``weyl_codes_np`` takes a running counter
+k * WEYL mod 2^64, which a caller that steps its walks together (the engine)
+carries per walk and advances by WEYL each step; ``step_codes_np`` is the
+same function applied to counters times WEYL.  Its mod 2d is a mask of the
+low bits when 2d is a power of two.  The head absorb(purpose_key, d) is made
+once per seed and purpose, and ``absorb_coords_np`` absorbs the
+coordinates of many sites into the heads of several purposes at once.
 """
 
 from __future__ import annotations
@@ -99,9 +108,15 @@ def absorb_np(h: np.ndarray, v: np.ndarray | int) -> np.ndarray:
     return _mix64_inplace(z)
 
 
-def draw_np(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+def _weyls(counters: np.ndarray) -> np.ndarray:
+    """k * WEYL mod 2^64 for each counter k."""
     z = np.asarray(counters).astype(np.uint64)
     z *= _WEYL_NP
+    return z
+
+
+def draw_np(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    z = _weyls(counters)
     if z.shape == np.shape(keys):
         z ^= keys
     else:
@@ -151,15 +166,25 @@ def site_key(seed: SeedSpec, purpose: int, x: Coords) -> int:
     return h
 
 
+def absorb_coords_np(heads: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """absorb* of each row's coordinates into its head, axis by axis.
+
+    ``heads`` holds one head absorb(purpose_key, d) per row of ``coords``,
+    or a (p, n) stack of them, one row per purpose, which takes the same
+    number of passes as one purpose.
+    """
+    cols = coords.astype(np.int64, copy=False).view(np.uint64)
+    for j in range(coords.shape[1]):
+        heads = absorb_np(heads, cols[:, j])
+    return heads
+
+
 def site_keys_np(purpose_keys: int | np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Site keys of the rows of ``coords``; ``purpose_keys`` is one ``purpose_key`` or one per row."""
     n, d = coords.shape
     keys = np.asarray(purpose_keys, dtype=np.uint64)
     h = np.full(n, absorb(int(keys), d), dtype=np.uint64) if keys.ndim == 0 else absorb_np(keys, d)
-    cols = coords.astype(np.int64, copy=False).view(np.uint64)
-    for j in range(d):
-        h = absorb_np(h, cols[:, j])
-    return h
+    return absorb_coords_np(h, coords)
 
 
 def walk_key(seed: SeedSpec, x: Coords, ell: int) -> int:
@@ -179,7 +204,15 @@ def step_code(key: int, k: int, dim: int) -> int:
     return draw(key, k) % (2 * dim)
 
 
-def step_codes_np(keys: np.ndarray, counters: np.ndarray, dim: int) -> np.ndarray:
-    z = draw_np(keys, counters)
-    z %= np.uint64(2 * dim)
+def weyl_codes_np(keys: np.ndarray, weyls: np.ndarray, dim: int) -> np.ndarray:
+    """The direction codes draw(key, k) mod 2d, given ``weyls`` = k * WEYL mod 2^64 in place of k."""
+    z = _mix64_inplace(keys ^ weyls)
+    if dim & (dim - 1):
+        z %= np.uint64(2 * dim)
+    else:  # 2d is a power of two: the mod keeps the low bits
+        z &= np.uint64(2 * dim - 1)
     return z.view(np.int64)  # codes < 2d read the same as int64
+
+
+def step_codes_np(keys: np.ndarray, counters: np.ndarray, dim: int) -> np.ndarray:
+    return weyl_codes_np(keys, _weyls(counters), dim)

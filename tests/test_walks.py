@@ -4,18 +4,24 @@ from scipy import stats as sps
 
 from frogsim.lattice import step_vectors
 from frogsim.walks import (
+    PURPOSE_OMEGA,
     PURPOSE_WALK,
+    WEYL,
     SeedSpec,
+    absorb_coords_np,
+    absorb_np,
     draw,
     draw_np,
     mix64,
     mix64_np,
+    site_key,
     step_code,
     step_codes_np,
     uniform01,
     uniform01_np,
     walk_key,
     walk_keys_np,
+    weyl_codes_np,
 )
 
 # frozen vectors; see docs/key-derivation.md
@@ -50,6 +56,13 @@ def test_published_vectors(master, tag, x, ell, key, codes):
     got = [step_code(key, k, len(x)) for k in range(1, 17)]
     assert got == codes
     assert walk_codes(seed, x, ell, 16).tolist() == codes
+    # the engine's form: a running counter k * WEYL, advanced by WEYL each step, reduced
+    # by a mask at 2d = 2 or 4 and by a remainder at 2d = 6
+    keys, weyl, running = np.full(1, key, dtype=np.uint64), np.zeros(1, dtype=np.uint64), []
+    for _ in range(16):
+        weyl += np.uint64(WEYL)
+        running += weyl_codes_np(keys, weyl, len(x)).tolist()
+    assert running == codes
 
 
 def test_determinism_same_key():
@@ -107,6 +120,22 @@ def test_walk_keys_np_matches_scalar():
     per_row = walk_keys_np(np.asarray([s.purpose_key(PURPOSE_WALK) for s in seeds], dtype=np.uint64), coords, ells)
     for s, row, ell, expect in zip(seeds, coords.tolist(), ells.tolist(), per_row.tolist()):
         assert walk_key(s, tuple(row), ell) == expect
+    # the engine's form: per-seed heads absorb(purpose_key, d) for two purposes at once,
+    # every site's coordinates absorbed into both in one pass per axis
+    seeds.append(SeedSpec(2**63 + 5, "other"))
+    purpose_keys = np.asarray([[s.purpose_key(p) for s in seeds] for p in (PURPOSE_OMEGA, PURPOSE_WALK)],
+                              dtype=np.uint64)
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 3):
+        coords = rng.integers(-2**40, 2**40, (12, dim))
+        coords[:3] = [[-1] * dim, [0] * dim, [-7] + [3] * (dim - 1)]
+        rep = rng.integers(0, len(seeds), 12)
+        ells = rng.integers(1, 9, 12)
+        omega, walk = absorb_coords_np(absorb_np(purpose_keys, dim).take(rep, axis=1), coords)
+        walks = absorb_np(walk, ells.astype(np.uint64))
+        for r, row, ell, o, w in zip(rep.tolist(), coords.tolist(), ells.tolist(), omega.tolist(), walks.tolist()):
+            assert site_key(seeds[r], PURPOSE_OMEGA, tuple(row)) == o
+            assert walk_key(seeds[r], tuple(row), ell) == w
 
 
 def test_direction_frequencies():
