@@ -120,10 +120,24 @@ class CubeIndex:
         return coords
 
 
+@lru_cache(maxsize=4)
+def cube_norms(radius: int, dim: int) -> np.ndarray:
+    """The l1 norm of each key of ``CubeIndex(radius, dim)``, read-only.
+
+    Built one axis at a time: the norms of the cube in d axes are those in
+    d - 1 axes plus |x_d|, broadcast, so no coordinate array is made.
+    """
+    axis = np.abs(np.arange(-radius, radius + 1, dtype=np.int32))
+    norms = axis
+    for _ in range(dim - 1):
+        norms = (norms[:, None] + axis).ravel()
+    norms.flags.writeable = False
+    return norms
+
+
 def ball_coords(radius: int, dim: int) -> np.ndarray:
     """All sites with l1 norm <= radius, in lexicographic order."""
-    cube = cube_coords(radius, dim)
-    return cube[np.abs(cube).sum(axis=1) <= radius]
+    return cube_coords(radius, dim)[cube_norms(radius, dim) <= radius]
 
 
 def shell_coords(center: Coords, radius: int) -> list[Coords]:

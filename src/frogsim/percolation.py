@@ -5,6 +5,13 @@ radii, and the block-level white indicator that couples occupancy and
 local passage-time control.  The infinite cluster is proxied by the largest
 cluster in the box; experiments that consume it keep a boundary margin to
 damp finite-size bias.
+
+Every array over a field is flat over its padded cube (``SiteField``), in
+whole-array passes: the field hashes the cube one axis at a time
+(``walks.cube_site_keys_np``), compares the keys with p in integers and
+masks the ball with the cube's l1 norms (``lattice.cube_norms``); labelling
+joins the runs of open sites along the last axis; the BFS drops repeated
+keys without sorting and can stop once it reaches a set of targets.
 """
 
 from __future__ import annotations
@@ -17,10 +24,10 @@ import numpy as np
 
 from .environment import ConfigLaw, Environment, sample_environment
 from .errors import COUNT, LADDER, PROBABILITY, SITES, SIZE, EmptySetError, GeometryError, require, require_site
-from .lattice import Coords, CubeIndex, ball_coords, cube_coords, l1, scale, sub
+from .lattice import Coords, CubeIndex, cube_coords, cube_norms, l1, scale, sub
 from .passage import passage_times
 from .stats import fit_line, wilson_ci
-from .walks import PURPOSE_FIELD, SeedSpec, site_keys_np, uniform01_np
+from .walks import PURPOSE_FIELD, SeedSpec, cube_site_keys_np, uniform01_below_np
 
 
 class SiteField:
@@ -56,11 +63,9 @@ def sample_bernoulli_field(p: float, dim: int, box_radius: int, seed: SeedSpec) 
     require("p", p, PROBABILITY)
     require("dim", dim, SIZE)
     require("box_radius", box_radius, COUNT)
-    coords = ball_coords(box_radius, dim)
-    u = uniform01_np(site_keys_np(seed.purpose_key(PURPOSE_FIELD), coords))
-    index = CubeIndex(box_radius + 1, dim)
-    is_open = np.zeros(index.size, dtype=bool)
-    is_open[index.flat(coords)] = u < p
+    keys = cube_site_keys_np(seed.purpose_key(PURPOSE_FIELD), box_radius + 1, dim)
+    is_open = uniform01_below_np(keys, p)
+    is_open &= cube_norms(box_radius + 1, dim) <= box_radius
     return SiteField(dim, box_radius, is_open)
 
 
@@ -81,55 +86,73 @@ def label_clusters(f: SiteField) -> ClusterLabels:
     is_open, index = f.open, f.index
     keys = np.flatnonzero(is_open)  # ascending, so aligned with f.open_coords()
     if keys.size == 0:
-        return ClusterLabels(label=np.zeros(0, dtype=np.int64), sizes={}, largest_id=None)
-    row = np.zeros(index.size, dtype=np.int64)
-    row[keys] = np.arange(keys.size)
-    lo, hi = [], []
-    for s in index.strides:
+        return ClusterLabels(label=np.zeros(0, dtype=np.int32), sizes={}, largest_id=None)
+    # a run of open sites along the last axis (stride 1) is connected: number
+    # the runs in key order, so a run's id is below those of later runs and its
+    # first site is its lowest, and join runs across the other axes' edges
+    first = ~is_open[keys - 1]
+    run = np.cumsum(first, dtype=np.int32)
+    run -= 1
+    starts = np.flatnonzero(first).astype(np.int32)  # the row of each run's first site
+    run_at = np.zeros(index.size, dtype=np.int32)
+    run_at[keys] = run
+    lo, hi = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
+    for s in index.strides[:-1]:
         both = keys[is_open[keys + s]]
-        lo.append(row[both])
-        hi.append(row[both + s])
+        lo.append(run_at[both])
+        hi.append(run_at[both + s])
     lo, hi = np.concatenate(lo), np.concatenate(hi)
     # hook each root to the smallest root across its edges, then jump pointers
-    # until every site points at its root; once no edge joins two roots, each
-    # cluster points at its smallest row
-    lab = np.arange(keys.size)
-    while True:
-        a, b = lab[lo], lab[hi]
-        if np.array_equal(a, b):
-            break
+    # until every run points at its root; once no edge joins two roots, each
+    # cluster points at its smallest run.  The working arrays are int32, for
+    # memory; take gathers through an int32 index faster than lab[lo] does.
+    lab = np.arange(starts.size, dtype=np.int32)
+    a, b = lo, hi  # the roots across each edge: at first every run is one
+    while not np.array_equal(a, b):
         np.minimum.at(lab, a, b)
         np.minimum.at(lab, b, a)
-        while not np.array_equal(jumped := lab[lab], lab):
+        while not np.array_equal(jumped := lab.take(lab), lab):
             lab = jumped
-    counts = np.bincount(lab)
+        a, b = lab.take(lo), lab.take(hi)
+    label = starts.take(lab).take(run)  # each site's cluster: the row of its smallest run's first site
+    counts = np.bincount(label)
     ids = np.flatnonzero(counts)
     largest = int(np.argmax(counts))  # argmax takes the first, smallest id
-    return ClusterLabels(label=lab, sizes=dict(zip(ids.tolist(), counts[ids].tolist())), largest_id=largest)
+    return ClusterLabels(label=label, sizes=dict(zip(ids.tolist(), counts[ids].tolist())), largest_id=largest)
 
 
-def open_distances_from(f: SiteField, source: Coords) -> np.ndarray:
-    """BFS distances inside the open set from an open source site.
+def open_distances_from(f: SiteField, source: Coords, stop: np.ndarray | None = None) -> np.ndarray:
+    """BFS distances inside the open set from a source site.
 
     Flat over ``f.index``, the cube with the closed outer layer: 0 at the
-    source, -1 at sites that are closed or not reached.
+    source, -1 at sites that are closed or not reached.  ``stop``, keys of
+    ``f.index``, ends the search at the first layer by which every open key
+    of it has a distance; the distances of the keys in ``stop`` are then
+    those of the full search, and sites farther than that layer read -1.
+    An open key off the source's cluster lets the search run out.
     """
     if not f.in_box(source):
         raise GeometryError(f"site {source} outside field of radius {f.box_radius}")
-    is_open, index = f.open, f.index
+    index = f.index
     steps = np.array([s * sign for s in index.strides for sign in (1, -1)])
     dist = np.full(index.size, -1, dtype=np.int64)
+    free = f.open.copy()  # open and not yet reached
     frontier = np.array([index.flat_one(source)])
-    dist[frontier] = 0
+    dist[frontier], free[frontier] = 0, False
+    pending = None if stop is None else stop[free[stop]]
     layer = 0
-    while frontier.size:
+    while frontier.size and (pending is None or pending.size):
         layer += 1
         nxt = (frontier[:, None] + steps).ravel()
-        # repeats dropped by hand: the first np.unique call in a process
-        # imports numpy.ma, about 20 ms
-        nxt = np.sort(nxt[is_open[nxt] & (dist[nxt] < 0)])
-        frontier = nxt[np.diff(nxt, prepend=-1) != 0]
-        dist[frontier] = layer
+        nxt = nxt[free[nxt]]
+        # drop repeats without sorting: of the slots written to a repeated key,
+        # dist keeps one, and only the copy with that slot stays in the frontier
+        slots = np.arange(-2, -2 - nxt.size, -1)
+        dist[nxt] = slots
+        frontier = nxt[dist[nxt] == slots]
+        dist[frontier], free[frontier] = layer, False
+        if pending is not None:
+            pending = pending[free[pending]]
     return dist
 
 
@@ -137,7 +160,8 @@ def hole_radius(f: SiteField, labels: ClusterLabels) -> int:
     """Smallest l1 radius at which the ball around 0 meets the largest cluster."""
     if labels.largest_id is None:
         raise EmptySetError("field has no open sites, hole radius undefined")
-    return int(np.abs(f.open_coords()[labels.label == labels.largest_id]).sum(axis=1).min())
+    keys = np.flatnonzero(f.open)[labels.label == labels.largest_id]
+    return int(cube_norms(f.index.radius, f.dim)[keys].min())
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +377,7 @@ def chemical_ratio_experiment(
         f = sample_bernoulli_field(p, dim, box_radius, seed.child("chem", r))
         if f.bit(origin) != 1:
             continue
-        dist = open_distances_from(f, origin)
+        dist = open_distances_from(f, origin, stop=target_keys)
         for v, d in zip(targets, dist[target_keys].tolist()):
             if d >= 0:
                 per_target[v].append(d / l1(v))

@@ -31,10 +31,13 @@ same function applied to counters times WEYL.  Its mod 2d is a mask of the
 low bits when 2d is a power of two.  The head absorb(purpose_key, d) is made
 once per seed and purpose, and ``absorb_coords_np`` absorbs the
 coordinates of many sites into the heads of several purposes at once.
+``cube_site_keys_np`` keys a whole cube one axis at a time, and
+``uniform01_below_np`` compares uniforms with p in integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -132,6 +135,13 @@ def uniform01_np(words: np.ndarray) -> np.ndarray:
     return (words >> _S11).astype(np.float64) * 2.0**-53
 
 
+def uniform01_below_np(words: np.ndarray, p: float) -> np.ndarray:
+    """uniform01(w) < p for each word, p in [0, 1], in integers: (w >> 11) < ceil(p * 2^53)."""
+    # p * 2^53 only shifts p's exponent, so it is exact, and an integer m
+    # lies below the real q exactly when it lies below ceil(q)
+    return (words >> _S11) < np.uint64(math.ceil(p * 2.0**53))
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Master seed plus a tag mixed into every derived key."""
@@ -185,6 +195,21 @@ def site_keys_np(purpose_keys: int | np.ndarray, coords: np.ndarray) -> np.ndarr
     keys = np.asarray(purpose_keys, dtype=np.uint64)
     h = np.full(n, absorb(int(keys), d), dtype=np.uint64) if keys.ndim == 0 else absorb_np(keys, d)
     return absorb_coords_np(h, coords)
+
+
+def cube_site_keys_np(purpose_key: int, radius: int, dim: int) -> np.ndarray:
+    """Site keys of the cube [-radius, radius]^dim, in the key order of ``CubeIndex(radius, dim)``.
+
+    One axis at a time: the heads after absorbing x_1, ..., x_j are one per
+    site of the cube in j axes, and absorbing x_{j+1} broadcasts them against
+    the 2 * radius + 1 values of the axis, so each absorb but the last runs
+    over a face of the cube, and no coordinate array is made.
+    """
+    axis = np.arange(-radius, radius + 1, dtype=np.int64).view(np.uint64)
+    heads = np.full(1, absorb(purpose_key, dim), dtype=np.uint64)
+    for _ in range(dim):
+        heads = _mix64_inplace((heads + _GAMMA_NP)[:, None] ^ axis).ravel()
+    return heads
 
 
 def walk_key(seed: SeedSpec, x: Coords, ell: int) -> int:

@@ -6,6 +6,7 @@ from frogsim.lattice import (
     CubeIndex,
     ball_coords,
     cube_coords,
+    cube_norms,
     l1,
     linf,
     shell_coords,
@@ -102,6 +103,14 @@ def test_cube_index_unflat_inverts_flat(shape, data):
     x = index.unflat_one(key)
     assert x == tuple(coords[key].tolist())
     assert index.flat_one(x) == key
+
+
+@given(cube_shapes)
+def test_cube_norms_are_the_l1_norms_of_the_keys(shape):
+    radius, dim = shape
+    norms = cube_norms(radius, dim)
+    assert np.array_equal(norms, np.abs(cube_coords(radius, dim)).sum(axis=1))
+    assert not norms.flags.writeable  # shared by every caller through the cache
 
 
 @given(cube_shapes)

@@ -22,7 +22,7 @@ from frogsim.percolation import (
     white_marginal_curve,
     white_site_indicator,
 )
-from frogsim.walks import SeedSpec
+from frogsim.walks import PURPOSE_FIELD, SeedSpec, site_key, uniform01
 
 
 def field_from_indicator(dim, box_radius, values):
@@ -52,6 +52,17 @@ def test_bernoulli_frequency():
     occ = f.open_coords().shape[0]
     sigma = math.sqrt(n * 0.7 * 0.3)
     assert abs(occ - 0.7 * n) <= 5 * sigma
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 6), st.sampled_from([0.0, 1.0, 0.3, 0.5, 0.8]), st.integers(0, 2**32 - 1))
+def test_bernoulli_field_matches_scalar_reference(dim, radius, p, seed):
+    # every site of the padded cube: open exactly when it lies in the ball and its uniform is below p
+    seed = SeedSpec(seed, "field")
+    f = sample_bernoulli_field(p, dim, radius, seed)
+    sites = [tuple(row) for row in cube_coords(radius + 1, dim).tolist()]
+    expect = [l1(x) <= radius and uniform01(site_key(seed, PURPOSE_FIELD, x)) < p for x in sites]
+    assert f.open.tolist() == expect
 
 
 def test_monotone_coupling_in_p():
@@ -111,6 +122,21 @@ def test_chemical_distance_cases():
     dist = open_distances_from(closed, (0, 0))
     assert dist[closed.index.flat_one((1, 1))] == -1  # open, not reached
     assert dist[closed.index.flat_one((2, 0))] == -1  # closed
+
+
+def test_stop_set_ends_the_search():
+    f = ones_field(6)
+    keys = f.index.flat(np.array([(1, 0), (0, -2)]))
+    dist = open_distances_from(f, (0, 0), stop=keys)
+    assert dist[keys].tolist() == [1, 2]
+    assert dist.max() == 2 and dist[f.index.flat_one((3, -2))] == -1  # layers past the stop set are not searched
+    # a closed key never gets a distance, so it holds nothing up
+    closed = f.index.flat(np.array([(7, 0)]))
+    assert open_distances_from(f, (0, 0), stop=closed).max() == 0
+    # an open key off the source's cluster lets the search run out
+    split = field_from_indicator(2, 4, {(0, 0): 1, (1, 0): 1, (2, 0): 1, (0, 3): 1})
+    off = split.index.flat(np.array([(0, 3)]))
+    assert np.array_equal(open_distances_from(split, (0, 0), stop=off), open_distances_from(split, (0, 0)))
 
 
 def test_chemical_at_least_l1():
@@ -325,4 +351,15 @@ def test_array_percolation_matches_oracles(dim, radius, p, seed, data):
     dist = open_distances_from(f, source)
     assert dist.shape == (f.index.size,)
     reached = {f.index.unflat_one(int(k)): int(dist[k]) for k in np.flatnonzero(dist >= 0)}
-    assert reached == _oracle_distances(f, source)
+    oracle = _oracle_distances(f, source)
+    assert reached == oracle
+
+    # a stop set: drawn sites, plus a closed site and an open site off the
+    # source's cluster when the field has them; its distances are the full search's
+    stop = data.draw(st.lists(st.sampled_from(cube), max_size=4))
+    closed = [x for x in cube if f.bit(x) == 0]
+    off_cluster = [x for x in sites if x not in oracle]
+    stop += [data.draw(st.sampled_from(c)) for c in (closed, off_cluster) if c]
+    keys = f.index.flat(np.array(stop, dtype=np.int64).reshape(-1, dim))
+    stopped = open_distances_from(f, source, stop=keys)
+    assert stopped[keys].tolist() == dist[keys].tolist() == [oracle.get(x, -1) for x in stop]

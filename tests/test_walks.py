@@ -2,22 +2,26 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from frogsim.lattice import step_vectors
+from frogsim.lattice import cube_coords, step_vectors
 from frogsim.walks import (
+    PURPOSE_FIELD,
     PURPOSE_OMEGA,
     PURPOSE_WALK,
     WEYL,
     SeedSpec,
     absorb_coords_np,
     absorb_np,
+    cube_site_keys_np,
     draw,
     draw_np,
     mix64,
     mix64_np,
     site_key,
+    site_keys_np,
     step_code,
     step_codes_np,
     uniform01,
+    uniform01_below_np,
     uniform01_np,
     walk_key,
     walk_keys_np,
@@ -157,6 +161,27 @@ def test_uniform01_range():
     assert np.all((0.0 <= u) & (u < 1.0))
     assert uniform01(0) == 0.0
     assert 0.0 <= uniform01(2**64 - 1) < 1.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("radius", [0, 1, 4])
+def test_cube_site_keys_np_matches_site_keys_np(dim, radius):
+    # hashing the cube one axis at a time gives the keys of its sites, in key order
+    for seed in (SeedSpec(9, "cube"), SeedSpec(2**63 + 1, "")):
+        purpose_key = seed.purpose_key(PURPOSE_FIELD)
+        expect = site_keys_np(purpose_key, cube_coords(radius, dim))
+        assert np.array_equal(cube_site_keys_np(purpose_key, radius, dim), expect)
+
+
+@pytest.mark.parametrize("p", [0.0, 2.0**-53, 0.5, float(np.nextafter(1.0, 0.0)), 1.0, 1 / 3])
+def test_uniform01_below_np_is_the_float_comparison(p):
+    # the high 53 bits at and next to p * 2^53 and at the ends, either low-bit extreme, plus random words
+    near = int(p * 2**53)
+    edges = {m for m in (0, 1, near - 1, near, near + 1, 2**53 - 1) if 0 <= m < 2**53}
+    words = [m << 11 | low for m in sorted(edges) for low in (0, 2**11 - 1)]
+    words += np.random.default_rng(3).integers(0, 2**64, 200, dtype=np.uint64).tolist()
+    below = uniform01_below_np(np.array(words, dtype=np.uint64), p)
+    assert below.tolist() == [uniform01(w) < p for w in words]
 
 
 def test_child_seeds_disjoint():
