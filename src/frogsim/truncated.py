@@ -52,7 +52,11 @@ an edge this drops has f above the final bound, so it would never have been
 settled before the goal, nor blocked a push that passes the prune.
 A read that finds no row that far builds it, and the live heap entries
 tied with the popped site at its f are settled before the goal, so their
-rows are built in the same ``build_rows`` call.  ``sigma_t`` is the one
+rows are built in the same ``build_rows`` call.  Given the engine's first
+visits T(u) from x and a bound B below 4Kt, no capped or long edge fits
+under B, so d_u >= T(u) (the engine equals the relay oracle), and the
+rows of the visited u with T(u) + |u - y|_1 <= B, built B - T(u) deep
+before the search, cover every row it reads of them.  ``sigma_t`` is the one
 edge price: the bound's hops and the direct edge look it up with
 ``hit_time``, the lookup of ``tau``, in the same rows as the search, read
 at (t, 4Kt) or at a chain hop's time, and the tests check it against a
@@ -169,6 +173,7 @@ def _staircase(x: Coords, y: Coords, t: int) -> list[Coords]:
 def truncated_passage(
     env: Environment, x: Coords, y: Coords, p: TruncationParams,
     via: Sequence[tuple[Coords, int]] | None = None,
+    visits: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TruncatedResult:
     """Exact shortest relay-path value from x to y under the two-point weight.
 
@@ -198,6 +203,16 @@ def truncated_passage(
     bound; its ``relaxations`` count only that run.  A settled site relaxes
     its row's hits one by one and the cube of capped and long edges as
     arrays.
+
+    ``visits``, when given, is a pair of arrays, sites u and times T(u),
+    such as ``_chain_and_visits`` reads off the engine's table: its first
+    visits from x with T(u) + |u - y|_1 <= T(y).  When the first search's
+    bound B lies below 4Kt, the rows of the u with T(u) + |u - y|_1 <= B are
+    built at depth B - T(u) in one pass before it starts, which covers every
+    such u it settles (see the module docstring); other rows are built as
+    the search reads them.  T(u) is raised to |u - x|_1, which d_u also
+    bounds, so a wrong hint can build only rows of the relay region and can
+    cost only time.
     """
     require_site("x", x, env.dim)
     require_site("y", y, env.dim)
@@ -220,6 +235,15 @@ def truncated_passage(
     # a value at most the guess is exact; above it, search again under the proven bound,
     # with the rows the first search built still cached
     guess = 2 * via[-1][1] if via is not None else ub
+    bound = min(guess, ub)  # the first search's
+    if visits is not None and bound < p.cap:
+        # d_u >= max(T(u), |u - x|_1) for every u the search settles, so it reads u's row at
+        # most bound - that deep, and u lies in the relay region whatever the hint says
+        sites, times = visits
+        times = np.maximum(times, np.abs(sites - np.asarray(x)).sum(axis=1))
+        keep = times + np.abs(sites - np.asarray(y)).sum(axis=1) <= bound
+        build_rows(env, {tuple(u): (p.t, min(p.cap, bound - T))
+                         for u, T in zip(sites[keep].tolist(), times[keep].tolist())})
     if guess < ub:
         res = _search(env, index, x, y, p, direct, guess)
         if res.value <= guess:
@@ -394,6 +418,17 @@ class AgreementTable:
     relaxations: dict[int, int] = field(default_factory=dict)
 
 
+def _chain_and_visits(table: ActivationTable, y: Coords):
+    """The relay chain of y and the visited u with T(u) + |u - y|_1 <= T(y), as (sites, times) arrays."""
+    chain = table.relay_chain(y)
+    if chain is None:
+        return None, None
+    keys = np.flatnonzero(table.visit >= 0)
+    sites, times = table.index.unflat(keys), table.visit[keys].astype(np.int64)
+    keep = times + np.abs(sites - np.asarray(y)).sum(axis=1) <= chain[-1][1]
+    return chain, (sites[keep], times[keep])
+
+
 def agreement_experiment(
     law,
     x: Coords,
@@ -414,8 +449,12 @@ def agreement_experiment(
     engine's relay chain 0* -> x* and its visit times, which seeds every
     search's bound (see ``truncated_passage``): a valid bound for any chain,
     and one near the answer, so rows are read only about as deep as T_t.
-    The table also totals, per t, the nodes the searches settled and the
-    cube cells they relaxed.
+    It also comes with the engine's visits u with T(u) + |u - x*|_1 <= T*,
+    whose rows each search below 4Kt builds in one pass before it starts.
+    A site settled before the goal has T(u) + |x* - u|_1 <= d_u + |x* - u|_1
+    <= T_t there, so when T_t = T* the search builds no row itself.  The
+    visits are released with the replica.  The table also totals, per t,
+    the nodes the searches settled and the cube cells they relaxed.
     """
     require("x", x, SITES)
     require("t_ladder", t_ladder, LADDER)
@@ -431,11 +470,14 @@ def agreement_experiment(
     disagree, censored, compared, long_geo, max_boxes = ({t: 0 for t in t_ladder} for _ in range(5))
 
     # every replica's environment and stars first, then all T*(0, x) from the engine, each
-    # with its relay chain: the engine's genealogy, whose hop times seed the search's bound
+    # with its relay chain: the engine's genealogy, whose hop times seed the search's bound, and
+    # the visits whose rows the searches read
     setups = [replica_setup(law, d, [x], horizon, seed.child("agreement", r), True) for r in range(replicas)]
-    for r, (chain,) in enumerate(passage_times(setups, horizon, ActivationTable.relay_chain)):
+    reads = passage_times(setups, horizon, _chain_and_visits)
+    for r in range(replicas):
         # the searches cache ball rows on the environment: release each once searched
         (env, origin_star, (x_star,)), setups[r] = setups[r], None
+        ((chain, visits),), reads[r] = reads[r], None
         value = None if chain is None else chain[-1][1]
         # one box holds every site the searches read: the relay region of each t, and the
         # engine's box, which holds the chain
@@ -446,7 +488,7 @@ def agreement_experiment(
             if value is None:
                 censored[t] += 1
                 continue
-            trunc = truncated_passage(env, origin_star, x_star, params[t], via=chain)
+            trunc = truncated_passage(env, origin_star, x_star, params[t], via=chain, visits=visits)
             compared[t] += 1
             table.settled[t] += trunc.settled
             table.relaxations[t] += trunc.relaxations

@@ -2,7 +2,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import LAWS, dense_first_hits, dense_tau, env_from_counts, row_extent_is
@@ -10,10 +10,11 @@ from frogsim import passage, truncated
 from frogsim.environment import ConfigLaw, condition_origin, sample_environment, star
 from frogsim.errors import SearchCapError
 from frogsim.lattice import Coords, add, ball_coords, cube_coords, l1, linf, sub
-from frogsim.passage import ActivationTable, build_rows, offset_index, passage_times
+from frogsim.passage import ActivationTable, build_rows, offset_index, passage_times, simulate_frogs
 from frogsim.truncated import (
     TruncatedResult,
     TruncationParams,
+    _chain_and_visits,
     _relay_radius,
     _staircase,
     agreement_experiment,
@@ -253,8 +254,8 @@ def test_agreement_table_totals_the_search_work(monkeypatch):
     seen = []
     search = truncated.truncated_passage
 
-    def recorded(env, x, y, p, via=None):
-        seen.append((p.t, search(env, x, y, p, via)))
+    def recorded(env, x, y, p, via=None, visits=None):
+        seen.append((p.t, search(env, x, y, p, via, visits)))
         return seen[-1][1]
 
     monkeypatch.setattr(truncated, "truncated_passage", recorded)
@@ -278,6 +279,33 @@ def test_relay_chain_bound_halves_the_row_walks(monkeypatch):
     monkeypatch.setattr(passage, "_ball_pass", counted)
     agreement_experiment(ConfigLaw.poisson(1.0), (8, 0), [4, 8, 16], 4, SeedSpec(0, "relay-bound"), mu_hat=2.0)
     assert 0 < sum(steps) <= 55_623 // 2
+
+
+def test_visit_prefetch_builds_the_rows_before_the_search(monkeypatch):
+    # below 4Kt each search's rows come from the engine's visits in one pass before it starts:
+    # 104 passes and 25,974 walk steps before the prefetch (68 of the passes inside t = 16
+    # searches), 16 passes and 26,698 steps with it
+    passes, steps, searching = [], [], []
+    ball_pass, search = passage._ball_pass, truncated._search
+
+    def counted(env, todo):
+        passes.append(searching[-1] if searching else None)
+        steps.extend(h * env.omega(u) for u, _, h in todo)
+        return ball_pass(env, todo)
+
+    def tagged(env, index, x, y, p, *args):
+        searching.append(p.t)
+        try:
+            return search(env, index, x, y, p, *args)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(passage, "_ball_pass", counted)
+    monkeypatch.setattr(truncated, "_search", tagged)
+    agreement_experiment(ConfigLaw.poisson(1.0), (8, 0), [4, 8, 16], 4, SeedSpec(0, "prefetch"), mu_hat=2.0)
+    assert 16 not in passes
+    assert 0 < len(passes) <= 104 // 2
+    assert 0 < sum(steps) <= 25_974 * 11 // 10
 
 
 def test_checked_guess_cuts_the_row_walks(monkeypatch):
@@ -464,6 +492,38 @@ def test_relay_chain_bound_keeps_the_search(dim, law, seed, t, c4_hat, data):
     assert result(dict_truncated_passage(env, x, y, p)) == want
     for via in filter(None, [engine, bogus]):
         assert result(truncated_passage(env, x, y, p, via=via)) == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(1, 3), st.sampled_from([ConfigLaw.poisson(1.0), ConfigLaw.poisson(2.5), ConfigLaw.bernoulli(0.5),
+                                         ConfigLaw.bernoulli(0.8)]),
+    st.integers(0, 2**32), st.integers(1, 16), st.floats(0.0, 2.0), st.data(),
+)
+def test_visit_prefetch_keeps_the_search(dim, law, seed, t, c4_hat, data):
+    # the engine's visits only choose the rows built before the search: without them, or with
+    # times shifted by 1-3 either way, half the sites dropped and an unvisited site added, no
+    # field of the result may move
+    env = condition_origin(sample_environment(law, dim, 4, SeedSpec(seed, "visits")))
+    p = TruncationParams.make(t, dim, c4_hat)
+    x, horizon = (0,) * dim, 40
+    y = data.draw(st.tuples(*[st.integers(-3, 3)] * dim))
+    table = simulate_frogs(env.with_radius(horizon), x, horizon, [y])
+    chain, visits = _chain_and_visits(table, y)
+    assume(chain is not None)
+    sites, times = visits
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    keep = np.sort(rng.permutation(times.shape[0])[: -(-times.shape[0] // 2)])
+    # an unvisited site: near the origin, or one step past the frogs' reach at T(y)
+    far = (chain[-1][1] + 1,) + (0,) * (dim - 1)
+    z = data.draw(st.sampled_from([z for z in map(tuple, cube_coords(3, dim).tolist())
+                                   if table.visit_time(z) is None] + [far]))
+    wrong = (np.concatenate([sites[keep], [z]]),
+             np.append(times[keep] + rng.choice([-3, -2, -1, 1, 2, 3], keep.shape[0]), data.draw(st.integers(0, 3))))
+    radius = max(_relay_radius(x, y, p), horizon + 1)  # holds the chain and the unvisited site
+    want = truncated_passage(env.with_radius(radius), x, y, p, via=chain)
+    for hint in (visits, wrong):
+        assert truncated_passage(env.with_radius(radius), x, y, p, via=chain, visits=hint) == want
 
 
 def test_truncated_long_edge_witness_pin():
