@@ -352,7 +352,7 @@ def concentration_experiment(
         count = _BOOTSTRAP * finite.size
         counters = np.arange(offset, offset + count, dtype=np.uint64)
         offset += count
-        words = draw_np(np.full(count, boot_key, dtype=np.uint64), counters)
+        words = draw_np(np.uint64(boot_key), counters)
         q = uniform01_np(words).reshape(_BOOTSTRAP, finite.size)
         lo, hi = bootstrap_std_ci(finite, q)
         rows.append(

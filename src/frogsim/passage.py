@@ -68,7 +68,6 @@ class PassageOutcome:
     value: int | None  # None: censored at the horizon
     witness: tuple[Coords, ...] | None
     horizon: int
-    box_radius: int
 
 
 # radius of a fresh table beyond the sources' largest |source|_inf; the radius grows by 5/4 from there
@@ -571,7 +570,7 @@ def passage_between(
     table = simulate_frogs(env, source, horizon, stop_targets=[x], strict=strict)
     value = table.visit_time(x)
     witness = None if value is None else tuple(table.genealogy(x))
-    return PassageOutcome(value=value, witness=witness, horizon=horizon, box_radius=env.box_radius)
+    return PassageOutcome(value=value, witness=witness, horizon=horizon)
 
 
 def passage_time_star(env: Environment, x: Coords, horizon: int, strict: bool = True) -> PassageOutcome:
@@ -579,7 +578,7 @@ def passage_time_star(env: Environment, x: Coords, horizon: int, strict: bool = 
     origin_star = star(env, (0,) * env.dim)
     x_star = star(env, x)
     if x_star == origin_star:
-        return PassageOutcome(0, (origin_star,), horizon, env.box_radius)
+        return PassageOutcome(0, (origin_star,), horizon)
     return passage_between(env, origin_star, x_star, horizon, strict=strict)
 
 
@@ -653,14 +652,14 @@ def oracle_passage_time(env: Environment, source: Coords, x: Coords, horizon: in
     found = [(dist[u] + hit, u) for u, hit in hits.items() if hit is not None]
     best, best_relay = min(found, default=(horizon + 1, None))
     if best > horizon:
-        return PassageOutcome(None, None, horizon, env.box_radius)
+        return PassageOutcome(None, None, horizon)
     chain = [x] if x != best_relay else []
     cur = best_relay
     while cur is not None:
         chain.append(cur)
         cur = parent.get(cur)
     chain.reverse()
-    return PassageOutcome(best, tuple(chain), horizon, env.box_radius)
+    return PassageOutcome(best, tuple(chain), horizon)
 
 
 def oracle_all_targets(env: Environment, source: Coords, horizon: int) -> dict[Coords, int]:

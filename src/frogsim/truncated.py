@@ -8,19 +8,20 @@ value over relay sequences under this edge weight.
 
 The search is A* with the l1 distance to the goal as heuristic (admissible
 and consistent since every edge weight dominates the l1 step) plus an upper
-bound, the least price of concrete relay paths, which soundly prunes
-long-range relaxations.  The paths are the direct edge, a staircase of hops
-of length t, and optionally the caller's chain, such as the engine's
-activation genealogy: its hops were crossed by the frogs of their starts
-within the hop times, so reading each start's row that deep prices the
-chain at its sigma_t sum.  Any chain gives a valid bound, since a hop not
-found that deep is priced at the cap, which is never below its sigma_t.
-Staircase hops are priced at the cap unless a frog hits, so without a chain
-the bound sits near 4Kt or above, and rows are walked that deep.  A chain
-with a hop longer than t can still price far above the answer, so when the
-chain's arrival time is the engine's T*, which T_t equals in most replicas,
-the search first runs under the guess 2T* and keeps its value if that is at
-most the guess.  The guess is checked, not trusted: every value the search
+bound, the least price of two concrete relay paths, which soundly prunes
+long-range relaxations: the direct edge and a staircase of hops of length t.
+Staircase hops are priced at the cap unless a frog hits, so the bound sits
+near 4Kt or above, and rows would be walked that deep.  A caller may pass a
+chain of (site, time) pairs, such as the engine's activation genealogy,
+which gives a guess g: the least of that bound, the chain priced from its
+own times (a short hop at the difference of its times, capped at 4Kt, a long
+one at 4K times its gap) and twice the chain's arrival time.  When g lies
+below the bound, the search first runs under g.  For the engine's chain the
+price from its times is its sigma_t sum: all frogs of a wake at T(a), and
+b's first visitor was one of them, so tau(a, b) = T(b) - T(a).  A chain with
+a hop longer than t can still price far above the answer, and when its
+arrival time is the engine's T*, which T_t equals in most replicas, 2T* is
+the tighter guess. The guess is checked, not trusted: every value the search
 reports is the price of a real relay path, so a value v <= g bounds the
 optimum by g; every node settled before the goal has f <= the optimum <= g
 and is never pruned, and a candidate pruned under g but not under the proven
@@ -28,6 +29,7 @@ bound has f > g, so it never settles before the goal nor sets the distance
 or parent of one that does.  The value, witness and counts match the search
 under the proven bound, save ``relaxations``; above the guess, the search
 runs again under the proven bound, with the rows the first run built cached.
+So no bound trusted without a check depends on anything a caller passes.
 
 Sites are int keys of one ``CubeIndex`` that holds the relay region, and
 only the candidates under the bound reach the dicts and the heap.  Each
@@ -57,10 +59,9 @@ visits T(u) from x and a bound B below 4Kt, no capped or long edge fits
 under B, so d_u >= T(u) (the engine equals the relay oracle), and the
 rows of the visited u with T(u) + |u - y|_1 <= B, built B - T(u) deep
 before the search, cover every row it reads of them.  ``sigma_t`` is the one
-edge price: the bound's hops and the direct edge look it up with
+edge price: the staircase's hops and the direct edge look it up with
 ``hit_time``, the lookup of ``tau``, in the same rows as the search, read
-at (t, 4Kt) or at a chain hop's time, and the tests check it against a
-dense walker of their own.
+at (t, 4Kt), and the tests check it against a dense walker of their own.
 """
 
 from __future__ import annotations
@@ -118,19 +119,9 @@ def sigma_t(env: Environment, x: Coords, y: Coords, p: TruncationParams) -> int:
     """
     require_site("x", x, env.dim)
     require_site("y", y, env.dim)
-    return _hop_price(env, x, y, p, p.cap)
-
-
-def _hop_price(env: Environment, a: Coords, b: Coords, p: TruncationParams, depth: int) -> int:
-    """sigma_t(a, b) when a's row read ``depth`` steps holds tau(a, b), else the cap; never below sigma_t.
-
-    A short hop not hit within min(depth, 4Kt) steps costs 4Kt, which is
-    its sigma_t or more; a long hop costs 4K times its gap at any depth.
-    """
-    gap = linf(sub(b, a))
-    if gap > p.t:
+    if (gap := linf(sub(y, x))) > p.t:
         return 4 * p.K * gap
-    hit = hit_time(env, a, b, p.t, min(depth, p.cap))
+    hit = hit_time(env, x, y, p.t, p.cap)
     return p.cap if hit is None else hit
 
 
@@ -185,24 +176,21 @@ def truncated_passage(
     which lays out the keys; reads of the configuration outside the box
     raise GeometryError.
 
-    The bound starts at the least price of three relay paths: the direct
-    edge, the staircase, and ``via`` when given, a chain x = w_0, ..., w_m = y
-    of (site, time) pairs such as ``ActivationTable.relay_chain`` returns.
-    Each short hop of ``via`` is priced from its start's row read only to
-    the difference of its times, and at the cap when no hit lies that deep,
-    so any chain prices at or above its sigma_t sum, which is at least the
-    value; the engine's chain, whose hops its frogs crossed in those times,
-    prices at its sigma_t sum.  No bound changes the result: only
-    ``relaxations`` counts cells under it.
-
-    With ``via``, the search first runs under g = 2 x its arrival time when
-    that lies below the bound, and keeps its value when it is at most g:
-    that value is then exact, as the module docstring shows, and the result
-    is that of the proven search save ``relaxations``.  A larger value means
-    g lay below the optimum, and the search runs again under the proven
-    bound; its ``relaxations`` count only that run.  A settled site relaxes
-    its row's hits one by one and the cube of capped and long edges as
-    arrays.
+    The proven bound is the least price of two relay paths, the direct edge
+    and the staircase.  No bound changes the result: only ``relaxations``
+    counts cells under it.  ``via``, when given, is a chain x = w_0, ...,
+    w_m = y of (site, time) pairs such as ``ActivationTable.relay_chain``
+    returns; its sites are never read.  It gives a guess g, the least of the
+    proven bound, 2 x its arrival time and the chain priced from its times:
+    a short hop at min(its time difference, 4Kt), a long one at 4K times its
+    gap.  For the engine's chain that price is its sigma_t sum, at least the
+    value.  When g lies below the proven bound, the search first runs under
+    g and keeps its value if that is at most g: the value is then exact, as
+    the module docstring shows, and the result is that of the proven search
+    save ``relaxations``.  A larger value means g lay below the optimum, and
+    the search runs again under the proven bound; its ``relaxations`` count
+    only that run.  A settled site relaxes its row's hits one by one
+    and the cube of capped and long edges as arrays.
 
     ``visits``, when given, is a pair of arrays, sites u and times T(u),
     such as ``_chain_and_visits`` reads off the engine's table: its first
@@ -216,33 +204,30 @@ def truncated_passage(
     """
     require_site("x", x, env.dim)
     require_site("y", y, env.dim)
-    relays = []  # the bound's relay paths x -> y, as (a, b, depth) hops
     if via is not None:
         for site, _ in via:
             require_site("via", site, env.dim)
         if not via or tuple(via[0][0]) != tuple(x) or tuple(via[-1][0]) != tuple(y):
             raise GeometryError(f"via must have x = {x} first and y = {y} last, got {via!r}")
-        relays.append([(tuple(a), tuple(b), tb - ta) for (a, ta), (b, tb) in zip(via, via[1:])])
     if x == y:
         return TruncatedResult(0, (x,), 0, 0, 0)
     index = CubeIndex(_relay_radius(x, y, p), env.dim)
     stair = _staircase(x, y, p.t)
-    relays.append([(a, b, p.cap) for a, b in zip(stair, stair[1:])])
-    # every short hop's row, as deep as its price reads (a staircase site's to the cap), in one pass
-    build_rows(env, {a: (p.t, min(depth, p.cap)) for hops in relays for a, b, depth in hops if linf(sub(b, a)) <= p.t})
+    build_rows(env, dict.fromkeys(stair[:-1], (p.t, p.cap)))  # the staircase's rows, in one pass
     direct = sigma_t(env, x, y, p)
-    ub = min(direct, *(sum(_hop_price(env, a, b, p, depth) for a, b, depth in hops) for hops in relays))
-    # a value at most the guess is exact; above it, search again under the proven bound,
-    # with the rows the first search built still cached
-    guess = 2 * via[-1][1] if via is not None else ub
-    bound = min(guess, ub)  # the first search's
-    if visits is not None and bound < p.cap:
+    ub = min(direct, sum(sigma_t(env, a, b, p) for a, b in zip(stair, stair[1:])))
+    # the guess: the least of the proven bound, twice the chain's arrival time and the chain priced
+    # from its own times.  A value at most the guess is exact; above it, search again under the
+    # proven bound, with the rows the first search built still cached
+    guess = ub if via is None else min(ub, 2 * via[-1][1], sum(
+        4 * p.K * gap if (gap := linf(sub(b, a))) > p.t else min(tb - ta, p.cap) for (a, ta), (b, tb) in zip(via, via[1:])))
+    if visits is not None and guess < p.cap:
         # d_u >= max(T(u), |u - x|_1) for every u the search settles, so it reads u's row at
-        # most bound - that deep, and u lies in the relay region whatever the hint says
+        # most guess - that deep, and u lies in the relay region whatever the hint says
         sites, times = visits
         times = np.maximum(times, np.abs(sites - np.asarray(x)).sum(axis=1))
-        keep = times + np.abs(sites - np.asarray(y)).sum(axis=1) <= bound
-        build_rows(env, {tuple(u): (p.t, min(p.cap, bound - T))
+        keep = times + np.abs(sites - np.asarray(y)).sum(axis=1) <= guess
+        build_rows(env, {tuple(u): (p.t, min(p.cap, guess - T))
                          for u, T in zip(sites[keep].tolist(), times[keep].tolist())})
     if guess < ub:
         res = _search(env, index, x, y, p, direct, guess)
@@ -446,14 +431,15 @@ def agreement_experiment(
     ``collect_passage_samples`` and their T*(0, x) = T(0*, x*) read from
     ``passage_times``, censored at 3 mu_hat |x|_1; censored values are
     excluded from the comparison and reported.  Each value comes with the
-    engine's relay chain 0* -> x* and its visit times, which seeds every
-    search's bound (see ``truncated_passage``): a valid bound for any chain,
-    and one near the answer, so rows are read only about as deep as T_t.
-    It also comes with the engine's visits u with T(u) + |u - x*|_1 <= T*,
-    whose rows each search below 4Kt builds in one pass before it starts.
-    A site settled before the goal has T(u) + |x* - u|_1 <= d_u + |x* - u|_1
-    <= T_t there, so when T_t = T* the search builds no row itself.  The
-    visits are released with the replica.  The table also totals, per t,
+    engine's relay chain 0* -> x* and its visit times.  Priced from those
+    times, the chain costs its sigma_t sum, near the answer, and it is every
+    search's first guess of its bound (see ``truncated_passage``), so rows
+    are read only about as deep as T_t.  It also comes with the engine's
+    occupied visits u with T(u) + |u - x*|_1 <= T*, whose rows each search
+    below 4Kt builds in one pass before it starts.  A site settled before
+    the goal has T(u) + |x* - u|_1 <= d_u + |x* - u|_1 <= T_t there, so
+    when T_t = T* the search builds no row itself.  The visits are released
+    with the replica.  The table also totals, per t,
     the nodes the searches settled and the cube cells they relaxed.
     """
     require("x", x, SITES)
@@ -483,6 +469,9 @@ def agreement_experiment(
         # engine's box, which holds the chain
         env = env.with_radius(max(horizon + l1(origin_star), *(_relay_radius(origin_star, x_star, p)
                                                                for p in params.values())))
+        if visits is not None:  # an unoccupied site has no row, so no search need ask for it again
+            occupied = env.counts_at(visits[0]) >= 1
+            visits = visits[0][occupied], visits[1][occupied]
         # descending t lets the ball rows cached for a larger t serve the smaller ones
         for t in sorted(t_ladder, reverse=True):
             if value is None:

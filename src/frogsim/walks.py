@@ -118,12 +118,9 @@ def _weyls(counters: np.ndarray) -> np.ndarray:
     return z
 
 
-def draw_np(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+def draw_np(keys: np.ndarray | np.uint64, counters: np.ndarray) -> np.ndarray:
     z = _weyls(counters)
-    if z.shape == np.shape(keys):
-        z ^= keys
-    else:
-        z = z ^ keys  # broadcast, as for one key per row against a row of counters
+    z ^= keys
     return _mix64_inplace(z)
 
 

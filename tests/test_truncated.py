@@ -471,11 +471,54 @@ def test_truncated_matches_dict_oracle(dim, radius, law, seed, t, c4_hat, data):
 @given(
     st.integers(1, 3), st.sampled_from([ConfigLaw.poisson(1.0), ConfigLaw.poisson(2.5), ConfigLaw.bernoulli(0.5),
                                          ConfigLaw.bernoulli(0.8)]),
+    st.integers(0, 2**32), st.data(),
+)
+def test_relay_chain_hops_take_their_hitting_times(dim, law, seed, data):
+    # every frog of a wakes at T(a), and b's first visitor was one of them, so each hop of the
+    # engine's chain takes exactly tau(a, b) = T(b) - T(a): the price of the chain's guess
+    env = condition_origin(sample_environment(law, dim, 4, SeedSpec(seed, "hops")))
+    x, horizon = (0,) * dim, 40
+    y = data.draw(st.tuples(*[st.integers(-5, 5)] * dim))
+    (chain,), = passage_times([(env, x, [y])], horizon, ActivationTable.relay_chain)
+    assume(chain is not None)
+    env = env.with_radius(horizon)  # holds every site the frogs reach
+    for (a, ta), (b, tb) in zip(chain, chain[1:]):
+        assert passage.tau(env, a, b, horizon) == tb - ta
+
+
+def test_chain_guess_reads_no_chain_row(monkeypatch):
+    # the chain is priced from its own visit times, so the only hitting times the bounds look
+    # up are the direct edge's and the staircase's hops
+    looked, searches = [], []
+    lookup, search = truncated.hit_time, truncated.truncated_passage
+
+    def recorded_lookup(env, u, v, t, horizon):
+        looked.append((searches[-1], u, v))
+        return lookup(env, u, v, t, horizon)
+
+    def recorded_search(env, x, y, p, via=None, visits=None):
+        searches.append((x, y, p.t))
+        return search(env, x, y, p, via, visits)
+
+    monkeypatch.setattr(truncated, "hit_time", recorded_lookup)
+    monkeypatch.setattr(truncated, "truncated_passage", recorded_search)
+    agreement_experiment(ConfigLaw.poisson(1.0), (8, 0), [4, 8, 16], 4, SeedSpec(0, "chain-guess"), mu_hat=2.0)
+    assert looked
+    for (x, y, t), u, v in looked:
+        stair = _staircase(x, y, t)
+        assert (u, v) == (x, y) or (u, v) in set(zip(stair, stair[1:])), (x, y, t, u, v)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(1, 3), st.sampled_from([ConfigLaw.poisson(1.0), ConfigLaw.poisson(2.5), ConfigLaw.bernoulli(0.5),
+                                         ConfigLaw.bernoulli(0.8)]),
     st.integers(0, 2**32), st.integers(1, 16), st.floats(0.0, 2.0), st.data(),
 )
 def test_relay_chain_bound_keeps_the_search(dim, law, seed, t, c4_hat, data):
-    # the engine's chain and a bogus one, whose hops are read 0 steps deep and so priced at the
-    # cap or 4K times their gap, each seed a valid bound: only relaxations may move
+    # each chain only guesses the first bound.  The engine's prices at its sigma_t sum, which
+    # bounds the value; the bogus one, with times 0, guesses below the optimum, so its search
+    # must fall back to the proven bound.  Only relaxations may move
     env = condition_origin(sample_environment(law, dim, 4, SeedSpec(seed, "via")))
     p = TruncationParams.make(t, dim, c4_hat)
     x, horizon = (0,) * dim, 40
