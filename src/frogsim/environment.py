@@ -325,10 +325,12 @@ class EnvironmentGroup:
 
     def counts_at(self, rep: int | np.ndarray, coords: np.ndarray) -> np.ndarray:
         """Counts at the rows of an (n, dim) array, row i read in member ``rep[i]`` (or all in ``rep``)."""
-        return self.counts_from_keys(rep, coords, site_keys_np(self.omega_keys[rep], coords))
+        out = self.counts_from_keys(rep, coords, site_keys_np(self.omega_keys[rep], coords))
+        out[self.beyond_boxes(rep, coords)] = 0
+        return out
 
     def counts_from_keys(self, rep: int | np.ndarray, coords: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """``counts_at(rep, coords)``, given the sites' ``PURPOSE_OMEGA`` site keys."""
+        """``counts_at(rep, coords)`` before the box mask (``beyond_boxes``), given the sites' ``PURPOSE_OMEGA`` keys."""
         out = self.law.quantile_counts(uniform01_np(keys))
         if self._fixed_keys is not None:
             near = np.nonzero(np.abs(coords).max(axis=1) <= self._fixed_index.radius)[0]
@@ -338,8 +340,11 @@ class EnvironmentGroup:
             pos = np.minimum(np.searchsorted(self._fixed_keys, keys), self._fixed_keys.shape[0] - 1)
             hit = self._fixed_keys[pos] == keys
             out[near[hit]] = self._fixed_counts[pos[hit]]
-        out[np.abs(coords).sum(axis=1) > self._box_radius[rep]] = 0
         return out
+
+    def beyond_boxes(self, rep: int | np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """Whether row i lies beyond the l1 ball of member ``rep[i]`` (or of ``rep``)."""
+        return np.abs(coords).sum(axis=1) > self._box_radius[rep]
 
 
 def sample_environment(law: ConfigLaw, dim: int, box_radius: int, seed: SeedSpec) -> Environment:

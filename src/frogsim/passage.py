@@ -7,14 +7,13 @@ dynamic first-visit time and the brute-force relay oracle all observe the
 same realization and can be cross-checked for exact equality.
 
 The environment's box is a mask, not storage: counts are computed for the
-sites the frogs reach.  With box_radius >= horizon + |source|_1 the mask
-cannot influence any event up to the horizon, because frogs move one step
-per time unit, and the engine computes the process on all of Z^d.  It
-refuses smaller boxes unless ``strict=False``, in which case it computes
-the well-defined finite-box process (out-of-box sites wake nothing) that
-the oracle replays exactly.  The activation table starts small, holding
-the frogs' reach and every stop target, and grows with the reach, so
-memory follows the sites a run visits.
+sites the frogs reach.  Frogs move one step per time unit, so with
+box_radius >= horizon + |source|_1 every site reached lies in the box: the
+engine reads counts without the mask and computes the process on all of
+Z^d.  It refuses smaller boxes unless ``strict=False``, and then masks each
+read (out-of-box sites wake nothing), which the oracle replays exactly.
+The activation table starts ``_START_RADIUS`` past the farthest source and
+stop target and grows with the reach, so memory follows the sites visited.
 
 ``simulate_batch`` runs several replicas (environments of one law, each
 with its own source and stop targets) through one step loop, which is the
@@ -30,9 +29,9 @@ per-replica heads made once per batch, and only then can a replica reach
 its last stop target.
 ``passage_times`` turns a list of (environment, source, targets) runs into
 passage values, ``int`` or None when censored, by stepping them through
-``simulate_batch`` in batches, each on its environment grown to horizon +
-|source|_1; every ensemble of the experiments runs through it, so no
-ensemble sizes a box for the engine.
+``simulate_batch`` in batches as wide as the law's mean count asks, each
+on its environment grown to horizon + |source|_1; every ensemble of the
+experiments runs through it, so no ensemble sizes a box for the engine.
 
 Hitting times come from one cache of ball rows, and this module alone
 knows their format.  A ball row holds the first hits of a site's own frogs
@@ -70,7 +69,7 @@ class PassageOutcome:
     horizon: int
 
 
-# radius of a fresh table beyond the sources' largest |source|_inf; the radius grows by 5/4 from there
+# radius of a fresh table beyond its farthest source and stop target (each target needs a key); it grows by 5/4
 _START_RADIUS = 16
 
 
@@ -231,16 +230,15 @@ def simulate_batch(
     """The runs of ``simulate_frogs(envs[r], sources[r], horizon, stop_targets[r], ...)``, in one loop.
 
     The environments must share a law and a dimension.  Replica r stops on
-    its own: once every reachable target of ``stop_targets[r]`` is visited
-    it records ``stopped_at`` and its frogs leave the loop.  Every draw is a
-    pure function of (seed, site, frog, step), so a replica's table does not
-    depend on the others in its batch.
+    its own, whatever else its batch holds: once every reachable target of
+    ``stop_targets[r]`` is visited it records ``stopped_at`` and its frogs leave.
 
     The replicas share one table of ``len(envs)`` cubes: replica r's keys
     are offset by r times the cube size, and origins and parents are keys
     local to a replica.  Each returned table views its own slice.  Frogs
     move by adding a stride to their key, so the table grows before a step
-    that could carry a frog off it: no frog stands beyond the visited sites.
+    that could carry a frog off it (rare past the start's margin): no frog
+    stands beyond the visited sites.  Strict boxes hold the reach: no mask.
     """
     require("horizon", horizon, COUNT)
     group = EnvironmentGroup(envs)
@@ -283,8 +281,7 @@ def simulate_batch(
     goals = np.asarray(goals, dtype=np.int64).reshape(-1, d)
 
     reach = max(linf(s) for s in sources)  # the largest |site|_inf visited so far
-    # the table holds every stop target from the start, so each has a key on it
-    index = CubeIndex(min(max(reach + _START_RADIUS, int(np.abs(goals).max(initial=0))), max(reach_radius)), d)
+    index = CubeIndex(min(max(reach, int(np.abs(goals).max(initial=0))) + _START_RADIUS, max(reach_radius)), d)
     # a visit time fits int16 whenever the horizon does
     visit = np.full(n * index.size, -1, dtype=np.int16 if horizon < 2**15 else np.int32)
     parent = np.full(n * index.size, -1, dtype=np.int32)
@@ -340,6 +337,8 @@ def simulate_batch(
         reach = max(reach, int(np.abs(coords).max()))
         omega_keys, walk_keys = absorb_coords_np(heads.take(site_rep, axis=1), coords)
         counts = group.counts_from_keys(site_rep, coords, omega_keys)
+        if not strict:  # a strict run's boxes hold its reach, where the mask would zero nothing
+            counts[group.beyond_boxes(site_rep, coords)] = 0
         at, ells = _frogs(counts)
         if at.shape[0]:
             flat = np.concatenate([flat, sites[at]])
@@ -374,9 +373,13 @@ def simulate_batch(
     return tables
 
 
-# runs per engine loop: a wider batch shares each step's fixed cost among more
-# runs, but holds all their frogs and activation tables at once
-_BATCH = 16
+_BATCH = (16, 64)  # runs per engine loop: a wider batch shares each step's fixed cost, but holds more frogs
+
+
+def _batch_width(law) -> int:
+    """The runs that hold the expected frogs of lo runs of a mean-1 law, lo to hi: 64 of Bernoulli(0.2)."""
+    lo, hi = _BATCH
+    return max(lo, round(lo / max(law.mean(), lo / hi)))
 
 
 def passage_times(
@@ -389,18 +392,18 @@ def passage_times(
     Each run reads ``env.with_radius(horizon + |source|_1)``, where the engine
     computes the process on all of Z^d; growing a box resamples nothing.
     A source with no frogs wakes nothing, so its targets read None, as
-    censored ones do.  The
-    other runs step through the engine ``_BATCH`` at a time, in order, each
-    stopping once its targets are visited.  A batch's values are read before
-    the next batch steps, so one batch's tables are alive at a time: ``read``
-    reads them, the visit time by default, and ``ActivationTable.relay_chain``
-    hands back each value's relay chain with it.
+    censored ones do.  The others step through the engine in order, each
+    stopping once its targets are visited, ``_batch_width`` at a time, and a
+    batch's values are read before the next steps: one batch's tables are
+    alive at a time.  ``read`` reads them, the visit time by default, and
+    ``ActivationTable.relay_chain`` hands back each value's relay chain.
     """
     runs = [(env.with_radius(horizon + l1(source)), source, targets) for env, source, targets in runs]
     out: list[list] = [[None] * len(targets) for _, _, targets in runs]
     live = [i for i, (env, source, _) in enumerate(runs) if env.omega(source) >= 1]
-    for lo in range(0, len(live), _BATCH):
-        batch = live[lo : lo + _BATCH]
+    width = _batch_width(runs[live[0]][0].law) if live else 1
+    for start in range(0, len(live), width):
+        batch = live[start : start + width]
         envs, sources, goals = zip(*(runs[i] for i in batch))
         tables = simulate_batch(envs, sources, horizon, [sorted(set(g)) for g in goals], True, False)
         values = [[read(table, y) for y in want] for table, want in zip(tables, goals)]

@@ -27,7 +27,7 @@ from .errors import COUNT, LADDER, PROBABILITY, SITES, SIZE, EmptySetError, Geom
 from .lattice import Coords, CubeIndex, cube_coords, cube_norms, l1, scale, sub
 from .passage import passage_times
 from .stats import fit_line, wilson_ci
-from .walks import PURPOSE_FIELD, SeedSpec, cube_site_keys_np, uniform01_below_np
+from .walks import PURPOSE_FIELD, SeedSpec, cube_site_keys_np, site_key, uniform01, uniform01_below_np
 
 
 class SiteField:
@@ -361,7 +361,13 @@ def chemical_ratio_experiment(
     replicas: int,
     seed: SeedSpec,
 ) -> ChemicalRatioReport:
-    """Ratio of chemical distance to l1 distance on connected origin-target pairs."""
+    """Ratio of chemical distance to l1 distance on connected origin-target pairs.
+
+    A replica whose origin is closed connects nothing: its origin's bit is
+    read alone, as ``sample_bernoulli_field`` would set it, and its field is
+    never sampled.
+    """
+    require("p", p, PROBABILITY)
     require("targets", targets, SITES)
     for v in targets:
         require_site("targets", v, dim)
@@ -374,9 +380,10 @@ def chemical_ratio_experiment(
     origin = (0,) * dim
     target_keys = CubeIndex(box_radius + 1, dim).flat(np.array(targets, dtype=np.int64).reshape(-1, dim))
     for r in range(replicas):
-        f = sample_bernoulli_field(p, dim, box_radius, seed.child("chem", r))
-        if f.bit(origin) != 1:
+        child = seed.child("chem", r)
+        if not uniform01(site_key(child, PURPOSE_FIELD, origin)) < p:
             continue
+        f = sample_bernoulli_field(p, dim, box_radius, child)
         dist = open_distances_from(f, origin, stop=target_keys)
         for v, d in zip(targets, dist[target_keys].tolist()):
             if d >= 0:

@@ -210,7 +210,7 @@ def test_batch_width_and_threads_leave_values_unchanged(modified, monkeypatch):
     law, targets, replicas = ConfigLaw.poisson(1.0), [(3, 0), (0, -5), (7, 2)], 7
 
     def values(width):
-        monkeypatch.setattr(passage, "_BATCH", width)
+        monkeypatch.setattr(passage, "_BATCH", (width, width))
         return collect_passage_samples(
             law, 2, targets, replicas, SeedSpec(23, "width"), 40, modified=modified,
         ).values
@@ -222,9 +222,9 @@ def test_batch_width_and_threads_leave_values_unchanged(modified, monkeypatch):
 
 
 def test_batch_width_leaves_agreement_and_audit_unchanged(monkeypatch):
-    # both run their engine replicas through passage_times, 16 at a time by default
+    # both run their engine replicas through passage_times, 16 (Poisson(1)) or 20 (Bernoulli(0.8)) at a time
     def reports(width):
-        monkeypatch.setattr(passage, "_BATCH", width)
+        monkeypatch.setattr(passage, "_BATCH", (width, width))
         agreement = agreement_experiment(ConfigLaw.poisson(1.0), (4, 0), [2, 4], 5, SeedSpec(24, "width"), 1.5)
         audit = subadditivity_audit(ConfigLaw.bernoulli(0.8), 3, SeedSpec(24, "width"), horizon=30)
         return agreement.rows, audit

@@ -10,6 +10,7 @@ from conftest import LAWS, dense_first_hits, dense_tau, env_from_counts, row_ext
 from frogsim import passage
 from frogsim.environment import ConfigLaw, Environment, condition_origin, sample_environment, star
 from frogsim.errors import FrogsimError, GeometryError
+from frogsim.estimation import estimate_time_constant
 from frogsim.lattice import CubeIndex, add, ball_coords, l1, linf, step_vectors, sub
 from frogsim.passage import (
     ActivationTable,
@@ -272,8 +273,23 @@ def test_passage_times_do_not_depend_on_batch_width(monkeypatch):
     runs = passage_runs()
     want = passage_times(runs, 20)
     for width in (1, 3, 16):
-        monkeypatch.setattr(passage, "_BATCH", width)
+        monkeypatch.setattr(passage, "_BATCH", (width, width))
         assert passage_times(runs, 20) == want, width
+
+
+def test_sparse_law_runs_wider_batches(monkeypatch):
+    # Bernoulli(0.2) holds a fifth of Poisson(1)'s frogs per site, so a batch takes 64 runs
+    law = ConfigLaw.bernoulli(0.2)
+    runs = [(condition_origin(sample_environment(law, 2, 4, SeedSpec(s, "sparse"))), (0, 0), [(5, 0), (0, -3)])
+            for s in range(70)]
+    widths, batch = [], passage.simulate_batch
+    monkeypatch.setattr(passage, "simulate_batch", lambda envs, *rest: widths.append(len(envs)) or batch(envs, *rest))
+    want = passage_times(runs, 40)
+    assert widths == [64, 6]
+    assert any(v is not None for row in want for v in row)
+    monkeypatch.setattr(passage, "_BATCH", (1, 1))
+    assert passage_times(runs, 40) == want
+    assert widths[2:] == [1] * 70
 
 
 def same_hits(got, want):
@@ -422,6 +438,14 @@ def test_growing_table_matches_full_layout(case, data):
     assert grown.awake_trace == full.awake_trace
     for x in stop or []:
         assert grown.visit_time(x) == full.visit_time(x)
+
+
+def test_table_starts_past_the_stop_targets(monkeypatch):
+    # a ladder's tables start _START_RADIUS beyond its farthest target, so frogs seldom outrun them
+    grown, recentre = [], passage._recentre
+    monkeypatch.setattr(passage, "_recentre", lambda old, new, table: grown.append(new) or recentre(old, new, table))
+    estimate_time_constant(ConfigLaw.poisson(1.0), (1, 0), [4, 8, 16, 32], 8, SeedSpec(4, "start"))
+    assert len(grown) <= 2  # one growth recentres the visit and the parent tables
 
 
 @settings(max_examples=40, deadline=None)
@@ -612,6 +636,50 @@ def test_batch_matches_single_replica_oracle(case, start):
         assert table.to_json() == want.to_json()  # every visit, parent and stopped_at
         assert table.awake_trace == want.awake_trace
         assert table.stopped_at == want.stopped_at
+
+
+@st.composite
+def strict_cases(draw):
+    """1-4 replicas of one law, each on a box of exactly horizon + |source|_1 with a
+    conditioned origin (a fixed site), with stop targets or none, and one horizon."""
+    dim = draw(st.integers(1, 3))
+    law = draw(st.sampled_from(LAWS))
+    horizon = draw(st.integers(0, 14))
+    envs, sources, stops = [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        seed = SeedSpec(draw(st.integers(0, 2**32)), "strict")
+        near = condition_origin(sample_environment(law, dim, 4, seed))
+        source = draw(st.sampled_from([tuple(x) for x in near.occupied_coords().tolist()]))
+        envs.append(condition_origin(sample_environment(law, dim, horizon + l1(source), seed)))
+        sources.append(source)
+        span = l1(source) + horizon + 2
+        stops.append(draw(st.none() | st.lists(st.tuples(*[st.integers(-span, span)] * dim), max_size=3)))
+    return envs, sources, horizon, stops
+
+
+@settings(max_examples=60, deadline=None)
+@given(strict_cases())
+def test_strict_batch_reads_counts_without_the_mask(case):
+    # every box is exactly its run's reach, so unmasked reads give the oracle's masked tables
+    envs, sources, horizon, stops = case
+    tables = simulate_batch(envs, sources, horizon, stops, True, True)
+    for env, source, stop, table in zip(envs, sources, stops, tables):
+        want = single_replica_engine(env, source, horizon, stop, strict=True, record_trace=True)
+        assert table.to_json() == want.to_json()
+        assert table.awake_trace == want.awake_trace
+
+
+def test_loose_batch_masks_counts_beyond_the_box():
+    # Constant(1) wakes a frog on every site it reads: only the mask keeps the sites past
+    # the box of radius 2 empty, and the oracle replays that finite-box process
+    env = sample_environment(ConfigLaw.constant(1), 2, 2, SeedSpec(5, "mask"))
+    sources = [(0, 0), (1, -1)]
+    for source, table in zip(sources, simulate_batch([env, env], sources, 12, None, False, True)):
+        want = single_replica_engine(env, source, 12, strict=False, record_trace=True)
+        assert table.to_json() == want.to_json()
+        assert table.awake_trace == want.awake_trace
+        unmasked = simulate_frogs(env.with_radius(12 + l1(source)), source, 12)
+        assert unmasked.to_json()["visits"] != want.to_json()["visits"]
 
 
 def test_batch_needs_one_law():

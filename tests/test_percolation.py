@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import env_from_counts
 from frogsim.environment import ConfigLaw, sample_environment
 from frogsim.errors import EmptySetError, GeometryError
 from frogsim.lattice import CubeIndex, add, ball_coords, cube_coords, l1, scale, step_vectors
+from frogsim import percolation
 from frogsim.percolation import (
     SiteField,
     _tiles_occupied,
@@ -247,6 +249,27 @@ def test_hole_radius_experiment_smoke():
     assert rep.tail[0][0] == 0 and rep.tail[0][2] == 1.0
     if not math.isnan(rep.fitted_log_slope):
         assert rep.fitted_log_slope < 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([0.0, 0.3, 0.8, 1.0]), st.integers(0, 2**32 - 1))
+def test_chemical_ratio_samples_a_field_only_when_its_origin_is_open(dim, p, seed):
+    # the origin's bit is read alone, and it is SiteField.bit((0,) * d) of the field it decides on
+    seed, origin, targets = SeedSpec(seed, "origin"), (0,) * dim, [(2,) + (0,) * (dim - 1)]
+    sampled = []
+    sample = percolation.sample_bernoulli_field
+
+    def recorded(p, dim, box_radius, seed):
+        sampled.append(seed)
+        return sample(p, dim, box_radius, seed)
+
+    with mock.patch.object(percolation, "sample_bernoulli_field", recorded):
+        rep = chemical_ratio_experiment(p, dim, 3, targets, 8, seed)
+    fields = [sample(p, dim, 3, seed.child("chem", r)) for r in range(8)]
+    assert sampled == [seed.child("chem", r) for r, f in enumerate(fields) if f.bit(origin) == 1]
+    assert (uniform01(site_key(seed, PURPOSE_FIELD, origin)) < p) == bool(sample(p, dim, 3, seed).bit(origin))
+    connected = [open_distances_from(f, origin)[f.index.flat_one(targets[0])] >= 0 for f in fields if f.bit(origin)]
+    assert rep.connected_pairs == sum(connected)
 
 
 def test_chemical_ratio_experiment_smoke():

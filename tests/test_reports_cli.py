@@ -545,11 +545,15 @@ def test_replay_defaults_are_cli_defaults(argv, tmp_path):
         # rows took the plan to 192 MB, where the search on tuple keys peaked at 75 MB
         (["truncation", "--law", "poisson:1.0", "--dim", "3", "--x", "6,0,0", "--t", "4,8,16",
           "--replicas", "1", "--mu-hat", "2.0", "--seed", "3"], 128),
-        # replicas run through the engine a fixed number at a time: this plan peaked at 35 MB
-        # in batches of 16 (33 MB one replica at a time) and at 45 MB as one batch of 64
+        # replicas run through the engine in batches as wide as the law's mean count asks:
+        # this plan peaked at 35 MB in the 16 of Poisson(1) (33 MB one replica at a time)
+        # and at 45 MB as one batch of 64
         (["mu", "--law", "poisson:1.0", "--k", "4,8,16,32", "--replicas", "64", "--seed", "7"], 40),
+        # Bernoulli(0.2) runs 64 wide: this plan peaked at 45.5 MB (35.6 MB in batches of 16)
+        (["tails", "--law", "bernoulli:0.2", "--k", "4,8,16,24", "--replicas", "256", "--epsilon", "0.5",
+          "--seed", "7"], 54),
     ],
-    ids=["mu", "truncation", "mu-wide"],
+    ids=["mu", "truncation", "mu-wide", "tails-sparse"],
 )
 def test_cli_mu_dim3_runs_in_bounded_memory(argv, max_rss_mb, tmp_path):
     limit = 1536 * 2**20
