@@ -13,7 +13,8 @@ engine reads counts without the mask and computes the process on all of
 Z^d.  It refuses smaller boxes unless ``strict=False``, and then masks each
 read (out-of-box sites wake nothing), which the oracle replays exactly.
 The activation table starts ``_START_RADIUS`` past the farthest source and
-stop target and grows with the reach, so memory follows the sites visited.
+stop target in the plane, half as far per dimension above two, and grows
+with the reach, so memory follows the sites visited.
 
 ``simulate_batch`` runs several replicas (environments of one law, each
 with its own source and stop targets) through one step loop, which is the
@@ -37,8 +38,10 @@ Hitting times come from one cache of ball rows, and this module alone
 knows their format.  A ball row holds the first hits of a site's own frogs
 within an l-infinity ball and a horizon.  ``build_rows`` builds the rows of
 many sites in shared passes and caches each on the environment at the
-largest (t, horizon) asked for; ``row_hits`` reads a site's hits filtered
-to a smaller (t, horizon); ``hit_time`` looks up one offset in them.
+largest (t, horizon) asked for, an unoccupied site as an empty row;
+``row_hits`` reads a site's hits filtered to a smaller (t, horizon),
+``row_edges`` those of many sites as one edge list, and ``hit_time`` looks
+up one offset in them.
 ``first_hits`` reads a row at t = horizon, ``tau`` and the relay oracle
 look up hits at t = horizon, and the truncated search and its edge price
 read the same rows at the search's scale t.
@@ -69,7 +72,8 @@ class PassageOutcome:
     horizon: int
 
 
-# radius of a fresh table beyond its farthest source and stop target (each target needs a key); it grows by 5/4
+# radius of a fresh table beyond its farthest source and stop target (each target needs a key) in the
+# plane, halved per dimension above two, since a cube's cells grow as its side to the dim; it grows by 5/4
 _START_RADIUS = 16
 
 
@@ -281,7 +285,8 @@ def simulate_batch(
     goals = np.asarray(goals, dtype=np.int64).reshape(-1, d)
 
     reach = max(linf(s) for s in sources)  # the largest |site|_inf visited so far
-    index = CubeIndex(min(max(reach, int(np.abs(goals).max(initial=0))) + _START_RADIUS, max(reach_radius)), d)
+    margin = _START_RADIUS >> max(d - 2, 0)
+    index = CubeIndex(min(max(reach, int(np.abs(goals).max(initial=0))) + margin, max(reach_radius)), d)
     # a visit time fits int16 whenever the horizon does
     visit = np.full(n * index.size, -1, dtype=np.int16 if horizon < 2**15 else np.int32)
     parent = np.full(n * index.size, -1, dtype=np.int32)
@@ -465,6 +470,12 @@ _PASS_STEPS = 1 << 12  # walk steps per numpy pass of build_rows: bounds its tem
 _NO_ROW = (-1, 0, None, None, None)  # the (t, horizon) of a site without a row lies below every need
 
 
+@lru_cache(maxsize=8)
+def _empty_row(dim: int) -> tuple:
+    """The row of an unoccupied site: no hits, at an extent above every need."""
+    return 1 << 62, 1 << 62, np.empty((0, dim), dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+
+
 def build_rows(env: Environment, needs: dict[Coords, tuple[int, int]]) -> None:
     """Cache the ball rows of the occupied sites of ``needs`` that the cache does not hold.
 
@@ -476,13 +487,17 @@ def build_rows(env: Environment, needs: dict[Coords, tuple[int, int]]) -> None:
     horizon is the first hit inside any smaller pair that holds it, so a row
     is built at the pair asked for grown to the cached one and still serves
     every pair it served.  The rows come from passes of about
-    ``_PASS_STEPS`` walk steps over many sites.
+    ``_PASS_STEPS`` walk steps over many sites.  An unoccupied site is
+    cached as an empty row of every extent, so no later read asks its count.
     """
     rows = env.__dict__.setdefault("_ball_rows", {})
     todo, steps = [], 0
     for u, (t, horizon) in needs.items():
         row_t, row_h, *_ = rows.get(u, _NO_ROW)
-        if horizon >= 1 and (t > row_t or horizon > row_h) and (frogs := env.omega(u)) >= 1:
+        if horizon >= 1 and (t > row_t or horizon > row_h):
+            if (frogs := env.omega(u)) < 1:
+                rows[u] = _empty_row(env.dim)
+                continue
             t, horizon = max(t, row_t), max(horizon, row_h)
             todo.append((u, t, horizon))
             steps += horizon * frogs
@@ -498,17 +513,35 @@ def row_hits(env: Environment, u: Coords, t: int, horizon: int) -> tuple[np.ndar
 
     Returns (offsets, times), the offsets in lex order; None when u's row is
     not cached that far, which ``build_rows`` mends.  An unoccupied u hits
-    nothing and horizon 0 holds only the k = 0 self-hit: neither needs a row.
+    nothing, and the first read caches that as its row; horizon 0 holds only
+    the k = 0 self-hit, which needs no row.
     """
-    row_t, row_h, offs, norms, times = env.__dict__.get("_ball_rows", {}).get(u, _NO_ROW)
+    rows = env.__dict__.setdefault("_ball_rows", {})
+    if u not in rows and env.omega(u) < 1:
+        rows[u] = _empty_row(env.dim)
+    row_t, row_h, offs, norms, times = rows.get(u, _NO_ROW)
     if t <= row_t and horizon <= row_h:
         keep = (norms <= t) & (times <= horizon)
         return offs[keep], times[keep]
-    if env.omega(u) < 1:
-        return np.empty((0, env.dim), dtype=np.int64), np.empty(0, dtype=np.int64)
     if horizon < 1:  # no row holds fewer than one step
         return np.zeros((1, env.dim), dtype=np.int64), np.zeros(1, dtype=np.int64)
     return None
+
+
+def row_edges(env: Environment, needs: dict[Coords, tuple[int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hits at times 1 to horizon of ``row_hits(env, u, t, horizon)`` for every (u, (t, horizon)) of ``needs``.
+
+    Builds the rows first, then returns every row's hits in one
+    (owner, offsets, times) triple, ``owner`` the position of u in ``needs``.
+    """
+    build_rows(env, needs)
+    rows, empty = env.__dict__["_ball_rows"], _empty_row(env.dim)
+    got = [rows.get(u, empty) for u in needs]  # a need below one step may have no row, and no such hit
+    owner = np.repeat(np.arange(len(got)), [row[4].shape[0] for row in got])
+    offs, norms, times = (np.concatenate([row[j] for row in got] + [empty[j]]) for j in (2, 3, 4))
+    t, horizon = np.asarray([*needs.values()], dtype=np.int64).reshape(-1, 2).T
+    keep = (times >= 1) & (times <= horizon[owner]) & (norms <= t[owner])
+    return owner[keep], offs[keep], times[keep]
 
 
 def _ball_pass(env: Environment, todo: Sequence[tuple[Coords, int, int]]) -> dict[Coords, tuple]:

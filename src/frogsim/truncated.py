@@ -54,14 +54,31 @@ an edge this drops has f above the final bound, so it would never have been
 settled before the goal, nor blocked a push that passes the prune.
 A read that finds no row that far builds it, and the live heap entries
 tied with the popped site at its f are settled before the goal, so their
-rows are built in the same ``build_rows`` call.  Given the engine's first
-visits T(u) from x and a bound B below 4Kt, no capped or long edge fits
-under B, so d_u >= T(u) (the engine equals the relay oracle), and the
-rows of the visited u with T(u) + |u - y|_1 <= B, built B - T(u) deep
-before the search, cover every row it reads of them.  ``sigma_t`` is the one
+rows are built in the same ``build_rows`` call.  ``sigma_t`` is the one
 edge price: the staircase's hops and the direct edge look it up with
 ``hit_time``, the lookup of ``tau``, in the same rows as the search, read
 at (t, 4Kt), and the tests check it against a dense walker of their own.
+
+Below the cap, the engine's first visits T(u) from x can replace the heap.
+Under a guess g below 4Kt no capped or long edge fits, so d_u >= T(u) (the
+engine equals the relay oracle), and every occupied site settled before
+the goal is a visit u with T(u) + |u - y|_1 <= g.  The array path builds
+those rows g - T(u) deep in one pass, keeps each hit u -> v with
+tau + |v - y|_1 within its row's depth, and relaxes that edge list
+(Bellman, "On a routing problem", 1958) by one gather and one
+``np.minimum.at`` per round until nothing changes.  It accepts the
+distance D to y only under a certificate: D <= g, and every occupied site
+with (f, d) < (D, D) relaxed a row at least D - d deep.  A distance is the
+price of a real path, so none lies below the truth; were one in that set
+above it, the first wrong site on a shortest path would have an exact,
+settled predecessor whose edge had been relaxed, a contradiction.  Those
+sites are the ones the heap settles before the goal, so ``settled`` is
+their number plus one; the parent of a site is its tight predecessor that
+comes first in (f, d, key) order, the heap's pop order (the goal's direct
+edge is x's tight hit whenever it costs D); no edge is long; and
+``relaxations`` is (settled - 1)(2t + 1)^d, the heap's own count under any
+bound below 4Kt.  When the certificate fails, or a settled site lies
+outside the box, the heap runs, so a wrong hint costs only time.
 """
 
 from __future__ import annotations
@@ -80,7 +97,7 @@ from .environment import Environment
 from .errors import LADDER, NONNEGATIVE, POSITIVE, SITES, SIZE, GeometryError, require, require_site
 from .estimation import replica_setup
 from .lattice import Coords, CubeIndex, cube_coords, l1, linf, sub
-from .passage import ActivationTable, build_rows, hit_time, passage_times, row_hits
+from .passage import ActivationTable, build_rows, hit_time, passage_times, row_edges, row_hits
 from .stats import wilson_ci
 from .walks import SeedSpec
 
@@ -192,15 +209,19 @@ def truncated_passage(
     only that run.  A settled site relaxes its row's hits one by one
     and the cube of capped and long edges as arrays.
 
-    ``visits``, when given, is a pair of arrays, sites u and times T(u),
-    such as ``_chain_and_visits`` reads off the engine's table: its first
-    visits from x with T(u) + |u - y|_1 <= T(y).  When the first search's
-    bound B lies below 4Kt, the rows of the u with T(u) + |u - y|_1 <= B are
-    built at depth B - T(u) in one pass before it starts, which covers every
-    such u it settles (see the module docstring); other rows are built as
-    the search reads them.  T(u) is raised to |u - x|_1, which d_u also
-    bounds, so a wrong hint can build only rows of the relay region and can
-    cost only time.
+    ``visits``, used only with ``via``, is a pair of arrays, sites u and
+    times T(u), such as ``_chain_and_visits`` reads off the engine's table:
+    its first visits from x with T(u) + |u - y|_1 <= T(y).  When the chain's
+    guess g (twice its arrival time, or its price if less) lies below 4Kt,
+    the array path of the module docstring runs first, over the rows of the
+    u with T(u) + |u - y|_1 <= g, built g - T(u) deep in one pass.  Under its
+    certificate it returns the heap's result on all five fields: value D,
+    ``settled`` the sites with (f, d) < (D, D) plus the goal, each parent the
+    tight predecessor first in (f, d, key) order, no long edge, and
+    ``relaxations`` (settled - 1)(2t + 1)^d.  Otherwise the heap runs, with
+    those rows cached.  T(u) is raised to |u - x|_1, which d_u also bounds,
+    so a wrong hint can build only rows of the relay region and can cost
+    only time.
     """
     require_site("x", x, env.dim)
     require_site("y", y, env.dim)
@@ -212,28 +233,89 @@ def truncated_passage(
     if x == y:
         return TruncatedResult(0, (x,), 0, 0, 0)
     index = CubeIndex(_relay_radius(x, y, p), env.dim)
+    guess = None if via is None else _chain_guess(via, p)
+    if visits is not None and guess is not None and guess < p.cap:
+        res = _array_search(env, index, x, y, p, guess, visits)
+        if res is not None:
+            return res
     stair = _staircase(x, y, p.t)
     build_rows(env, dict.fromkeys(stair[:-1], (p.t, p.cap)))  # the staircase's rows, in one pass
     direct = sigma_t(env, x, y, p)
     ub = min(direct, sum(sigma_t(env, a, b, p) for a, b in zip(stair, stair[1:])))
-    # the guess: the least of the proven bound, twice the chain's arrival time and the chain priced
-    # from its own times.  A value at most the guess is exact; above it, search again under the
-    # proven bound, with the rows the first search built still cached
-    guess = ub if via is None else min(ub, 2 * via[-1][1], sum(
-        4 * p.K * gap if (gap := linf(sub(b, a))) > p.t else min(tb - ta, p.cap) for (a, ta), (b, tb) in zip(via, via[1:])))
-    if visits is not None and guess < p.cap:
-        # d_u >= max(T(u), |u - x|_1) for every u the search settles, so it reads u's row at
-        # most guess - that deep, and u lies in the relay region whatever the hint says
-        sites, times = visits
-        times = np.maximum(times, np.abs(sites - np.asarray(x)).sum(axis=1))
-        keep = times + np.abs(sites - np.asarray(y)).sum(axis=1) <= guess
-        build_rows(env, {tuple(u): (p.t, min(p.cap, guess - T))
-                         for u, T in zip(sites[keep].tolist(), times[keep].tolist())})
-    if guess < ub:
+    # a value at most the guess is exact; above it, search again under the proven bound, with
+    # the rows the first search built still cached
+    if guess is not None and guess < ub:
         res = _search(env, index, x, y, p, direct, guess)
         if res.value <= guess:
             return res
     return _search(env, index, x, y, p, direct, ub)
+
+
+def _chain_guess(via: Sequence[tuple[Coords, int]], p: TruncationParams) -> int:
+    """The least of twice the chain's arrival time and the chain priced from its own times."""
+    return min(2 * via[-1][1], sum(
+        4 * p.K * gap if (gap := linf(sub(b, a))) > p.t else min(tb - ta, p.cap) for (a, ta), (b, tb) in zip(via, via[1:])))
+
+
+def _array_search(
+    env: Environment, index: CubeIndex, x: Coords, y: Coords, p: TruncationParams, guess: int,
+    visits: tuple[np.ndarray, np.ndarray],
+) -> TruncatedResult | None:
+    """The result of ``_search`` under a ``guess`` below 4Kt, relaxed as arrays over the rows of ``visits``.
+
+    None when the certificate of the module docstring fails or a settled
+    site lies outside the box: then only the heap gives the result.
+    """
+    d, Y = env.dim, np.asarray(y)
+    # d_u >= max(T(u), |u - x|_1) for every u the search settles, so it reads u's row at most
+    # guess - that deep, and u lies in the relay region whatever the hint says
+    sites, times = visits
+    times = np.maximum(times, np.abs(sites - np.asarray(x)).sum(axis=1))
+    keep = times + np.abs(sites - Y).sum(axis=1) <= guess
+    needs = {tuple(u): (p.t, guess - T) for u, T in zip(sites[keep].tolist(), times[keep].tolist())}
+    owner, offs, taus = row_edges(env, needs)
+    us = np.asarray([*needs], dtype=np.int64).reshape(-1, d)
+    depth = np.asarray([h for _, h in needs.values()], dtype=np.int64)
+    # an edge u -> v with f_v <= D has tau + |v - y|_1 <= D - d_u, within a row D - d_u deep
+    vs = us[owner] + offs
+    edge = np.nonzero(taus + np.abs(vs - Y).sum(axis=1) <= depth[owner])[0]
+    ku, kv = index.flat(us), index.flat(vs[edge])
+    kx, ky = index.flat_one(x), index.flat_one(y)
+    keys = np.sort(np.concatenate([ku, kv, [kx, ky]]))
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]  # the nodes, in the lex order of sites
+    iu = np.searchsorted(keys, ku)
+    src, dst, w = iu[owner[edge]], np.searchsorted(keys, kv), taus[edge]
+    dist = np.full(keys.shape[0], 1 << 62)
+    dist[np.searchsorted(keys, kx)] = 0
+    while True:  # Bellman's relaxation: one round per hop of the longest shortest path
+        new = dist.copy()
+        np.minimum.at(new, dst, dist[src] + w)
+        if np.array_equal(new, dist):
+            break
+        dist = new
+    iy = int(np.searchsorted(keys, ky))
+    D = int(dist[iy])
+    if D > guess:
+        return None
+    coords = index.unflat(keys)
+    f = dist + np.abs(coords - Y).sum(axis=1)
+    settled = (f < D) | ((f == D) & (dist < D))  # the nodes the heap pops before the goal
+    row_depth = np.full(keys.shape[0], -1)
+    row_depth[iu] = depth
+    unsure = settled & (row_depth < D - dist)
+    if (np.abs(coords[settled]).sum(axis=1) > env.box_radius).any() or env.counts_at(coords[unsure]).any():
+        return None
+    # the parent of v is the tight predecessor that the heap pops first, in (f, d, key) order
+    tight = np.nonzero(settled[src] & (dist[src] + w == dist[dst]))[0]
+    n, u = keys.shape[0], src[tight]
+    best = np.full(n, 1 << 62)
+    np.minimum.at(best, dst[tight], (f[u] * (D + 1) + dist[u]) * n + u)
+    chain = [iy]
+    while dist[chain[-1]]:
+        chain.append(int(best[chain[-1]] % n))
+    count = int(settled.sum())
+    return TruncatedResult(D, tuple(map(tuple, coords[chain[::-1]].tolist())), 0, count + 1,
+                           count * (2 * p.t + 1) ** d)
 
 
 def _search(
@@ -436,9 +518,9 @@ def agreement_experiment(
     search's first guess of its bound (see ``truncated_passage``), so rows
     are read only about as deep as T_t.  It also comes with the engine's
     occupied visits u with T(u) + |u - x*|_1 <= T*, whose rows each search
-    below 4Kt builds in one pass before it starts.  A site settled before
-    the goal has T(u) + |x* - u|_1 <= d_u + |x* - u|_1 <= T_t there, so
-    when T_t = T* the search builds no row itself.  The visits are released
+    below 4Kt relaxes as arrays.  A site settled before the goal has
+    T(u) + |x* - u|_1 <= d_u + |x* - u|_1 <= T_t there, so when T_t = T*
+    that array path answers and no heap runs.  The visits are released
     with the replica.  The table also totals, per t,
     the nodes the searches settled and the cube cells they relaxed.
     """

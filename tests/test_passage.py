@@ -25,6 +25,7 @@ from frogsim.passage import (
     passage_time,
     passage_time_star,
     passage_times,
+    row_edges,
     row_hits,
     simulate_batch,
     simulate_frogs,
@@ -306,6 +307,40 @@ def test_first_hits_horizon_zero_is_the_self_hit():
     assert same_hits((keys, times), dense_first_hits(env, occupied, 0))
     assert first_hits(env, empty, 0)[0].shape == (0,)
     assert row_hits(env, occupied, 0, 1) is None  # no row was built
+
+
+def test_an_unoccupied_site_is_asked_once(monkeypatch):
+    # an unoccupied site is cached as an empty row, so no later read or build asks its count
+    env = make_env(ConfigLaw.bernoulli(0.5), radius=8, seed=3, conditioned=False)
+    empty = next(tuple(r) for r in ball_coords(8, 2).tolist() if env.omega(tuple(r)) == 0)
+    env = env.with_radius(9)  # the same realization, with no count asked yet
+    asked, omega = [], Environment.omega
+    monkeypatch.setattr(Environment, "omega", lambda self, x: asked.append(x) or omega(self, x))
+    for t, horizon in [(1, 5), (3, 9), (2, 0)]:
+        assert [a.shape[0] for a in row_hits(env, empty, t, horizon)] == [0, 0]
+        build_rows(env, {empty: (t + 1, horizon + 1)})
+    assert first_hits(env, empty, 12)[0].shape == (0,)
+    assert asked == [empty]
+
+
+def test_row_edges_are_the_rows_hits_after_time_zero():
+    # one edge list for many sites, occupied or not, at any (t, horizon), horizon 0 included
+    env = make_env(ConfigLaw.poisson(1.7), radius=5, seed=8)
+    needs = {tuple(u): (1 + i % 3, i % 7) for i, u in enumerate(ball_coords(5, 2).tolist())}
+    owner, offs, times = row_edges(env, needs)
+    for i, (u, (t, horizon)) in enumerate(needs.items()):
+        want_offs, want_times = row_hits(env, u, t, horizon)
+        mine, later = owner == i, want_times >= 1
+        assert same_hits((offs[mine], times[mine]), (want_offs[later], want_times[later])), u
+
+
+@pytest.mark.parametrize("dim, margin", [(1, 16), (2, 16), (3, 8)])
+def test_table_margin_halves_per_dimension_above_two(dim, margin):
+    # a cube's cells grow as its side to the dim, so a 3-D table starts 8 sites out, not 16
+    env = condition_origin(sample_environment(ConfigLaw.poisson(1.0), dim, 60, SeedSpec(2, "margin")))
+    table = simulate_frogs(env, (0,) * dim, 40, [(2,) + (0,) * (dim - 1)])
+    assert table.stopped_at <= 2 + margin  # so no step could carry a frog off the table
+    assert table.index.radius == 2 + margin
 
 
 @pytest.mark.parametrize("pass_steps", [1, 37])

@@ -9,12 +9,14 @@ from conftest import LAWS, dense_first_hits, dense_tau, env_from_counts, row_ext
 from frogsim import passage, truncated
 from frogsim.environment import ConfigLaw, condition_origin, sample_environment, star
 from frogsim.errors import SearchCapError
-from frogsim.lattice import Coords, add, ball_coords, cube_coords, l1, linf, sub
+from frogsim.lattice import Coords, CubeIndex, add, ball_coords, cube_coords, l1, linf, sub
 from frogsim.passage import ActivationTable, build_rows, offset_index, passage_times, simulate_frogs
 from frogsim.truncated import (
     TruncatedResult,
     TruncationParams,
+    _array_search,
     _chain_and_visits,
+    _chain_guess,
     _relay_radius,
     _staircase,
     agreement_experiment,
@@ -284,7 +286,7 @@ def test_relay_chain_bound_halves_the_row_walks(monkeypatch):
 def test_visit_prefetch_builds_the_rows_before_the_search(monkeypatch):
     # below 4Kt each search's rows come from the engine's visits in one pass before it starts:
     # 104 passes and 25,974 walk steps before the prefetch (68 of the passes inside t = 16
-    # searches), 16 passes and 26,698 steps with it
+    # searches), 16 passes and 26,698 steps with it, 9 and 12,476 with the array path
     passes, steps, searching = [], [], []
     ball_pass, search = passage._ball_pass, truncated._search
 
@@ -306,6 +308,24 @@ def test_visit_prefetch_builds_the_rows_before_the_search(monkeypatch):
     assert 16 not in passes
     assert 0 < len(passes) <= 104 // 2
     assert 0 < sum(steps) <= 25_974 * 11 // 10
+
+
+def test_array_search_answers_most_searches(monkeypatch):
+    # below 4Kt the array path answers whenever T_t = T*, the heap only when it declines:
+    # 12 of these 12 searches were answered
+    answers, heaps = [], []
+    array, search = truncated._array_search, truncated._search
+
+    def counted(*args):
+        answers.append(array(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(truncated, "_array_search", counted)
+    monkeypatch.setattr(truncated, "_search", lambda *args: heaps.append(args) or search(*args))
+    agreement_experiment(ConfigLaw.poisson(1.0), (8, 0), [4, 8, 16], 4, SeedSpec(0, "array-path"), mu_hat=2.0)
+    assert len(answers) == 12
+    assert sum(res is not None for res in answers) >= 11
+    assert len(heaps) <= 2 * sum(res is None for res in answers)
 
 
 def test_checked_guess_cuts_the_row_walks(monkeypatch):
@@ -488,7 +508,8 @@ def test_relay_chain_hops_take_their_hitting_times(dim, law, seed, data):
 
 def test_chain_guess_reads_no_chain_row(monkeypatch):
     # the chain is priced from its own visit times, so the only hitting times the bounds look
-    # up are the direct edge's and the staircase's hops
+    # up are the direct edge's and the staircase's hops.  A search that the array path answers
+    # looks up none, so t = 1, where the heap runs, keeps the lookups many
     looked, searches = [], []
     lookup, search = truncated.hit_time, truncated.truncated_passage
 
@@ -502,7 +523,7 @@ def test_chain_guess_reads_no_chain_row(monkeypatch):
 
     monkeypatch.setattr(truncated, "hit_time", recorded_lookup)
     monkeypatch.setattr(truncated, "truncated_passage", recorded_search)
-    agreement_experiment(ConfigLaw.poisson(1.0), (8, 0), [4, 8, 16], 4, SeedSpec(0, "chain-guess"), mu_hat=2.0)
+    agreement_experiment(ConfigLaw.poisson(1.0), (8, 0), [1, 4, 8, 16], 4, SeedSpec(0, "chain-guess"), mu_hat=2.0)
     assert looked
     for (x, y, t), u, v in looked:
         stair = _staircase(x, y, t)
@@ -567,6 +588,45 @@ def test_visit_prefetch_keeps_the_search(dim, law, seed, t, c4_hat, data):
     want = truncated_passage(env.with_radius(radius), x, y, p, via=chain)
     for hint in (visits, wrong):
         assert truncated_passage(env.with_radius(radius), x, y, p, via=chain, visits=hint) == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(1, 3), st.sampled_from([ConfigLaw.poisson(1.0), ConfigLaw.poisson(2.5), ConfigLaw.bernoulli(0.5),
+                                         ConfigLaw.bernoulli(0.8)]),
+    st.integers(0, 2**32), st.integers(1, 16), st.floats(0.0, 2.0), st.data(),
+)
+def test_array_search_answers_exactly_or_declines(dim, law, seed, t, c4_hat, data):
+    # below 4Kt one array relaxation over the rows of the engine's visits stands in for the heap.
+    # Its answer must be the heap's on all five fields, and a corrupted hint (half the sites
+    # dropped, times shifted by 1-3 either way, an unvisited site added) may make it decline
+    # but never answer otherwise
+    env = condition_origin(sample_environment(law, dim, 4, SeedSpec(seed, "array")))
+    p = TruncationParams.make(t, dim, c4_hat)
+    x, horizon = (0,) * dim, 40
+    y = data.draw(st.tuples(*[st.integers(-3, 3)] * dim))
+    table = simulate_frogs(env.with_radius(horizon), x, horizon, [y])
+    chain, visits = _chain_and_visits(table, y)
+    assume(chain is not None and y != x and _chain_guess(chain, p) < p.cap)
+    sites, times = visits
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    half = np.sort(rng.permutation(times.shape[0])[: -(-times.shape[0] // 2)])
+    shifted = times + rng.choice([-3, -2, -1, 1, 2, 3], times.shape[0])
+    far = (chain[-1][1] + 1,) + (0,) * (dim - 1)
+    z = data.draw(st.sampled_from([z for z in map(tuple, cube_coords(3, dim).tolist())
+                                   if table.visit_time(z) is None] + [far]))
+    tz = data.draw(st.integers(0, 3))
+    hints = [
+        visits, (sites[half], times[half]), (sites, shifted),
+        (np.concatenate([sites, [z]]), np.append(times, tz)),
+        (np.concatenate([sites[half], [z]]), np.append(shifted[half], tz)),
+    ]
+    radius = max(_relay_radius(x, y, p), horizon + 1)  # holds the chain and the unvisited site
+    want = truncated_passage(env.with_radius(radius), x, y, p, via=chain)
+    for hint in hints:
+        got = _array_search(env.with_radius(radius), CubeIndex(_relay_radius(x, y, p), dim), x, y, p,
+                            _chain_guess(chain, p), hint)
+        assert got is None or got == want
 
 
 def test_truncated_long_edge_witness_pin():
