@@ -499,7 +499,7 @@ def build_rows(env: Environment, needs: dict[Coords, tuple[int, int]]) -> None:
                 rows[u] = _empty_row(env.dim)
                 continue
             t, horizon = max(t, row_t), max(horizon, row_h)
-            todo.append((u, t, horizon))
+            todo.append((u, t, horizon, frogs))
             steps += horizon * frogs
             if steps >= _PASS_STEPS:
                 rows.update(_ball_pass(env, todo))
@@ -544,19 +544,18 @@ def row_edges(env: Environment, needs: dict[Coords, tuple[int, int]]) -> tuple[n
     return owner[keep], offs[keep], times[keep]
 
 
-def _ball_pass(env: Environment, todo: Sequence[tuple[Coords, int, int]]) -> dict[Coords, tuple]:
-    """The rows of ``todo``'s (u, t, horizon), each as (t, horizon, offsets, norms, times).
+def _ball_pass(env: Environment, todo: Sequence[tuple[Coords, int, int, int]]) -> dict[Coords, tuple]:
+    """The rows of ``todo``'s (u, t, horizon, omega(u)), each as (t, horizon, offsets, norms, times).
 
     The walks of all the frogs run as one ragged array, and one sort of
     (site, offset, time) keys gives each first hit, with no dense ball per
     site.
     """
     d, n = env.dim, len(todo)
-    sites, ts, hs = zip(*todo)
-    ts, hs, counts = np.array(ts), np.array(hs), np.array([env.omega(u) for u in sites])
+    sites, ts, hs, counts = map(np.array, zip(*todo))
     # walk w is a frog of site frog[w]; its steps 1..h are one run of the ragged arrays
     frog, ells = _frogs(counts)
-    keys = walk_keys_np(env.seed.purpose_key(PURPOSE_WALK), np.asarray(sites)[frog], ells)
+    keys = walk_keys_np(env.seed.purpose_key(PURPOSE_WALK), sites[frog], ells)
     h = hs[frog]
     start = np.cumsum(h) - h
     walk = np.repeat(np.arange(h.shape[0]), h)
@@ -587,7 +586,7 @@ def _ball_pass(env: Environment, todo: Sequence[tuple[Coords, int, int]]) -> dic
     offs = ball.unflat(off)
     norms = np.abs(offs).max(axis=1)
     bounds = np.searchsorted(site, np.arange(n + 1)).tolist()
-    return {u: (t, h, offs[a:b], norms[a:b], times[a:b]) for (u, t, h), a, b in zip(todo, bounds, bounds[1:])}
+    return {u: (t, h, offs[a:b], norms[a:b], times[a:b]) for (u, t, h, _), a, b in zip(todo, bounds, bounds[1:])}
 
 
 def passage_time(env: Environment, x: Coords, horizon: int, strict: bool = True) -> PassageOutcome:

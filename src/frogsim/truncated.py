@@ -13,23 +13,16 @@ long-range relaxations: the direct edge and a staircase of hops of length t.
 Staircase hops are priced at the cap unless a frog hits, so the bound sits
 near 4Kt or above, and rows would be walked that deep.  A caller may pass a
 chain of (site, time) pairs, such as the engine's activation genealogy,
-which gives a guess g: the least of that bound, the chain priced from its
-own times (a short hop at the difference of its times, capped at 4Kt, a long
-one at 4K times its gap) and twice the chain's arrival time.  When g lies
-below the bound, the search first runs under g.  For the engine's chain the
-price from its times is its sigma_t sum: all frogs of a wake at T(a), and
-b's first visitor was one of them, so tau(a, b) = T(b) - T(a).  A chain with
-a hop longer than t can still price far above the answer, and when its
+which gives a guess g: the lesser of the chain priced from its own times (a
+short hop at the difference of its times, capped at 4Kt, a long one at 4K
+times its gap) and twice the chain's arrival time.  For the engine's chain
+the price from its times is its sigma_t sum: all frogs of a wake at T(a),
+and b's first visitor was one of them, so tau(a, b) = T(b) - T(a).  A chain
+with a hop longer than t can still price far above the answer, and when its
 arrival time is the engine's T*, which T_t equals in most replicas, 2T* is
-the tighter guess. The guess is checked, not trusted: every value the search
-reports is the price of a real relay path, so a value v <= g bounds the
-optimum by g; every node settled before the goal has f <= the optimum <= g
-and is never pruned, and a candidate pruned under g but not under the proven
-bound has f > g, so it never settles before the goal nor sets the distance
-or parent of one that does.  The value, witness and counts match the search
-under the proven bound, save ``relaxations``; above the guess, the search
-runs again under the proven bound, with the rows the first run built cached.
-So no bound trusted without a check depends on anything a caller passes.
+the tighter guess.  The guess is checked, not trusted: below 4Kt the array
+path at the end of this docstring answers under it or proves T_t > g, and
+only then does the heap run, once, under the proven bound.
 
 Sites are int keys of one ``CubeIndex`` that holds the relay region, and
 only the candidates under the bound reach the dicts and the heap.  Each
@@ -59,26 +52,26 @@ edge price: the staircase's hops and the direct edge look it up with
 ``hit_time``, the lookup of ``tau``, in the same rows as the search, read
 at (t, 4Kt), and the tests check it against a dense walker of their own.
 
-Below the cap, the engine's first visits T(u) from x can replace the heap.
-Under a guess g below 4Kt no capped or long edge fits, so d_u >= T(u) (the
-engine equals the relay oracle), and every occupied site settled before
-the goal is a visit u with T(u) + |u - y|_1 <= g.  The array path builds
-those rows g - T(u) deep in one pass, keeps each hit u -> v with
-tau + |v - y|_1 within its row's depth, and relaxes that edge list
-(Bellman, "On a routing problem", 1958) by one gather and one
-``np.minimum.at`` per round until nothing changes.  It accepts the
-distance D to y only under a certificate: D <= g, and every occupied site
-with (f, d) < (D, D) relaxed a row at least D - d deep.  A distance is the
-price of a real path, so none lies below the truth; were one in that set
-above it, the first wrong site on a shortest path would have an exact,
-settled predecessor whose edge had been relaxed, a contradiction.  Those
-sites are the ones the heap settles before the goal, so ``settled`` is
-their number plus one; the parent of a site is its tight predecessor that
-comes first in (f, d, key) order, the heap's pop order (the goal's direct
-edge is x's tight hit whenever it costs D); no edge is long; and
-``relaxations`` is (settled - 1)(2t + 1)^d, the heap's own count under any
-bound below 4Kt.  When the certificate fails, or a settled site lies
-outside the box, the heap runs, so a wrong hint costs only time.
+Below the cap, arrays can replace the heap.  Under g below 4Kt no capped or
+long edge fits, so a path of price at most g is a chain of row hits.  The
+array path keeps each hit u -> v with tau + |v - y|_1 within u's row depth
+and relaxes that edge list (Bellman, "On a routing problem", 1958) by one
+gather and one ``np.minimum.at`` per round until nothing changes.  With D
+the distance to y and B = min(D, g), it then builds in one pass, B - d
+deep, the rows of the occupied sites with (f, d) < (B, B) whose row is
+shallower, and relaxes again, until no such site is left.  A distance is the
+price of a real path, so none lies below the truth; were T_t <= B, the
+first wrong site on a shortest path would have an exact predecessor in that
+set whose edge had been relaxed, a contradiction.  So D <= g is exact, and
+D > g proves T_t > g.  The sites with (f, d) < (D, D) are those the heap
+settles before the goal, so ``settled`` is their number plus one; the
+parent of a site is its tight predecessor that comes first in (f, d, key)
+order, the heap's pop order (the goal's direct edge is x's tight hit
+whenever it costs D); no edge is long; and ``relaxations`` is
+(settled - 1)(2t + 1)^d, the heap's own count under any bound below 4Kt.
+The first rows are x's, or a hint's, such as the engine's first visits T(u)
+from x: d_u >= T(u), since the engine equals the relay oracle, so a visit's
+row is built g - T(u) deep, and a wrong hint costs only time.
 """
 
 from __future__ import annotations
@@ -197,31 +190,26 @@ def truncated_passage(
     and the staircase.  No bound changes the result: only ``relaxations``
     counts cells under it.  ``via``, when given, is a chain x = w_0, ...,
     w_m = y of (site, time) pairs such as ``ActivationTable.relay_chain``
-    returns; its sites are never read.  It gives a guess g, the least of the
-    proven bound, 2 x its arrival time and the chain priced from its times:
-    a short hop at min(its time difference, 4Kt), a long one at 4K times its
-    gap.  For the engine's chain that price is its sigma_t sum, at least the
-    value.  When g lies below the proven bound, the search first runs under
-    g and keeps its value if that is at most g: the value is then exact, as
-    the module docstring shows, and the result is that of the proven search
-    save ``relaxations``.  A larger value means g lay below the optimum, and
-    the search runs again under the proven bound; its ``relaxations`` count
-    only that run.  A settled site relaxes its row's hits one by one
-    and the cube of capped and long edges as arrays.
+    returns; its sites are never read.  It gives a guess g, the lesser of
+    2 x its arrival time and the chain priced from its times: a short hop at
+    min(its time difference, 4Kt), a long one at 4K times its gap.  For the
+    engine's chain that price is its sigma_t sum, at least the value.  When g
+    lies below 4Kt, the array path of the module docstring runs first and, if
+    T_t <= g, returns the heap's result on all five fields: value D,
+    ``settled`` the sites with (f, d) < (D, D) plus the goal, each parent the
+    tight predecessor first in (f, d, key) order, no long edge, and
+    ``relaxations`` (settled - 1)(2t + 1)^d.  Otherwise the heap runs once,
+    under the proven bound, with the rows the array path built cached.  A
+    settled site relaxes its row's hits one by one and the cube of capped and
+    long edges as arrays.
 
     ``visits``, used only with ``via``, is a pair of arrays, sites u and
     times T(u), such as ``_chain_and_visits`` reads off the engine's table:
-    its first visits from x with T(u) + |u - y|_1 <= T(y).  When the chain's
-    guess g (twice its arrival time, or its price if less) lies below 4Kt,
-    the array path of the module docstring runs first, over the rows of the
-    u with T(u) + |u - y|_1 <= g, built g - T(u) deep in one pass.  Under its
-    certificate it returns the heap's result on all five fields: value D,
-    ``settled`` the sites with (f, d) < (D, D) plus the goal, each parent the
-    tight predecessor first in (f, d, key) order, no long edge, and
-    ``relaxations`` (settled - 1)(2t + 1)^d.  Otherwise the heap runs, with
-    those rows cached.  T(u) is raised to |u - x|_1, which d_u also bounds,
-    so a wrong hint can build only rows of the relay region and can cost
-    only time.
+    its first visits from x with T(u) + |u - y|_1 <= T(y).  The array path
+    starts from the rows of those with T(u) + |u - y|_1 <= g, built g - T(u)
+    deep in one pass, instead of from x's alone.  T(u) is raised to
+    |u - x|_1, which d_u also bounds, so a wrong hint can build only rows of
+    the relay region and can cost only time.
     """
     require_site("x", x, env.dim)
     require_site("y", y, env.dim)
@@ -233,8 +221,7 @@ def truncated_passage(
     if x == y:
         return TruncatedResult(0, (x,), 0, 0, 0)
     index = CubeIndex(_relay_radius(x, y, p), env.dim)
-    guess = None if via is None else _chain_guess(via, p)
-    if visits is not None and guess is not None and guess < p.cap:
+    if via is not None and (guess := _chain_guess(via, p)) < p.cap:
         res = _array_search(env, index, x, y, p, guess, visits)
         if res is not None:
             return res
@@ -242,12 +229,6 @@ def truncated_passage(
     build_rows(env, dict.fromkeys(stair[:-1], (p.t, p.cap)))  # the staircase's rows, in one pass
     direct = sigma_t(env, x, y, p)
     ub = min(direct, sum(sigma_t(env, a, b, p) for a, b in zip(stair, stair[1:])))
-    # a value at most the guess is exact; above it, search again under the proven bound, with
-    # the rows the first search built still cached
-    if guess is not None and guess < ub:
-        res = _search(env, index, x, y, p, direct, guess)
-        if res.value <= guess:
-            return res
     return _search(env, index, x, y, p, direct, ub)
 
 
@@ -259,57 +240,70 @@ def _chain_guess(via: Sequence[tuple[Coords, int]], p: TruncationParams) -> int:
 
 def _array_search(
     env: Environment, index: CubeIndex, x: Coords, y: Coords, p: TruncationParams, guess: int,
-    visits: tuple[np.ndarray, np.ndarray],
+    visits: tuple[np.ndarray, np.ndarray] | None,
 ) -> TruncatedResult | None:
-    """The result of ``_search`` under a ``guess`` below 4Kt, relaxed as arrays over the rows of ``visits``.
+    """The result of ``_search`` when T_t <= ``guess`` < 4Kt, relaxed as arrays from the rows of ``visits``.
 
-    None when the certificate of the module docstring fails or a settled
-    site lies outside the box: then only the heap gives the result.
+    None when T_t > ``guess``, by the certificate of the module docstring,
+    or when a site it would read lies outside the box: then only the heap
+    gives the result.  Without ``visits`` the first row is x's.
     """
-    d, Y = env.dim, np.asarray(y)
+    d, X, Y = env.dim, np.asarray(x), np.asarray(y)
+    sites, times = (X[None], np.zeros(1, dtype=np.int64)) if visits is None else visits
     # d_u >= max(T(u), |u - x|_1) for every u the search settles, so it reads u's row at most
     # guess - that deep, and u lies in the relay region whatever the hint says
-    sites, times = visits
-    times = np.maximum(times, np.abs(sites - np.asarray(x)).sum(axis=1))
+    times = np.maximum(times, np.abs(sites - X).sum(axis=1))
     keep = times + np.abs(sites - Y).sum(axis=1) <= guess
     needs = {tuple(u): (p.t, guess - T) for u, T in zip(sites[keep].tolist(), times[keep].tolist())}
-    owner, offs, taus = row_edges(env, needs)
-    us = np.asarray([*needs], dtype=np.int64).reshape(-1, d)
-    depth = np.asarray([h for _, h in needs.values()], dtype=np.int64)
-    # an edge u -> v with f_v <= D has tau + |v - y|_1 <= D - d_u, within a row D - d_u deep
-    vs = us[owner] + offs
-    edge = np.nonzero(taus + np.abs(vs - Y).sum(axis=1) <= depth[owner])[0]
-    ku, kv = index.flat(us), index.flat(vs[edge])
     kx, ky = index.flat_one(x), index.flat_one(y)
-    keys = np.sort(np.concatenate([ku, kv, [kx, ky]]))
-    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]  # the nodes, in the lex order of sites
-    iu = np.searchsorted(keys, ku)
-    src, dst, w = iu[owner[edge]], np.searchsorted(keys, kv), taus[edge]
-    dist = np.full(keys.shape[0], 1 << 62)
-    dist[np.searchsorted(keys, kx)] = 0
-    while True:  # Bellman's relaxation: one round per hop of the longest shortest path
-        new = dist.copy()
-        np.minimum.at(new, dst, dist[src] + w)
-        if np.array_equal(new, dist):
+    keys = dist = depth = src = dst = w = np.empty(0, dtype=np.int64)
+    while True:
+        owner, offs, taus = row_edges(env, needs)
+        us = np.asarray([*needs], dtype=np.int64).reshape(-1, d)
+        row_depth = np.asarray([h for _, h in needs.values()], dtype=np.int64)
+        # an edge u -> v with f_v <= B has tau + |v - y|_1 <= B - d_u, within a row B - d_u deep
+        vs = us[owner] + offs
+        edge = np.nonzero(taus + np.abs(vs - Y).sum(axis=1) <= row_depth[owner])[0]
+        ku, kv = index.flat(us), index.flat(vs[edge])
+        src, dst = np.concatenate([src, ku[owner[edge]]]), np.concatenate([dst, kv])
+        w = np.concatenate([w, taus[edge]])
+        old, keys = keys, np.sort(np.concatenate([keys, ku, kv, [kx, ky]]))
+        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]  # the nodes, in the lex order of sites
+        # each distance is the price of a real path, so the last round's are a warm start
+        dist, known = np.full(keys.shape[0], 1 << 62), dist
+        depth, built = np.full(keys.shape[0], -1), depth
+        at = np.searchsorted(keys, old)
+        dist[at], depth[at] = known, built
+        dist[np.searchsorted(keys, kx)] = 0
+        depth[np.searchsorted(keys, ku)] = row_depth
+        iu, iv = np.searchsorted(keys, src), np.searchsorted(keys, dst)
+        while True:  # Bellman's relaxation: one round per hop of the longest shortest path
+            new = dist.copy()
+            np.minimum.at(new, iv, dist[iu] + w)
+            if np.array_equal(new, dist):
+                break
+            dist = new
+        iy = int(np.searchsorted(keys, ky))
+        coords = index.unflat(keys)
+        f = dist + np.abs(coords - Y).sum(axis=1)
+        # the occupied sites with (f, d) < (B, B) need their rows B - d deep
+        B = min(int(dist[iy]), guess)
+        need = ((f < B) | ((f == B) & (dist < B))) & (depth < B - dist)
+        if (np.abs(coords[need]).sum(axis=1) > env.box_radius).any():
+            return None
+        need[need] = env.counts_at(coords[need]) >= 1  # an unoccupied site has no hits
+        if not need.any():
             break
-        dist = new
-    iy = int(np.searchsorted(keys, ky))
+        needs = {tuple(u): (p.t, h) for u, h in zip(coords[need].tolist(), (B - dist)[need].tolist())}
     D = int(dist[iy])
     if D > guess:
         return None
-    coords = index.unflat(keys)
-    f = dist + np.abs(coords - Y).sum(axis=1)
     settled = (f < D) | ((f == D) & (dist < D))  # the nodes the heap pops before the goal
-    row_depth = np.full(keys.shape[0], -1)
-    row_depth[iu] = depth
-    unsure = settled & (row_depth < D - dist)
-    if (np.abs(coords[settled]).sum(axis=1) > env.box_radius).any() or env.counts_at(coords[unsure]).any():
-        return None
     # the parent of v is the tight predecessor that the heap pops first, in (f, d, key) order
-    tight = np.nonzero(settled[src] & (dist[src] + w == dist[dst]))[0]
-    n, u = keys.shape[0], src[tight]
+    tight = np.nonzero(settled[iu] & (dist[iu] + w == dist[iv]))[0]
+    n, u = keys.shape[0], iu[tight]
     best = np.full(n, 1 << 62)
-    np.minimum.at(best, dst[tight], (f[u] * (D + 1) + dist[u]) * n + u)
+    np.minimum.at(best, iv[tight], (f[u] * (D + 1) + dist[u]) * n + u)
     chain = [iy]
     while dist[chain[-1]]:
         chain.append(int(best[chain[-1]] % n))
@@ -321,11 +315,9 @@ def _array_search(
 def _search(
     env: Environment, index: CubeIndex, x: Coords, y: Coords, p: TruncationParams, direct: int, ub: int,
 ) -> TruncatedResult:
-    """The A* of ``truncated_passage`` from x to y under the bound ``ub``, given the direct edge's price.
+    """The A* of ``truncated_passage`` from x to y under the proven bound ``ub``, given the direct edge's price.
 
-    The value is the price of a real relay path, the direct edge's when
-    nothing under ``ub`` beats it, so it is exact whenever it is at most
-    ``ub``; a larger value means ``ub`` lay below the optimum.
+    ``ub`` is the price of a real relay path, so the value is exact.
     """
     d, K4 = env.dim, 4 * p.K
     kx, ky = index.flat_one(x), index.flat_one(y)
@@ -518,11 +510,11 @@ def agreement_experiment(
     search's first guess of its bound (see ``truncated_passage``), so rows
     are read only about as deep as T_t.  It also comes with the engine's
     occupied visits u with T(u) + |u - x*|_1 <= T*, whose rows each search
-    below 4Kt relaxes as arrays.  A site settled before the goal has
+    below 4Kt relaxes as arrays first.  A site settled before the goal has
     T(u) + |x* - u|_1 <= d_u + |x* - u|_1 <= T_t there, so when T_t = T*
-    that array path answers and no heap runs.  The visits are released
-    with the replica.  The table also totals, per t,
-    the nodes the searches settled and the cube cells they relaxed.
+    those rows are all the array path needs.  The visits are released with
+    the replica.  The table also totals, per t, the nodes the searches
+    settled and the cube cells they relaxed.
     """
     require("x", x, SITES)
     require("t_ladder", t_ladder, LADDER)

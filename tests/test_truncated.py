@@ -275,7 +275,7 @@ def test_relay_chain_bound_halves_the_row_walks(monkeypatch):
     ball_pass = passage._ball_pass
 
     def counted(env, todo):
-        steps.extend(h * env.omega(u) for u, _, h in todo)
+        steps.extend(h * env.omega(u) for u, _, h, _ in todo)
         return ball_pass(env, todo)
 
     monkeypatch.setattr(passage, "_ball_pass", counted)
@@ -286,13 +286,14 @@ def test_relay_chain_bound_halves_the_row_walks(monkeypatch):
 def test_visit_prefetch_builds_the_rows_before_the_search(monkeypatch):
     # below 4Kt each search's rows come from the engine's visits in one pass before it starts:
     # 104 passes and 25,974 walk steps before the prefetch (68 of the passes inside t = 16
-    # searches), 16 passes and 26,698 steps with it, 9 and 12,476 with the array path
+    # searches), 16 passes and 26,698 steps with it, 9 and 12,476 with the array path, and
+    # 8 and 10,912, none inside the heap, with the array path run to its certificate
     passes, steps, searching = [], [], []
     ball_pass, search = passage._ball_pass, truncated._search
 
     def counted(env, todo):
         passes.append(searching[-1] if searching else None)
-        steps.extend(h * env.omega(u) for u, _, h in todo)
+        steps.extend(h * env.omega(u) for u, _, h, _ in todo)
         return ball_pass(env, todo)
 
     def tagged(env, index, x, y, p, *args):
@@ -311,8 +312,8 @@ def test_visit_prefetch_builds_the_rows_before_the_search(monkeypatch):
 
 
 def test_array_search_answers_most_searches(monkeypatch):
-    # below 4Kt the array path answers whenever T_t = T*, the heap only when it declines:
-    # 12 of these 12 searches were answered
+    # below 4Kt the array path answers whenever T_t <= g, and the heap runs once when it
+    # declines: 12 of these 12 searches were answered
     answers, heaps = [], []
     array, search = truncated._array_search, truncated._search
 
@@ -325,7 +326,31 @@ def test_array_search_answers_most_searches(monkeypatch):
     agreement_experiment(ConfigLaw.poisson(1.0), (8, 0), [4, 8, 16], 4, SeedSpec(0, "array-path"), mu_hat=2.0)
     assert len(answers) == 12
     assert sum(res is not None for res in answers) >= 11
-    assert len(heaps) <= 2 * sum(res is None for res in answers)
+    assert len(heaps) == sum(res is None for res in answers)
+
+
+def test_the_heap_runs_once_and_only_above_the_guess(monkeypatch):
+    # the array path answers every search with T_t <= g and proves T_t > g otherwise, so the
+    # heap runs at most once per search, under the proven bound.  On this ladder it runs at
+    # t = 1 (4 times in 4 searches) and never at t = 4, where 2 of the 4 searches disagree
+    runs = []
+    search, heap = truncated.truncated_passage, truncated._search
+
+    def counted_search(env, x, y, p, via=None, visits=None):
+        runs.append([p.t, 0])
+        return search(env, x, y, p, via, visits)
+
+    def counted_heap(*args):
+        runs[-1][1] += 1
+        return heap(*args)
+
+    monkeypatch.setattr(truncated, "truncated_passage", counted_search)
+    monkeypatch.setattr(truncated, "_search", counted_heap)
+    table = agreement_experiment(ConfigLaw.poisson(1.0), (8, 0), [1, 4], 4, SeedSpec(4, "one-heap"), mu_hat=2.0)
+    assert len(runs) == 8 and max(n for _, n in runs) == 1
+    assert sum(n for t, n in runs if t == 1) > 0
+    assert sum(n for t, n in runs if t == 4) == 0
+    assert [row.disagreements for row in table.rows if row.t == 4] == [2]
 
 
 def test_checked_guess_cuts_the_row_walks(monkeypatch):
@@ -336,7 +361,7 @@ def test_checked_guess_cuts_the_row_walks(monkeypatch):
     ball_pass = passage._ball_pass
 
     def counted(env, todo):
-        steps.extend(h * env.omega(u) for u, _, h in todo)
+        steps.extend(h * env.omega(u) for u, _, h, _ in todo)
         return ball_pass(env, todo)
 
     monkeypatch.setattr(passage, "_ball_pass", counted)
@@ -597,10 +622,9 @@ def test_visit_prefetch_keeps_the_search(dim, law, seed, t, c4_hat, data):
     st.integers(0, 2**32), st.integers(1, 16), st.floats(0.0, 2.0), st.data(),
 )
 def test_array_search_answers_exactly_or_declines(dim, law, seed, t, c4_hat, data):
-    # below 4Kt one array relaxation over the rows of the engine's visits stands in for the heap.
-    # Its answer must be the heap's on all five fields, and a corrupted hint (half the sites
-    # dropped, times shifted by 1-3 either way, an unvisited site added) may make it decline
-    # but never answer otherwise
+    # below 4Kt array relaxations stand in for the heap.  Whatever the hint (the engine's visits,
+    # none, half the sites, times shifted by 1-3 either way, an unvisited site added), the array
+    # path must return the heap's result on all five fields when T_t <= g, and None when T_t > g
     env = condition_origin(sample_environment(law, dim, 4, SeedSpec(seed, "array")))
     p = TruncationParams.make(t, dim, c4_hat)
     x, horizon = (0,) * dim, 40
@@ -617,16 +641,21 @@ def test_array_search_answers_exactly_or_declines(dim, law, seed, t, c4_hat, dat
                                    if table.visit_time(z) is None] + [far]))
     tz = data.draw(st.integers(0, 3))
     hints = [
-        visits, (sites[half], times[half]), (sites, shifted),
+        visits, None, (sites[half], times[half]), (sites, shifted),
         (np.concatenate([sites, [z]]), np.append(times, tz)),
         (np.concatenate([sites[half], [z]]), np.append(shifted[half], tz)),
     ]
-    radius = max(_relay_radius(x, y, p), horizon + 1)  # holds the chain and the unvisited site
-    want = truncated_passage(env.with_radius(radius), x, y, p, via=chain)
-    for hint in hints:
-        got = _array_search(env.with_radius(radius), CubeIndex(_relay_radius(x, y, p), dim), x, y, p,
-                            _chain_guess(chain, p), hint)
-        assert got is None or got == want
+    env = env.with_radius(max(_relay_radius(x, y, p), horizon + 1))  # holds the chain and the unvisited site
+    index, exact = CubeIndex(_relay_radius(x, y, p), dim), truncated_passage(env, x, y, p)  # the heap, proven bound
+    # the chain's guess, and one at most that, which often lies below T_t
+    for guess in {_chain_guess(chain, p), data.draw(st.integers(0, _chain_guess(chain, p)))}:
+        want = None
+        if exact.value <= guess:  # under a bound below 4Kt the heap relaxes (2t + 1)^d cells per settled site
+            want = truncated._search(env, index, x, y, p, sigma_t(env, x, y, p), guess)
+            assert want == TruncatedResult(exact.value, exact.witness, exact.long_edges_used, exact.settled,
+                                           (exact.settled - 1) * (2 * t + 1) ** dim)
+        for hint in hints:
+            assert _array_search(env, index, x, y, p, guess, hint) == want
 
 
 def test_truncated_long_edge_witness_pin():
