@@ -1,4 +1,4 @@
-"""First passage times via event-driven frog dynamics.
+"""First passage times from event-driven frog dynamics.
 
 The engine advances every active frog one lattice step per time unit; a
 site's first visit by an active frog activates the frogs sleeping there.
@@ -116,16 +116,6 @@ class ActivationTable:
             chain.append(self.index.unflat_one(int(self.parent[self.index.flat_one(chain[-1])])))
         chain.reverse()
         return chain
-
-    def relay_chain(self, x: Coords) -> tuple[tuple[Coords, int], ...] | None:
-        """The genealogy of x, each site with its visit time; None if x was not visited.
-
-        A hop's end was first stood on by a frog of its start, woken at the
-        start's time, so tau over the hop is at most the difference of times.
-        """
-        if self.visit_time(x) is None:
-            return None
-        return tuple((w, self.visit_time(w)) for w in self.genealogy(x))
 
     def to_json(self, env_ref: dict | None = None) -> dict:
         """Debug dump: visit times and genealogy edges of every visited site."""
@@ -400,8 +390,8 @@ def passage_times(
     censored ones do.  The others step through the engine in order, each
     stopping once its targets are visited, ``_batch_width`` at a time, and a
     batch's values are read before the next steps: one batch's tables are
-    alive at a time.  ``read`` reads them, the visit time by default, and
-    ``ActivationTable.relay_chain`` hands back each value's relay chain.
+    alive at a time.  ``read`` reads them, the visit time by default, or
+    more of a table, such as the visits ``truncated._visits`` hands back.
     """
     runs = [(env.with_radius(horizon + l1(source)), source, targets) for env, source, targets in runs]
     out: list[list] = [[None] * len(targets) for _, _, targets in runs]
@@ -648,7 +638,7 @@ def oracle_relay_distances(
     src = nodes.index(tuple(source))
     best = np.full(len(nodes), horizon + 1, dtype=np.int64)  # beyond the horizon: not reached
     best[src] = 0
-    via = np.full(len(nodes), -1, dtype=np.int64)
+    pred = np.full(len(nodes), -1, dtype=np.int64)
     todo = np.ones(len(nodes), dtype=bool)
     while True:
         # settle the least label left, the least site among ties; past the horizon, none is reached
@@ -667,10 +657,10 @@ def oracle_relay_distances(
         pos = np.minimum(np.searchsorted(sites, keys), sites.shape[0] - 1)
         cand = d_u + times[pos]
         better = (sites[pos] == keys) & (cand < best[v])
-        best[v[better]], via[v[better]] = cand[better], i
+        best[v[better]], pred[v[better]] = cand[better], i
     reached = np.flatnonzero(best <= horizon).tolist()
     dist = {nodes[j]: int(best[j]) for j in reached}
-    parent = {nodes[j]: nodes[via[j]] for j in reached if via[j] >= 0}
+    parent = {nodes[j]: nodes[pred[j]] for j in reached if pred[j] >= 0}
     return dist, parent
 
 

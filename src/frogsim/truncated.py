@@ -12,17 +12,12 @@ bound, the least price of two concrete relay paths, which soundly prunes
 long-range relaxations: the direct edge and a staircase of hops of length t.
 Staircase hops are priced at the cap unless a frog hits, so the bound sits
 near 4Kt or above, and rows would be walked that deep.  A caller may pass a
-chain of (site, time) pairs, such as the engine's activation genealogy,
-which gives a guess g: the lesser of the chain priced from its own times (a
-short hop at the difference of its times, capped at 4Kt, a long one at 4K
-times its gap) and twice the chain's arrival time.  For the engine's chain
-the price from its times is its sigma_t sum: all frogs of a wake at T(a),
-and b's first visitor was one of them, so tau(a, b) = T(b) - T(a).  A chain
-with a hop longer than t can still price far above the answer, and when its
-arrival time is the engine's T*, which T_t equals in most replicas, 2T* is
-the tighter guess.  The guess is checked, not trusted: below 4Kt the array
-path at the end of this docstring answers under it or proves T_t > g, and
-only then does the heap run, once, under the proven bound.
+hint of visit times, such as the engine's first visits from x, whose
+largest time T* gives a guess g = 2T*; for the engine's visits T* is T(y),
+which T_t equals in most replicas.  The guess is checked, not trusted:
+below 4Kt the array path at the end of this docstring answers under it or
+proves T_t > g, and only then does the heap run, once, under the proven
+bound.
 
 Sites are int keys of one ``CubeIndex`` that holds the relay region, and
 only the candidates under the bound reach the dicts and the heap.  Each
@@ -69,9 +64,11 @@ parent of a site is its tight predecessor that comes first in (f, d, key)
 order, the heap's pop order (the goal's direct edge is x's tight hit
 whenever it costs D); no edge is long; and ``relaxations`` is
 (settled - 1)(2t + 1)^d, the heap's own count under any bound below 4Kt.
-The first rows are x's, or a hint's, such as the engine's first visits T(u)
-from x: d_u >= T(u), since the engine equals the relay oracle, so a visit's
-row is built g - T(u) deep, and a wrong hint costs only time.
+The first rows are the hint's: for the engine's visits d_u >= T(u), since
+the engine equals the relay oracle, and when T_t <= T* a site settled before
+the goal has d_u + |u - y|_1 <= T*.  So the array path starts from the rows
+of the visits with T(u) + |u - y|_1 <= min(g, T*), each built min(g, T*) -
+T(u) deep, and a wrong hint costs only time.
 """
 
 from __future__ import annotations
@@ -173,7 +170,6 @@ def _staircase(x: Coords, y: Coords, t: int) -> list[Coords]:
 
 def truncated_passage(
     env: Environment, x: Coords, y: Coords, p: TruncationParams,
-    via: Sequence[tuple[Coords, int]] | None = None,
     visits: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TruncatedResult:
     """Exact shortest relay-path value from x to y under the two-point weight.
@@ -188,40 +184,34 @@ def truncated_passage(
 
     The proven bound is the least price of two relay paths, the direct edge
     and the staircase.  No bound changes the result: only ``relaxations``
-    counts cells under it.  ``via``, when given, is a chain x = w_0, ...,
-    w_m = y of (site, time) pairs such as ``ActivationTable.relay_chain``
-    returns; its sites are never read.  It gives a guess g, the lesser of
-    2 x its arrival time and the chain priced from its times: a short hop at
-    min(its time difference, 4Kt), a long one at 4K times its gap.  For the
-    engine's chain that price is its sigma_t sum, at least the value.  When g
-    lies below 4Kt, the array path of the module docstring runs first and, if
-    T_t <= g, returns the heap's result on all five fields: value D,
-    ``settled`` the sites with (f, d) < (D, D) plus the goal, each parent the
-    tight predecessor first in (f, d, key) order, no long edge, and
+    counts cells under it.  ``visits``, when given, is a hint: a pair of
+    arrays, n >= 1 sites u and their times T(u), such as ``_visits`` reads
+    off the engine's table: its first visits from x with T(u) + |u - y|_1
+    <= T(y).  Its largest time T* gives a guess g = 2T*.  When g lies below
+    4Kt, the array path of the module docstring runs first and, if T_t <= g,
+    returns the heap's result on all five fields: value D, ``settled`` the
+    sites with (f, d) < (D, D) plus the goal, each parent the tight
+    predecessor first in (f, d, key) order, no long edge, and
     ``relaxations`` (settled - 1)(2t + 1)^d.  Otherwise the heap runs once,
     under the proven bound, with the rows the array path built cached.  A
     settled site relaxes its row's hits one by one and the cube of capped and
-    long edges as arrays.
-
-    ``visits``, used only with ``via``, is a pair of arrays, sites u and
-    times T(u), such as ``_chain_and_visits`` reads off the engine's table:
-    its first visits from x with T(u) + |u - y|_1 <= T(y).  The array path
-    starts from the rows of those with T(u) + |u - y|_1 <= g, built g - T(u)
-    deep in one pass, instead of from x's alone.  T(u) is raised to
-    |u - x|_1, which d_u also bounds, so a wrong hint can build only rows of
-    the relay region and can cost only time.
+    long edges as arrays.  T(u) is raised to |u - x|_1, which d_u also
+    bounds, so a wrong hint can build only rows of the relay region and can
+    cost only time.
     """
     require_site("x", x, env.dim)
     require_site("y", y, env.dim)
-    if via is not None:
-        for site, _ in via:
-            require_site("via", site, env.dim)
-        if not via or tuple(via[0][0]) != tuple(x) or tuple(via[-1][0]) != tuple(y):
-            raise GeometryError(f"via must have x = {x} first and y = {y} last, got {via!r}")
+    if visits is not None:
+        sites, times = map(np.asarray, visits)
+        if not (sites.ndim == 2 and sites.shape[1] == env.dim and times.shape == sites.shape[:1] and times.size
+                and sites.dtype.kind in "iu" and times.dtype.kind in "iu"):
+            raise GeometryError(f"visits must have n >= 1 integer sites of dim = {env.dim} and n integer times, "
+                                f"got arrays of shapes {sites.shape} and {times.shape}")
+        visits = sites.astype(np.int64, copy=False), times.astype(np.int64, copy=False)
     if x == y:
         return TruncatedResult(0, (x,), 0, 0, 0)
     index = CubeIndex(_relay_radius(x, y, p), env.dim)
-    if via is not None and (guess := _chain_guess(via, p)) < p.cap:
+    if visits is not None and (guess := 2 * int(visits[1].max())) < p.cap:
         res = _array_search(env, index, x, y, p, guess, visits)
         if res is not None:
             return res
@@ -232,29 +222,25 @@ def truncated_passage(
     return _search(env, index, x, y, p, direct, ub)
 
 
-def _chain_guess(via: Sequence[tuple[Coords, int]], p: TruncationParams) -> int:
-    """The least of twice the chain's arrival time and the chain priced from its own times."""
-    return min(2 * via[-1][1], sum(
-        4 * p.K * gap if (gap := linf(sub(b, a))) > p.t else min(tb - ta, p.cap) for (a, ta), (b, tb) in zip(via, via[1:])))
-
-
 def _array_search(
     env: Environment, index: CubeIndex, x: Coords, y: Coords, p: TruncationParams, guess: int,
-    visits: tuple[np.ndarray, np.ndarray] | None,
+    visits: tuple[np.ndarray, np.ndarray],
 ) -> TruncatedResult | None:
     """The result of ``_search`` when T_t <= ``guess`` < 4Kt, relaxed as arrays from the rows of ``visits``.
 
     None when T_t > ``guess``, by the certificate of the module docstring,
     or when a site it would read lies outside the box: then only the heap
-    gives the result.  Without ``visits`` the first row is x's.
+    gives the result.  A hint that lacks x heals: x has f < B and no row,
+    so the next round builds it.
     """
     d, X, Y = env.dim, np.asarray(x), np.asarray(y)
-    sites, times = (X[None], np.zeros(1, dtype=np.int64)) if visits is None else visits
-    # d_u >= max(T(u), |u - x|_1) for every u the search settles, so it reads u's row at most
-    # guess - that deep, and u lies in the relay region whatever the hint says
+    sites, times = visits
+    top = min(guess, int(times.max()))
+    # d_u >= max(T(u), |u - x|_1) for every u the search settles, so when T_t <= min(guess, T*) it
+    # reads u's row at most top - T(u) deep, and u lies in the relay region whatever the hint says
     times = np.maximum(times, np.abs(sites - X).sum(axis=1))
-    keep = times + np.abs(sites - Y).sum(axis=1) <= guess
-    needs = {tuple(u): (p.t, guess - T) for u, T in zip(sites[keep].tolist(), times[keep].tolist())}
+    keep = times + np.abs(sites - Y).sum(axis=1) <= top
+    needs = {tuple(u): (p.t, top - T) for u, T in zip(sites[keep].tolist(), times[keep].tolist())}
     kx, ky = index.flat_one(x), index.flat_one(y)
     keys = dist = depth = src = dst = w = np.empty(0, dtype=np.int64)
     while True:
@@ -477,15 +463,15 @@ class AgreementTable:
     relaxations: dict[int, int] = field(default_factory=dict)
 
 
-def _chain_and_visits(table: ActivationTable, y: Coords):
-    """The relay chain of y and the visited u with T(u) + |u - y|_1 <= T(y), as (sites, times) arrays."""
-    chain = table.relay_chain(y)
-    if chain is None:
-        return None, None
+def _visits(table: ActivationTable, y: Coords):
+    """The visited u with T(u) + |u - y|_1 <= T(y), as (sites, times) arrays; None if y was not visited."""
+    value = table.visit_time(y)
+    if value is None:
+        return None
     keys = np.flatnonzero(table.visit >= 0)
     sites, times = table.index.unflat(keys), table.visit[keys].astype(np.int64)
-    keep = times + np.abs(sites - np.asarray(y)).sum(axis=1) <= chain[-1][1]
-    return chain, (sites[keep], times[keep])
+    keep = times + np.abs(sites - np.asarray(y)).sum(axis=1) <= value
+    return sites[keep], times[keep]
 
 
 def agreement_experiment(
@@ -505,16 +491,14 @@ def agreement_experiment(
     ``collect_passage_samples`` and their T*(0, x) = T(0*, x*) read from
     ``passage_times``, censored at 3 mu_hat |x|_1; censored values are
     excluded from the comparison and reported.  Each value comes with the
-    engine's relay chain 0* -> x* and its visit times.  Priced from those
-    times, the chain costs its sigma_t sum, near the answer, and it is every
-    search's first guess of its bound (see ``truncated_passage``), so rows
-    are read only about as deep as T_t.  It also comes with the engine's
-    occupied visits u with T(u) + |u - x*|_1 <= T*, whose rows each search
-    below 4Kt relaxes as arrays first.  A site settled before the goal has
-    T(u) + |x* - u|_1 <= d_u + |x* - u|_1 <= T_t there, so when T_t = T*
-    those rows are all the array path needs.  The visits are released with
-    the replica.  The table also totals, per t, the nodes the searches
-    settled and the cube cells they relaxed.
+    engine's occupied visits u with T(u) + |u - x*|_1 <= T*.  Their largest
+    time, T* itself, gives every search its guess 2T* (see
+    ``truncated_passage``), and each search below 4Kt relaxes their rows as
+    arrays first, so rows are read only about as deep as T_t.  A site
+    settled before the goal has T(u) + |x* - u|_1 <= d_u + |x* - u|_1 <= T_t
+    there, so when T_t = T* those rows are all the array path needs.  The
+    visits are released with the replica.  The table also totals, per t,
+    the nodes the searches settled and the cube cells they relaxed.
     """
     require("x", x, SITES)
     require("t_ladder", t_ladder, LADDER)
@@ -530,20 +514,20 @@ def agreement_experiment(
     disagree, censored, compared, long_geo, max_boxes = ({t: 0 for t in t_ladder} for _ in range(5))
 
     # every replica's environment and stars first, then all T*(0, x) from the engine, each
-    # with its relay chain: the engine's genealogy, whose hop times seed the search's bound, and
-    # the visits whose rows the searches read
+    # with the visits whose largest time seeds the search's guess and whose rows it reads
     setups = [replica_setup(law, d, [x], horizon, seed.child("agreement", r), True) for r in range(replicas)]
-    reads = passage_times(setups, horizon, _chain_and_visits)
+    reads = passage_times(setups, horizon, _visits)
     for r in range(replicas):
         # the searches cache ball rows on the environment: release each once searched
         (env, origin_star, (x_star,)), setups[r] = setups[r], None
-        ((chain, visits),), reads[r] = reads[r], None
-        value = None if chain is None else chain[-1][1]
+        (visits,), reads[r] = reads[r], None
+        value = None if visits is None else int(visits[1].max())  # T(x*)
         # one box holds every site the searches read: the relay region of each t, and the
-        # engine's box, which holds the chain
+        # engine's box, which holds the visits
         env = env.with_radius(max(horizon + l1(origin_star), *(_relay_radius(origin_star, x_star, p)
                                                                for p in params.values())))
-        if visits is not None:  # an unoccupied site has no row, so no search need ask for it again
+        # an unoccupied site has no row, so no search need ask for it again; x* is occupied, so T* stays
+        if visits is not None:
             occupied = env.counts_at(visits[0]) >= 1
             visits = visits[0][occupied], visits[1][occupied]
         # descending t lets the ball rows cached for a larger t serve the smaller ones
@@ -551,7 +535,7 @@ def agreement_experiment(
             if value is None:
                 censored[t] += 1
                 continue
-            trunc = truncated_passage(env, origin_star, x_star, params[t], via=chain, visits=visits)
+            trunc = truncated_passage(env, origin_star, x_star, params[t], visits=visits)
             compared[t] += 1
             table.settled[t] += trunc.settled
             table.relaxations[t] += trunc.relaxations

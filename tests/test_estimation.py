@@ -378,15 +378,17 @@ def test_library_entry_points_reject_bad_numbers(func, kwargs, error):
     pytest.param(truncated_passage, dict(env=PASSAGE_ENV, x=(0, 0), y=(3.5, 0), p=PARAMS), "y", id="truncated-float"),
     pytest.param(sigma_t, dict(env=PASSAGE_ENV, x=(0, 0, 0), y=(1, 0), p=PARAMS), "x", id="sigma"),
     pytest.param(truncated_passage, dict(env=PASSAGE_ENV, x=(0, 0), y=(3, 0), p=PARAMS,
-                                         via=[((0, 0), 0), ((1, 0, 0), 2), ((3, 0), 5)]), "via", id="via-site"),
+                                         visits=([(0, 0, 0), (3, 0, 0)], [0, 5])), "visits", id="visits-site"),
     pytest.param(truncated_passage, dict(env=PASSAGE_ENV, x=(0, 0), y=(3, 0), p=PARAMS,
-                                         via=[((1, 0), 0), ((3, 0), 5)]), "via", id="via-start"),
+                                         visits=([(0, 0), (3, 0)], [0, 2, 5])), "visits", id="visits-times"),
     pytest.param(truncated_passage, dict(env=PASSAGE_ENV, x=(0, 0), y=(3, 0), p=PARAMS,
-                                         via=[((0, 0), 0), ((2, 0), 5)]), "via", id="via-end"),
-    pytest.param(truncated_passage, dict(env=PASSAGE_ENV, x=(0, 0), y=(0, 0), p=PARAMS, via=[]), "via", id="via-empty"),
+                                         visits=([(0, 0), (3, 0)], [0, 5.0])), "visits", id="visits-float"),
+    pytest.param(truncated_passage, dict(env=PASSAGE_ENV, x=(0, 0), y=(0, 0), p=PARAMS,
+                                         visits=(np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64))),
+                 "visits", id="visits-empty"),
 ])
 def test_site_errors_name_the_argument(func, kwargs, name):
-    # the wrong-length sites failed in numpy or zip, and a float coordinate was blamed on hit_time's v
+    # the wrong-length sites and times failed in numpy, and a float coordinate was blamed on hit_time's v
     with pytest.raises(GeometryError, match=f"^{name} must have"):
         func(**kwargs)
 

@@ -10,15 +10,14 @@ from frogsim import passage, truncated
 from frogsim.environment import ConfigLaw, condition_origin, sample_environment, star
 from frogsim.errors import SearchCapError
 from frogsim.lattice import Coords, CubeIndex, add, ball_coords, cube_coords, l1, linf, sub
-from frogsim.passage import ActivationTable, build_rows, offset_index, passage_times, simulate_frogs
+from frogsim.passage import build_rows, offset_index, passage_times, simulate_frogs
 from frogsim.truncated import (
     TruncatedResult,
     TruncationParams,
     _array_search,
-    _chain_and_visits,
-    _chain_guess,
     _relay_radius,
     _staircase,
+    _visits,
     agreement_experiment,
     box_count_bound,
     box_of,
@@ -256,8 +255,8 @@ def test_agreement_table_totals_the_search_work(monkeypatch):
     seen = []
     search = truncated.truncated_passage
 
-    def recorded(env, x, y, p, via=None, visits=None):
-        seen.append((p.t, search(env, x, y, p, via, visits)))
+    def recorded(env, x, y, p, visits=None):
+        seen.append((p.t, search(env, x, y, p, visits)))
         return seen[-1][1]
 
     monkeypatch.setattr(truncated, "truncated_passage", recorded)
@@ -269,8 +268,9 @@ def test_agreement_table_totals_the_search_work(monkeypatch):
 
 def test_relay_chain_bound_halves_the_row_walks(monkeypatch):
     # the staircase prices its hops at the cap, 4Kt, unless a frog hits, so without the engine's
-    # chain the search walks rows that deep: 55,623 walk steps before the chain seeded the
-    # bound, 18,245 with it
+    # guess the search walks rows that deep: 55,623 walk steps before the relay chain seeded the
+    # bound, 18,245 with it, 4,178 with the array path run to its certificate, and 2,269 with
+    # the guess read off the visits and their first rows built no deeper than T(y)
     steps = []
     ball_pass = passage._ball_pass
 
@@ -286,8 +286,9 @@ def test_relay_chain_bound_halves_the_row_walks(monkeypatch):
 def test_visit_prefetch_builds_the_rows_before_the_search(monkeypatch):
     # below 4Kt each search's rows come from the engine's visits in one pass before it starts:
     # 104 passes and 25,974 walk steps before the prefetch (68 of the passes inside t = 16
-    # searches), 16 passes and 26,698 steps with it, 9 and 12,476 with the array path, and
-    # 8 and 10,912, none inside the heap, with the array path run to its certificate
+    # searches), 16 passes and 26,698 steps with it, 9 and 12,476 with the array path, 8 and
+    # 10,912, none inside the heap, with the array path run to its certificate, and 7 and
+    # 6,676 with the first rows built no deeper than T(y)
     passes, steps, searching = [], [], []
     ball_pass, search = passage._ball_pass, truncated._search
 
@@ -336,9 +337,9 @@ def test_the_heap_runs_once_and_only_above_the_guess(monkeypatch):
     runs = []
     search, heap = truncated.truncated_passage, truncated._search
 
-    def counted_search(env, x, y, p, via=None, visits=None):
+    def counted_search(env, x, y, p, visits=None):
         runs.append([p.t, 0])
-        return search(env, x, y, p, via, visits)
+        return search(env, x, y, p, visits)
 
     def counted_heap(*args):
         runs[-1][1] += 1
@@ -356,7 +357,8 @@ def test_the_heap_runs_once_and_only_above_the_guess(monkeypatch):
 def test_checked_guess_cuts_the_row_walks(monkeypatch):
     # a t = 4 search whose proven bound sits far above the engine's passage time first searches
     # under twice that time, so it reads rows only about that deep: 53,756 walk steps when every
-    # search started from the proven bound, 25,384 with the checked guess
+    # search started from the proven bound, 25,384 with the checked guess, 10,351 with the array
+    # path run to its certificate, and 5,712 with the first rows built no deeper than T(y)
     steps = []
     ball_pass = passage._ball_pass
 
@@ -520,39 +522,16 @@ def test_truncated_matches_dict_oracle(dim, radius, law, seed, t, c4_hat, data):
 )
 def test_relay_chain_hops_take_their_hitting_times(dim, law, seed, data):
     # every frog of a wakes at T(a), and b's first visitor was one of them, so each hop of the
-    # engine's chain takes exactly tau(a, b) = T(b) - T(a): the price of the chain's guess
+    # engine's genealogy takes exactly tau(a, b) = T(b) - T(a)
     env = condition_origin(sample_environment(law, dim, 4, SeedSpec(seed, "hops")))
     x, horizon = (0,) * dim, 40
     y = data.draw(st.tuples(*[st.integers(-5, 5)] * dim))
-    (chain,), = passage_times([(env, x, [y])], horizon, ActivationTable.relay_chain)
-    assume(chain is not None)
     env = env.with_radius(horizon)  # holds every site the frogs reach
-    for (a, ta), (b, tb) in zip(chain, chain[1:]):
-        assert passage.tau(env, a, b, horizon) == tb - ta
-
-
-def test_chain_guess_reads_no_chain_row(monkeypatch):
-    # the chain is priced from its own visit times, so the only hitting times the bounds look
-    # up are the direct edge's and the staircase's hops.  A search that the array path answers
-    # looks up none, so t = 1, where the heap runs, keeps the lookups many
-    looked, searches = [], []
-    lookup, search = truncated.hit_time, truncated.truncated_passage
-
-    def recorded_lookup(env, u, v, t, horizon):
-        looked.append((searches[-1], u, v))
-        return lookup(env, u, v, t, horizon)
-
-    def recorded_search(env, x, y, p, via=None, visits=None):
-        searches.append((x, y, p.t))
-        return search(env, x, y, p, via, visits)
-
-    monkeypatch.setattr(truncated, "hit_time", recorded_lookup)
-    monkeypatch.setattr(truncated, "truncated_passage", recorded_search)
-    agreement_experiment(ConfigLaw.poisson(1.0), (8, 0), [1, 4, 8, 16], 4, SeedSpec(0, "chain-guess"), mu_hat=2.0)
-    assert looked
-    for (x, y, t), u, v in looked:
-        stair = _staircase(x, y, t)
-        assert (u, v) == (x, y) or (u, v) in set(zip(stair, stair[1:])), (x, y, t, u, v)
+    table = simulate_frogs(env, x, horizon, [y])
+    assume(table.visit_time(y) is not None)
+    chain = table.genealogy(y)
+    for a, b in zip(chain, chain[1:]):
+        assert passage.tau(env, a, b, horizon) == table.visit_time(b) - table.visit_time(a)
 
 
 @settings(max_examples=50, deadline=None)
@@ -562,25 +541,25 @@ def test_chain_guess_reads_no_chain_row(monkeypatch):
     st.integers(0, 2**32), st.integers(1, 16), st.floats(0.0, 2.0), st.data(),
 )
 def test_relay_chain_bound_keeps_the_search(dim, law, seed, t, c4_hat, data):
-    # each chain only guesses the first bound.  The engine's prices at its sigma_t sum, which
-    # bounds the value; the bogus one, with times 0, guesses below the optimum, so its search
-    # must fall back to the proven bound.  Only relaxations may move
-    env = condition_origin(sample_environment(law, dim, 4, SeedSpec(seed, "via")))
+    # each hint only guesses the first bound.  The engine's visits, which hold its relay chain,
+    # guess twice T(y), at least the value whenever T_t = T(y); the bogus hint, with times 0,
+    # guesses below the optimum, so its search must fall back to the proven bound.  Only
+    # relaxations may move
+    env = condition_origin(sample_environment(law, dim, 4, SeedSpec(seed, "hint")))
     p = TruncationParams.make(t, dim, c4_hat)
     x, horizon = (0,) * dim, 40
     y = data.draw(st.tuples(*[st.integers(-3, 3)] * dim))
-    (engine,), = passage_times([(env, x, [y])], horizon, ActivationTable.relay_chain)
-    bogus = [(x, 0), *((site, 0) for site in data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim), max_size=3))),
-             (y, 0)]
-    env = env.with_radius(max(_relay_radius(x, y, p), horizon))  # a box that holds both chains
+    (engine,), = passage_times([(env, x, [y])], horizon, _visits)
+    bogus = np.asarray([x, *data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim), max_size=3)), y])
+    env = env.with_radius(max(_relay_radius(x, y, p), horizon))  # a box that holds both hints
 
     def result(res):
         return res.value, res.witness, res.long_edges_used, res.settled
 
     want = result(truncated_passage(env, x, y, p))
     assert result(dict_truncated_passage(env, x, y, p)) == want
-    for via in filter(None, [engine, bogus]):
-        assert result(truncated_passage(env, x, y, p, via=via)) == want
+    for hint in filter(None, [engine, (bogus, np.zeros(bogus.shape[0], dtype=np.int64))]):
+        assert result(truncated_passage(env, x, y, p, visits=hint)) == want
 
 
 @settings(max_examples=50, deadline=None)
@@ -590,29 +569,31 @@ def test_relay_chain_bound_keeps_the_search(dim, law, seed, t, c4_hat, data):
     st.integers(0, 2**32), st.integers(1, 16), st.floats(0.0, 2.0), st.data(),
 )
 def test_visit_prefetch_keeps_the_search(dim, law, seed, t, c4_hat, data):
-    # the engine's visits only choose the rows built before the search: without them, or with
-    # times shifted by 1-3 either way, half the sites dropped and an unvisited site added, no
-    # field of the result may move
+    # the engine's visits choose the rows built before the search, and their largest time T(y)
+    # the guess: with only x and y, or with times shifted by 1-3 either way, half the sites
+    # dropped and an unvisited site added, but (y, T(y)) kept as the largest time, no field of
+    # the result may move
     env = condition_origin(sample_environment(law, dim, 4, SeedSpec(seed, "visits")))
     p = TruncationParams.make(t, dim, c4_hat)
     x, horizon = (0,) * dim, 40
     y = data.draw(st.tuples(*[st.integers(-3, 3)] * dim))
     table = simulate_frogs(env.with_radius(horizon), x, horizon, [y])
-    chain, visits = _chain_and_visits(table, y)
-    assume(chain is not None)
+    visits = _visits(table, y)
+    assume(visits is not None)
     sites, times = visits
+    T = table.visit_time(y)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
     keep = np.sort(rng.permutation(times.shape[0])[: -(-times.shape[0] // 2)])
     # an unvisited site: near the origin, or one step past the frogs' reach at T(y)
-    far = (chain[-1][1] + 1,) + (0,) * (dim - 1)
+    far = (T + 1,) + (0,) * (dim - 1)
     z = data.draw(st.sampled_from([z for z in map(tuple, cube_coords(3, dim).tolist())
                                    if table.visit_time(z) is None] + [far]))
-    wrong = (np.concatenate([sites[keep], [z]]),
-             np.append(times[keep] + rng.choice([-3, -2, -1, 1, 2, 3], keep.shape[0]), data.draw(st.integers(0, 3))))
-    radius = max(_relay_radius(x, y, p), horizon + 1)  # holds the chain and the unvisited site
-    want = truncated_passage(env.with_radius(radius), x, y, p, via=chain)
+    shifted = np.append(times[keep] + rng.choice([-3, -2, -1, 1, 2, 3], keep.shape[0]), data.draw(st.integers(0, 3)))
+    wrong = np.concatenate([sites[keep], [z, y]]), np.append(np.minimum(shifted, T), T)
+    radius = max(_relay_radius(x, y, p), horizon + 1)  # holds the visits and the unvisited site
+    want = truncated_passage(env.with_radius(radius), x, y, p, visits=([x, y], [0, T]))
     for hint in (visits, wrong):
-        assert truncated_passage(env.with_radius(radius), x, y, p, via=chain, visits=hint) == want
+        assert truncated_passage(env.with_radius(radius), x, y, p, visits=hint) == want
 
 
 @settings(max_examples=50, deadline=None)
@@ -623,32 +604,34 @@ def test_visit_prefetch_keeps_the_search(dim, law, seed, t, c4_hat, data):
 )
 def test_array_search_answers_exactly_or_declines(dim, law, seed, t, c4_hat, data):
     # below 4Kt array relaxations stand in for the heap.  Whatever the hint (the engine's visits,
-    # none, half the sites, times shifted by 1-3 either way, an unvisited site added), the array
-    # path must return the heap's result on all five fields when T_t <= g, and None when T_t > g
+    # all but x, half the sites, times shifted by 1-3 either way, an unvisited site added), the
+    # array path must return the heap's result on all five fields when T_t <= g, and None when
+    # T_t > g
     env = condition_origin(sample_environment(law, dim, 4, SeedSpec(seed, "array")))
     p = TruncationParams.make(t, dim, c4_hat)
     x, horizon = (0,) * dim, 40
     y = data.draw(st.tuples(*[st.integers(-3, 3)] * dim))
     table = simulate_frogs(env.with_radius(horizon), x, horizon, [y])
-    chain, visits = _chain_and_visits(table, y)
-    assume(chain is not None and y != x and _chain_guess(chain, p) < p.cap)
+    visits = _visits(table, y)
+    assume(visits is not None and y != x and 2 * table.visit_time(y) < p.cap)
     sites, times = visits
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
     half = np.sort(rng.permutation(times.shape[0])[: -(-times.shape[0] // 2)])
     shifted = times + rng.choice([-3, -2, -1, 1, 2, 3], times.shape[0])
-    far = (chain[-1][1] + 1,) + (0,) * (dim - 1)
+    far = (table.visit_time(y) + 1,) + (0,) * (dim - 1)
     z = data.draw(st.sampled_from([z for z in map(tuple, cube_coords(3, dim).tolist())
                                    if table.visit_time(z) is None] + [far]))
     tz = data.draw(st.integers(0, 3))
+    not_x = np.abs(sites).sum(axis=1) > 0
     hints = [
-        visits, None, (sites[half], times[half]), (sites, shifted),
+        visits, (sites[not_x], times[not_x]), (sites[half], times[half]), (sites, shifted),
         (np.concatenate([sites, [z]]), np.append(times, tz)),
         (np.concatenate([sites[half], [z]]), np.append(shifted[half], tz)),
     ]
-    env = env.with_radius(max(_relay_radius(x, y, p), horizon + 1))  # holds the chain and the unvisited site
+    env = env.with_radius(max(_relay_radius(x, y, p), horizon + 1))  # holds the visits and the unvisited site
     index, exact = CubeIndex(_relay_radius(x, y, p), dim), truncated_passage(env, x, y, p)  # the heap, proven bound
-    # the chain's guess, and one at most that, which often lies below T_t
-    for guess in {_chain_guess(chain, p), data.draw(st.integers(0, _chain_guess(chain, p)))}:
+    # the visits' guess 2T(y), and one at most that, which often lies below T_t
+    for guess in {2 * table.visit_time(y), data.draw(st.integers(0, 2 * table.visit_time(y)))}:
         want = None
         if exact.value <= guess:  # under a bound below 4Kt the heap relaxes (2t + 1)^d cells per settled site
             want = truncated._search(env, index, x, y, p, sigma_t(env, x, y, p), guess)
@@ -676,7 +659,7 @@ def test_truncated_long_edge_witness_pin():
     st.integers(0, 2**32), st.integers(1, 6), st.floats(0.0, 1.0), st.data(),
 )
 def test_checked_guess_keeps_the_search(dim, law, seed, t, c4_hat, data):
-    # the chain [(x, 0), (y, T)] guesses the bound 2T.  Every T up to past half the value v
+    # the hint of x at 0 and y at T guesses the bound 2T.  Every T up to past half the value v
     # is tried: a guess below v must fall back to the proven bound, and a guess of v itself
     # must still settle the nodes with f = v and d < v that precede the goal
     env = condition_origin(sample_environment(law, dim, 4, SeedSpec(seed, "guess")))
@@ -690,4 +673,4 @@ def test_checked_guess_keeps_the_search(dim, law, seed, t, c4_hat, data):
 
     want = result(truncated_passage(env, x, y, p))
     for T in range(-(-want[0] // 2) + 2):
-        assert result(truncated_passage(env, x, y, p, via=[(x, 0), (y, T)])) == want, T
+        assert result(truncated_passage(env, x, y, p, visits=([x, y], [0, T]))) == want, T
