@@ -79,13 +79,12 @@ def LAW(value) -> str | None:
 # help).  The flag is the key with dashes.  An int or float parser is
 # argparse's type and bool makes a switch; any other parser turns the flag's
 # text into the plan value in _plan_from_args, so that a malformed value
-# exits 2 as a plan error.  A default of None leaves the key out of the plan,
-# and a parser of None marks a key that only a stored plan sets.  The check
-# is LAW, SIDE or a rule of errors.py, which the library applies to the same
-# value; _check_params runs it on every key a plan carries, before plan.json
-# is written, and rejects a key that is not a row.  A replayed plan gets
-# every absent key at its default; REQUIRED_PARAMS lists the keys it must
-# carry.
+# exits 2 as a plan error.  A default of None leaves the key out of the plan.
+# The check is LAW, SIDE or a rule of errors.py, which the library applies to
+# the same value; _check_params runs it on every key a plan carries, before
+# plan.json is written, and rejects a key that is not a row.  A replayed plan
+# gets every absent key at its default; REQUIRED_PARAMS lists the keys it
+# must carry.
 _SEED = [
     ("seed", int, REQUIRED, INTEGER, "master seed (required; no environment fallback)"),
     ("tag", str, "", TEXT, "experiment tag mixed into every derived key"),
@@ -122,8 +121,6 @@ COMMANDS = {
         ("side", str, "both", SIDE, "upper | lower | both"),
         ("mu_hat", float, None, POSITIVE,
          "calibrated estimate; omitted -> internal calibration on a disjoint seed stream"),
-        ("calibration_k", None, [4, 8, 16], LADDER, None),
-        ("calibration_replicas", None, 200, SIZE, None),
     ]),
     "concentration": ("std scaling of the modified passage time", [
         *_LADDER,
@@ -268,10 +265,7 @@ def run_tails(plan: dict, outdir: Path) -> str:
     ladder = [tuple(k * c for c in direction) for k in params["k"]]
     mu_hat = params["mu_hat"]
     if mu_hat is None:
-        est = estimate_time_constant(
-            law, direction, params["calibration_k"], params["calibration_replicas"], seed.child("calibration")
-        )
-        mu_hat = est.mu_hat
+        mu_hat = estimate_time_constant(law, direction, [4, 8, 16], 200, seed.child("calibration")).mu_hat
     sides = TAIL_SIDES[params["side"]]
     samples = collect_tail_samples(law, eps, ladder, params["replicas"], mu_hat, seed)
     curves = {side: tail_curve_from_samples(samples, eps, side, mu_hat, law.label()) for side in sides}
@@ -485,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
             flag = "--" + key.replace("_", "-")
             if parse is bool:
                 sp.add_argument(flag, action="store_true", help=help_)
-            elif parse is not None:
+            else:
                 sp.add_argument(
                     flag, type=parse if parse in (int, float) else None, required=default is REQUIRED,
                     default=None if default is REQUIRED else default, help=help_,
@@ -503,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _plan_from_args(args: argparse.Namespace) -> dict:
     params = {}
     for key, parse, _, _, _ in COMMANDS[args.command][1]:
-        value = getattr(args, key, None)  # None: no flag, or an optional flag not given
+        value = getattr(args, key)  # None: an optional flag not given
         if value is None or (key.startswith("white_") and not args.white_n):
             continue
         params[key] = parse(value) if isinstance(value, str) else value

@@ -8,16 +8,14 @@ value over relay sequences under this edge weight.
 
 The search is A* with the l1 distance to the goal as heuristic (admissible
 and consistent since every edge weight dominates the l1 step) plus an upper
-bound, the least price of two concrete relay paths, which soundly prunes
-long-range relaxations: the direct edge and a staircase of hops of length t.
-Staircase hops are priced at the cap unless a frog hits, so the bound sits
-near 4Kt or above, and rows would be walked that deep.  A caller may pass a
-hint of visit times, such as the engine's first visits from x, whose
-largest time T* gives a guess g = 2T*; for the engine's visits T* is T(y),
-which T_t equals in most replicas.  The guess is checked, not trusted:
-below 4Kt the array path at the end of this docstring answers under it or
-proves T_t > g, and only then does the heap run, once, under the proven
-bound.
+bound, the price of the direct edge x -> y, a concrete relay path, which
+soundly prunes long-range relaxations; each settled site's direct long edge
+to the goal lowers it as the search goes.  A caller may pass a hint of
+visit times, such as the engine's first visits from x, whose largest time
+T* gives a guess g = 2T*; for the engine's visits T* is T(y), which T_t
+equals in most replicas.  The guess is checked, not trusted: below 4Kt the
+array path at the end of this docstring answers under it or proves
+T_t > g, and only then does the heap run, once, under the proven bound.
 
 Sites are int keys of one ``CubeIndex`` that holds the relay region, and
 only the candidates under the bound reach the dicts and the heap.  Each
@@ -42,10 +40,10 @@ an edge this drops has f above the final bound, so it would never have been
 settled before the goal, nor blocked a push that passes the prune.
 A read that finds no row that far builds it, and the live heap entries
 tied with the popped site at its f are settled before the goal, so their
-rows are built in the same ``build_rows`` call.  ``sigma_t`` is the one
-edge price: the staircase's hops and the direct edge look it up with
-``hit_time``, the lookup of ``tau``, in the same rows as the search, read
-at (t, 4Kt), and the tests check it against a dense walker of their own.
+rows are built in the same ``build_rows`` call.  ``sigma_t`` prices the
+direct edge with ``hit_time``, the lookup of ``tau``, in the same rows as
+the search, read at (t, 4Kt), and the tests check it against a dense walker
+of their own.
 
 Below the cap, arrays can replace the heap.  Under g below 4Kt no capped or
 long edge fits, so a path of price at most g is a chain of row hits.  The
@@ -156,18 +154,6 @@ def _linf_cube(radius: int, t: int, d: int) -> tuple[tuple[np.ndarray, ...], np.
     return cols, lengths
 
 
-def _staircase(x: Coords, y: Coords, t: int) -> list[Coords]:
-    """A concrete relay path x -> y with every hop of l-infinity length <= t."""
-    path = [x]
-    cur = list(x)
-    while tuple(cur) != y:
-        for i in range(len(cur)):
-            gap = y[i] - cur[i]
-            cur[i] += max(-t, min(t, gap))
-        path.append(tuple(cur))
-    return path
-
-
 def truncated_passage(
     env: Environment, x: Coords, y: Coords, p: TruncationParams,
     visits: tuple[np.ndarray, np.ndarray] | None = None,
@@ -182,22 +168,21 @@ def truncated_passage(
     which lays out the keys; reads of the configuration outside the box
     raise GeometryError.
 
-    The proven bound is the least price of two relay paths, the direct edge
-    and the staircase.  No bound changes the result: only ``relaxations``
-    counts cells under it.  ``visits``, when given, is a hint: a pair of
-    arrays, n >= 1 sites u and their times T(u), such as ``_visits`` reads
-    off the engine's table: its first visits from x with T(u) + |u - y|_1
-    <= T(y).  Its largest time T* gives a guess g = 2T*.  When g lies below
-    4Kt, the array path of the module docstring runs first and, if T_t <= g,
-    returns the heap's result on all five fields: value D, ``settled`` the
-    sites with (f, d) < (D, D) plus the goal, each parent the tight
-    predecessor first in (f, d, key) order, no long edge, and
-    ``relaxations`` (settled - 1)(2t + 1)^d.  Otherwise the heap runs once,
-    under the proven bound, with the rows the array path built cached.  A
-    settled site relaxes its row's hits one by one and the cube of capped and
-    long edges as arrays.  T(u) is raised to |u - x|_1, which d_u also
-    bounds, so a wrong hint can build only rows of the relay region and can
-    cost only time.
+    The proven bound is the price of the direct edge, a relay path.  No bound
+    changes the result: only ``relaxations`` counts cells under it.
+    ``visits``, when given, is a hint: a pair of arrays, n >= 1 sites u and
+    their times T(u), such as ``_visits`` reads off the engine's table: its
+    first visits from x with T(u) + |u - y|_1 <= T(y).  Its largest time T*
+    gives a guess g = 2T*.  When g lies below 4Kt, the array path of the
+    module docstring runs first and, if T_t <= g, returns the heap's result on
+    all five fields: value D, ``settled`` the sites with (f, d) < (D, D) plus
+    the goal, each parent the tight predecessor first in (f, d, key) order, no
+    long edge, and ``relaxations`` (settled - 1)(2t + 1)^d.  Otherwise the
+    heap runs once, under the proven bound, with the rows the array path built
+    cached.  A settled site relaxes its row's hits one by one and the cube of
+    capped and long edges as arrays.  T(u) is raised to |u - x|_1, which d_u
+    also bounds, so a wrong hint can build only rows of the relay region and
+    can cost only time.
     """
     require_site("x", x, env.dim)
     require_site("y", y, env.dim)
@@ -215,11 +200,8 @@ def truncated_passage(
         res = _array_search(env, index, x, y, p, guess, visits)
         if res is not None:
             return res
-    stair = _staircase(x, y, p.t)
-    build_rows(env, dict.fromkeys(stair[:-1], (p.t, p.cap)))  # the staircase's rows, in one pass
     direct = sigma_t(env, x, y, p)
-    ub = min(direct, sum(sigma_t(env, a, b, p) for a, b in zip(stair, stair[1:])))
-    return _search(env, index, x, y, p, direct, ub)
+    return _search(env, index, x, y, p, direct, direct)
 
 
 def _array_search(

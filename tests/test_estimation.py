@@ -353,8 +353,7 @@ ROW_CASES = {
     "seed": "seed-float", "tag": "tag-int", "law": "law-inf", "white_law": "law-inf", "dim": "env-dim-zero",
     "radius": "hole-radius-negative", "x": "passage-x-text", "horizon": "passage-horizon-negative",
     "direction": "zero-direction", "k": "mu-k-zero", "replicas": "zero-replicas", "epsilon": "tails-epsilon-inf",
-    "side": "tails-side", "mu_hat": "tails-mu-hat-inf", "calibration_k": "mu-empty",
-    "calibration_replicas": "mu-zero-replicas", "mu_hint": "concentration-mu-hint-inf",
+    "side": "tails-side", "mu_hat": "tails-mu-hat-inf", "mu_hint": "concentration-mu-hint-inf",
     "t": "agreement-t-repeated", "gamma": "gamma-nan", "c4_hat": "c4-hat-inf", "p": "hole-p-above-one",
     "targets": "chemical-origin-target", "white_n": "white-default-subbox", "white_replicas": "white-zero-replicas",
     "white_subbox": "white-subbox-zero", "triples": "audit-zero-triples", "window": "audit-window-negative",
